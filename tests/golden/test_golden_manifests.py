@@ -4,8 +4,9 @@ The within-run parity contracts (serial vs parallel, served vs direct,
 sweep vs orchestrator) cannot catch a change that shifts *every* path at
 once — a cost-model edit, a solver reordering, a serialisation change.
 These tests pin the actual numbers: the checked-in goldens under
-``tests/golden/goldens/`` hold the full reduced-grid rows of two figures,
-and ``repro run <figure> --reduced`` must reproduce them row-identically.
+``tests/golden/goldens/`` hold the full reduced-grid rows of every
+registered figure whose rows are deterministic, and
+``repro run <figure> --reduced`` must reproduce them row-identically.
 
 After an *intentional* result change, refresh and review the goldens::
 
@@ -22,13 +23,21 @@ import pytest
 
 from repro.runner import orchestrator
 from repro.runner.manifest import validate_manifest
-from repro.runner.registry import get_experiment
+from repro.runner.registry import figure_ids, get_experiment
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
-#: Figures whose reduced grids are pinned (one cartesian single-wafer grid,
-#: one zipped multi-wafer grid — cheap enough for tier-1).
-GOLDEN_FIGURES = ["fig13", "fig19"]
+#: Figures whose reduced grids are pinned. Together they cover the
+#: single-wafer search, pinned-spec, multi-wafer, fault, GPU-cluster,
+#: ablation, and solver paths, and all run in a few seconds.
+GOLDEN_FIGURES = [
+    "fabric_zoo", "fig04", "fig07", "fig09", "fig13", "fig14", "fig15",
+    "fig16", "fig17", "fig18", "fig19", "fig20", "fig21",
+]
+
+#: Registered figures deliberately left unpinned: ``search_time`` rows
+#: carry wall-clock timings.
+UNPINNED_FIGURES = {"search_time"}
 
 pytestmark = pytest.mark.slow  # each test runs a full reduced grid
 
@@ -84,3 +93,9 @@ def test_golden_files_are_well_formed(figure):
     assert golden["rows"], "golden manifest has no rows"
     for row in golden["rows"]:
         assert set(row) == set(experiment.schema)
+
+
+def test_every_registered_figure_is_pinned_or_exempt():
+    # A newly registered figure must either get a golden or be exempted
+    # here with a reason.
+    assert set(figure_ids()) == set(GOLDEN_FIGURES) | UNPINNED_FIGURES
