@@ -42,12 +42,14 @@ Plan server (batched, cached, concurrent Scenario serving)
     :class:`repro.server.PlanServer` / :class:`repro.server.PlanClient`
     (``repro serve`` / ``repro submit``).
 
-Framework (deprecated loose-kwargs entry points)
-    :class:`repro.core.TEMP`, :func:`repro.core.evaluate_baseline`,
-    :func:`repro.core.evaluate_multiwafer`, :func:`repro.core.evaluate_with_faults`.
+Framework (the evaluation paths ``PlanService`` dispatches to)
+    :func:`repro.core.framework.run_baseline_scenario`,
+    :func:`repro.core.framework.simulate_fixed_spec`,
+    :func:`repro.core.multiwafer.run_multiwafer_scenario`,
+    :func:`repro.core.evaluate_with_faults`. TEMP itself, and its +TATP /
+    +TCME ablations, are :meth:`repro.api.SolverSpec.for_framework`.
 """
 
-from repro.core.framework import TEMP, evaluate_baseline
 from repro.api.scenario import (
     HardwareSpec,
     Scenario,
@@ -75,8 +77,6 @@ __all__ = [
     "PlanService",
     "PlanResult",
     "SolverOutcome",
-    "TEMP",
-    "evaluate_baseline",
     "WaferScaleChip",
     "WaferConfig",
     "default_wafer_config",

@@ -293,6 +293,19 @@ class SolverSpec:
         object.__setattr__(
             self, "pipeline_degrees",
             tuple(int(degree) for degree in self.pipeline_degrees))
+        if not self.pipeline_degrees or min(self.pipeline_degrees) < 1:
+            raise ScenarioError(
+                f"pipeline_degrees must be a non-empty list of degrees "
+                f">= 1, got {list(self.pipeline_degrees)}")
+        if self.max_tatp < 1:
+            raise ScenarioError(f"max_tatp must be >= 1, got {self.max_tatp}")
+        if self.max_candidates is not None and self.max_candidates < 1:
+            raise ScenarioError(
+                f"max_candidates must be >= 1 or null, got "
+                f"{self.max_candidates}")
+        if self.num_finalists < 1:
+            raise ScenarioError(
+                f"num_finalists must be >= 1, got {self.num_finalists}")
         if self.fixed_spec is not None:
             fixed = dict(self.fixed_spec)
             unknown = sorted(set(fixed) - set(_FIXED_SPEC_KEYS))

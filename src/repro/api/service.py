@@ -329,23 +329,14 @@ class PlanService:
             "wafers_cached": len(self._wafers),
         }
 
-    # Batching hooks ---------------------------------------------------------------
-    # Overridden by repro.costmodel.portfolio.BatchedPlanService to share
-    # simulation reports and cost tables across the points of a portfolio.
-    # The base service never batches, so both return None.
-
-    def _report_cache_for(self, scenario: Scenario):
-        """Optional report memo for the single-wafer search paths."""
-        return None
-
-    def _tables_provider_for(self, scenario: Scenario):
-        """Optional ``CostTables`` provider for the dual-level solver."""
-        return None
-
     # Resolution caches ------------------------------------------------------------
 
     def wafer_for(self, hardware: HardwareSpec) -> WaferScaleChip:
-        """A healthy wafer for ``hardware``, built once per geometry + fabric."""
+        """A healthy wafer for ``hardware``, built once per geometry + fabric.
+
+        The wafer's topology memoises the routes it answers, so every
+        scenario evaluated on the same hardware reuses them.
+        """
         topology = (json.dumps(hardware.topology, sort_keys=True)
                     if hardware.topology is not None else None)
         key = (hardware.rows, hardware.cols, hardware.d2d_bandwidth,
@@ -424,14 +415,12 @@ class PlanService:
             return self._evaluate_faults(scenario, config=config)
         wafer = wafer if wafer is not None else self.wafer_for(hardware)
         config = config if config is not None else hardware.resolve_simulator()
-        report_cache = self._report_cache_for(scenario)
         if scenario.solver.fixed_spec is not None:
             return simulate_fixed_spec(
                 scenario, plan_cache=self.plan_cache, wafer=wafer,
-                config=config, report_cache=report_cache)
+                config=config)
         return run_baseline_scenario(
-            scenario, plan_cache=self.plan_cache, wafer=wafer, config=config,
-            report_cache=report_cache)
+            scenario, plan_cache=self.plan_cache, wafer=wafer, config=config)
 
     def solve(self, scenario: Scenario) -> SolverOutcome:
         """Run the dual-level solver on ``scenario`` (flat outcome)."""
@@ -457,7 +446,6 @@ class PlanService:
             genetic_config=genetic_config,
             num_finalists=solver_spec.num_finalists,
             mapping_engine=solver_spec.engine,
-            tables_provider=self._tables_provider_for(scenario),
         )
         return solver.solve(
             scenario.workload.resolve(),

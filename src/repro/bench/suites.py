@@ -1,20 +1,17 @@
 """The seed benchmark suite (imported by ``registry.ensure_loaded``).
 
-Nine benchmarks spanning the paths the repo cares about going fast:
+Eight benchmarks spanning the paths the repo cares about going fast:
 
 * ``dls_search`` — the dual-level solver end to end (the paper's own
   search-time figure is the reason this repo tracks perf at all);
-* ``fig13_sweep_local`` — the batched in-process fig13 reduced sweep, with
-  the per-point baseline measured alongside so the report records the
-  batching speedup and a row-parity flag;
-* ``fig13_sweep_scheduler`` — the same sweep through a private scheduler
-  without batching (the seed evaluation path);
+* ``fig13_sweep_local`` — the in-process fig13 reduced sweep through a
+  private plan scheduler (the ``repro sweep`` path);
 * ``cache_key`` — scenario content hashing (the dedup identity every
   server/sweep layer leans on);
 * ``scenario_serde`` — scenario document round-trips (the wire format);
 * ``server_roundtrip`` — plan requests through the real HTTP server and
   client;
-* ``trace_overhead`` — the batched fig13 sweep on the default disabled
+* ``trace_overhead`` — the fig13 sweep on the default disabled
   tracing path, quantifying the instrumentation cost (pinned under 2%);
 * ``topology_routing`` — construction plus routing/ring queries across
   every registered fabric family of the topology zoo;
@@ -90,53 +87,16 @@ def bench_dls_search() -> Optional[Dict[str, object]]:
 
 @register_benchmark(
     name="fig13_sweep_local",
-    title="fig13 reduced sweep, batched in-process",
-    description="run_portfolio_local with the BatchedPlanService (shared "
-                "routes/reports/tables); extras record the per-point "
-                "baseline, the batching speedup, and row parity.",
+    title="fig13 reduced sweep, in-process",
+    description="run_portfolio_local at jobs=1: a private PlanScheduler "
+                "(dedup, batching windows) over one PlanService.",
     repeat=3,
 )
 def bench_fig13_sweep_local() -> Optional[Dict[str, object]]:
     from repro.server.portfolio import run_portfolio_local
 
     portfolio, points = _fig13_portfolio()
-    if "fig13_baseline" not in _STATE:
-        start = time.perf_counter()
-        baseline = run_portfolio_local(portfolio, jobs=1, points=points,
-                                       batched=False)
-        _STATE["fig13_baseline"] = (
-            time.perf_counter() - start,
-            [outcome.payload for outcome in baseline],
-        )
-    start = time.perf_counter()
-    outcomes = run_portfolio_local(portfolio, jobs=1, points=points,
-                                   batched=True)
-    batched_seconds = time.perf_counter() - start
-    baseline_seconds, baseline_payloads = _STATE["fig13_baseline"]
-    return {
-        "points": len(outcomes),
-        "unbatched_seconds": round(baseline_seconds, 6),
-        "batched_seconds": round(batched_seconds, 6),
-        "speedup": round(baseline_seconds / batched_seconds, 3),
-        "rows_identical": [outcome.payload for outcome in outcomes]
-        == baseline_payloads,
-    }
-
-
-@register_benchmark(
-    name="fig13_sweep_scheduler",
-    title="fig13 reduced sweep through the plan scheduler",
-    description="The unbatched per-point sweep on a private PlanScheduler "
-                "(dedup, batching windows, store wiring) — the seed "
-                "evaluation path the batched sweep is measured against.",
-    repeat=3,
-)
-def bench_fig13_sweep_scheduler() -> Optional[Dict[str, object]]:
-    from repro.server.portfolio import run_portfolio_local
-
-    portfolio, points = _fig13_portfolio()
-    outcomes = run_portfolio_local(portfolio, jobs=1, points=points,
-                                   batched=False)
+    outcomes = run_portfolio_local(portfolio, jobs=1, points=points)
     return {"points": len(outcomes),
             "unique": len({outcome.key for outcome in outcomes})}
 
@@ -219,7 +179,7 @@ def bench_server_roundtrip() -> Optional[Dict[str, object]]:
 @register_benchmark(
     name="trace_overhead",
     title="Tracing overhead on the fig13 reduced sweep",
-    description="The batched fig13 sweep with tracing disabled (the timed "
+    description="The fig13 sweep with tracing disabled (the timed "
                 "path), plus extras quantifying the instrumentation cost: "
                 "the per-span no-op price, the span count a traced sweep "
                 "emits, and the estimated disabled-path overhead — pinned "
@@ -238,7 +198,7 @@ def bench_trace_overhead() -> Optional[Dict[str, object]]:
     portfolio, points = _fig13_portfolio()
     # The timed path is the production default: instrumented, disabled.
     start = time.perf_counter()
-    run_portfolio_local(portfolio, jobs=1, points=points, batched=True)
+    run_portfolio_local(portfolio, jobs=1, points=points)
     sweep_seconds = time.perf_counter() - start
 
     # Price of one disabled span (a dict lookup + a shared no-op context).
@@ -253,8 +213,7 @@ def bench_trace_overhead() -> Optional[Dict[str, object]]:
     if "trace_overhead_spans" not in _STATE:
         configure_tracing(buffered=True)
         try:
-            run_portfolio_local(portfolio, jobs=1, points=points,
-                                batched=True)
+            run_portfolio_local(portfolio, jobs=1, points=points)
             _STATE["trace_overhead_spans"] = len(get_tracer().drain())
         finally:
             disable_tracing()

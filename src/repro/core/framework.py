@@ -1,31 +1,22 @@
-"""The TEMP framework and the baseline evaluation grid.
+"""The single-wafer baseline search behind the Scenario API.
 
-:class:`TEMP` is the end-to-end entry point of the reproduction: given a wafer
-and a model, it searches the TATP-enabled configuration space with the
-dual-level solver, maps the winner with the traffic-conscious mapping engine,
-and returns the simulated training-step report.
-
-:func:`run_baseline_scenario` is the engine room behind the Scenario API
-(:mod:`repro.api`): it consumes a :class:`~repro.api.scenario.Scenario`,
-enumerates the scheme's candidate configurations, simulates each with the
-requested mapping engine, and keeps the best-performing configuration that
-does not run out of memory (reporting the OOM if none fits).
+:func:`run_baseline_scenario` is the engine room behind
+:meth:`repro.api.PlanService.evaluate`: it consumes a
+:class:`~repro.api.scenario.Scenario`, enumerates the scheme's candidate
+configurations, simulates each with the requested mapping engine, and keeps
+the best-performing configuration that does not run out of memory (reporting
+the OOM if none fits). The TEMP framework itself is the ``temp`` scheme with
+the TCME engine (:meth:`~repro.api.scenario.SolverSpec.for_framework`, which
+also expresses the +TATP/+TCME ablation switches).
 :func:`simulate_fixed_spec` is the no-search variant for scenarios that pin
 one :class:`ParallelSpec`.
-
-:func:`evaluate_baseline` is the deprecated loose-kwargs predecessor; it is a
-thin shim over the same search and returns bit-identical results (pinned by
-``tests/api/test_service.py``). New code should build a ``Scenario`` and call
-:meth:`repro.api.PlanService.evaluate` instead.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from repro.api.scenario import SolverSpec
 from repro.costmodel.tables import PlanCache
 from repro.hardware.wafer import WaferScaleChip
 from repro.obs.tracing import span
@@ -33,7 +24,6 @@ from repro.parallelism.baselines import BaselineScheme, candidate_specs
 from repro.parallelism.spec import ParallelSpec
 from repro.simulation.config import SimulatorConfig
 from repro.simulation.simulator import SimulationReport, WaferSimulator
-from repro.solver.dlws import DualLevelWaferSolver, SolverResult
 from repro.solver.search_space import prune_specs
 from repro.workloads.models import ModelConfig
 
@@ -72,41 +62,11 @@ def scheme_max_tp(scheme: BaselineScheme, model: ModelConfig) -> int:
     return min(32, model.num_heads)
 
 
-def evaluate_baseline(
-    scheme: BaselineScheme,
-    engine: str,
-    model: ModelConfig,
-    wafer: Optional[WaferScaleChip] = None,
-    config: Optional[SimulatorConfig] = None,
-    max_tatp: int = 32,
-    pipeline_degrees: Sequence[int] = (1,),
-    max_candidates: Optional[int] = None,
-    plan_cache: Optional[PlanCache] = None,
-) -> BaselineResult:
-    """Deprecated loose-kwargs front of the baseline search.
-
-    .. deprecated::
-        Build a :class:`repro.api.scenario.Scenario` and call
-        :meth:`repro.api.PlanService.evaluate` (or ``evaluate_raw``)
-        instead. This shim delegates to the same search and returns
-        bit-identical results.
-    """
-    warnings.warn(
-        "evaluate_baseline() is deprecated; build a Scenario and use "
-        "repro.api.PlanService.evaluate instead",
-        DeprecationWarning, stacklevel=2)
-    return _search_baseline(
-        scheme, engine, model, wafer=wafer, config=config, max_tatp=max_tatp,
-        pipeline_degrees=pipeline_degrees, max_candidates=max_candidates,
-        plan_cache=plan_cache)
-
-
 def run_baseline_scenario(
     scenario: "Scenario",
     plan_cache: Optional[PlanCache] = None,
     wafer: Optional[WaferScaleChip] = None,
     config: Optional[SimulatorConfig] = None,
-    report_cache=None,
 ) -> BaselineResult:
     """Run the single-wafer baseline search described by ``scenario``.
 
@@ -115,10 +75,7 @@ def run_baseline_scenario(
     it to skip reconstruction. ``plan_cache`` lets a caller evaluating many
     scenarios — e.g. a sweep-orchestrator worker — share one memoised
     ``analyze_model`` across evaluations; the cache is pure memoisation, so
-    results are identical with a private or a shared cache. ``report_cache``
-    (a :class:`repro.costmodel.portfolio.ReportCache`) additionally memoises
-    whole simulation reports across scenarios that pin the same wafer and
-    simulator configuration.
+    results are identical with a private or a shared cache.
     """
     solver = scenario.solver
     return _search_baseline(
@@ -131,7 +88,6 @@ def run_baseline_scenario(
         pipeline_degrees=solver.pipeline_degrees,
         max_candidates=solver.max_candidates,
         plan_cache=plan_cache,
-        report_cache=report_cache,
     )
 
 
@@ -140,7 +96,6 @@ def simulate_fixed_spec(
     plan_cache: Optional[PlanCache] = None,
     wafer: Optional[WaferScaleChip] = None,
     config: Optional[SimulatorConfig] = None,
-    report_cache=None,
 ) -> BaselineResult:
     """Evaluate the one pinned configuration of a fixed-spec scenario.
 
@@ -159,8 +114,7 @@ def simulate_fixed_spec(
     with span("evaluate.simulate", spec=spec.label()):
         report = _simulate_with_fallback(
             simulator, plan_cache, model, spec, wafer.num_dies, solver.engine,
-            allow_checkpointing=solver.allow_checkpoint_fallback,
-            report_cache=report_cache)
+            allow_checkpointing=solver.allow_checkpoint_fallback)
     return BaselineResult(
         scheme=solver.resolved_scheme(),
         engine=solver.engine,
@@ -181,20 +135,8 @@ def _simulate_with_fallback(
     num_devices: int,
     engine: str,
     allow_checkpointing: bool,
-    report_cache=None,
 ) -> SimulationReport:
-    """Simulate one spec, retrying with activation checkpointing on OOM.
-
-    ``report_cache`` (duck-typed; see
-    :class:`repro.costmodel.portfolio.ReportCache`) memoises the final report
-    per ``(model, spec, num_devices, engine, allow_checkpointing)`` — valid
-    only while the simulator's wafer and config stay fixed, which the cache
-    owner guarantees by scoping one cache per hardware group.
-    """
-    if report_cache is not None:
-        return report_cache.simulate(
-            simulator, plan_cache, model, spec, num_devices, engine,
-            allow_checkpointing)
+    """Simulate one spec, retrying with activation checkpointing on OOM."""
     plan = plan_cache.analyze(model, spec, num_devices=num_devices)
     report = simulator.simulate(plan, engine=engine)
     if report.oom and allow_checkpointing:
@@ -217,7 +159,6 @@ def _search_baseline(
     pipeline_degrees: Sequence[int] = (1,),
     max_candidates: Optional[int] = None,
     plan_cache: Optional[PlanCache] = None,
-    report_cache=None,
 ) -> BaselineResult:
     """Evaluate one scheme with one mapping engine on one model.
 
@@ -267,8 +208,7 @@ def _search_baseline(
         for spec in specs:
             report = _simulate_with_fallback(
                 simulator, plan_cache, model, spec, num_devices, engine,
-                allow_checkpointing=allow_checkpointing,
-                report_cache=report_cache)
+                allow_checkpointing=allow_checkpointing)
             reports[spec.label()] = report
             if report.oom:
                 if (fallback_report is None
@@ -303,103 +243,3 @@ def downsample_specs(specs: List[ParallelSpec], limit: int) -> List[ParallelSpec
     stride = (len(specs) - 1) / (limit - 1)
     return [specs[min(round(index * stride), len(specs) - 1)]
             for index in range(limit)]
-
-
-#: Backwards-compatible alias (the helper predates the Scenario API).
-_downsample = downsample_specs
-
-
-class TEMP:
-    """End-to-end TEMP framework (TATP + TCME + DLWS).
-
-    .. deprecated::
-        Build a :class:`repro.api.scenario.Scenario` (with
-        :meth:`~repro.api.scenario.SolverSpec.for_framework` for the ablation
-        switches) and call :class:`repro.api.PlanService` instead. The class
-        keeps working and returns bit-identical results.
-
-    Args:
-        wafer: the wafer-scale chip to optimise for (Table I, 4x8 by default).
-        config: simulator efficiency knobs.
-        enable_tatp: include TATP in the configuration space (ablation switch).
-        enable_tcme: use the traffic-conscious mapping engine; when disabled
-            the naive sequential mapper is used instead (ablation switch).
-        max_tatp: cap on the TATP degree the solver explores.
-        plan_cache: optional shared ``analyze_model`` memoisation (see
-            :func:`run_baseline_scenario`).
-    """
-
-    def __init__(
-        self,
-        wafer: Optional[WaferScaleChip] = None,
-        config: Optional[SimulatorConfig] = None,
-        enable_tatp: bool = True,
-        enable_tcme: bool = True,
-        max_tatp: int = 32,
-        plan_cache: Optional[PlanCache] = None,
-    ) -> None:
-        warnings.warn(
-            "TEMP() is deprecated; build a Scenario with "
-            "SolverSpec.for_framework(...) and use repro.api.PlanService "
-            "instead", DeprecationWarning, stacklevel=2)
-        self.wafer = wafer or WaferScaleChip()
-        self.config = config or SimulatorConfig()
-        self.enable_tatp = enable_tatp
-        self.enable_tcme = enable_tcme
-        self.max_tatp = max_tatp if enable_tatp else 1
-        self.plan_cache = plan_cache
-
-    def _solver_spec(
-        self,
-        pipeline_degrees: Sequence[int] = (1,),
-        max_candidates: Optional[int] = None,
-    ) -> SolverSpec:
-        """The framework's solver spec (single home of scheme resolution)."""
-        return SolverSpec.for_framework(
-            enable_tatp=self.enable_tatp,
-            enable_tcme=self.enable_tcme,
-            max_tatp=self.max_tatp,
-            pipeline_degrees=pipeline_degrees,
-            max_candidates=max_candidates,
-        )
-
-    @property
-    def mapping_engine(self) -> str:
-        """Name of the mapping engine the framework uses."""
-        return self._solver_spec().engine
-
-    def optimize(
-        self,
-        model: ModelConfig,
-        pipeline_degrees: Sequence[int] = (1,),
-        max_candidates: Optional[int] = None,
-    ) -> BaselineResult:
-        """Find and simulate the best TEMP configuration for ``model``.
-
-        Returns a :class:`BaselineResult` so TEMP slots into the same reporting
-        pipeline as the baselines.
-        """
-        solver = self._solver_spec(pipeline_degrees=pipeline_degrees,
-                                   max_candidates=max_candidates)
-        return _search_baseline(
-            solver.resolved_scheme(),
-            solver.engine,
-            model,
-            wafer=self.wafer,
-            config=self.config,
-            max_tatp=solver.max_tatp,
-            pipeline_degrees=solver.pipeline_degrees,
-            max_candidates=solver.max_candidates,
-            plan_cache=self.plan_cache,
-        )
-
-    def solve(self, model: ModelConfig) -> SolverResult:
-        """Run the full dual-level solver (DP + GA + simulator finalists)."""
-        solver_spec = self._solver_spec()
-        solver = DualLevelWaferSolver(
-            wafer=self.wafer,
-            config=self.config,
-            mapping_engine=solver_spec.engine,
-        )
-        return solver.solve(model, scheme=solver_spec.resolved_scheme(),
-                            max_tatp=solver_spec.max_tatp)

@@ -15,7 +15,6 @@ the bubble term.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
@@ -79,34 +78,6 @@ def pipeline_degrees_for(
     return degrees
 
 
-def evaluate_multiwafer(
-    scheme: BaselineScheme,
-    engine: str,
-    model: ModelConfig,
-    num_wafers: int,
-    config: Optional[SimulatorConfig] = None,
-    num_microbatches: int = 16,
-    max_tatp: int = 32,
-    plan_cache: Optional[PlanCache] = None,
-) -> MultiWaferResult:
-    """Deprecated loose-kwargs front of the multi-wafer search.
-
-    .. deprecated::
-        Build a :class:`repro.api.scenario.Scenario` with
-        ``HardwareSpec(num_wafers=...)`` and call
-        :meth:`repro.api.PlanService.evaluate` instead. This shim delegates
-        to the same search and returns bit-identical results.
-    """
-    warnings.warn(
-        "evaluate_multiwafer() is deprecated; build a Scenario with "
-        "HardwareSpec(num_wafers=...) and use repro.api.PlanService.evaluate "
-        "instead", DeprecationWarning, stacklevel=2)
-    return _search_multiwafer(
-        scheme, engine, model, num_wafers, config=config,
-        num_microbatches=num_microbatches, max_tatp=max_tatp,
-        plan_cache=plan_cache)
-
-
 def run_multiwafer_scenario(
     scenario: "Scenario",
     plan_cache: Optional[PlanCache] = None,
@@ -143,7 +114,13 @@ def _search_multiwafer(
     plan_cache: Optional[PlanCache] = None,
     wafer_config=None,
 ) -> MultiWaferResult:
-    """Evaluate one scheme + mapping engine on a multi-wafer system."""
+    """Evaluate one scheme + mapping engine on a multi-wafer system.
+
+    The fastest configuration that fits in memory wins. When none fits, the
+    result is flagged OOM; when pruning leaves no candidate at all, the one
+    with the smallest memory footprint is simulated and reported as the OOM
+    result (the single-wafer search's rule).
+    """
     if num_wafers < 1:
         raise ValueError("num_wafers must be >= 1")
     config = config or SimulatorConfig()
@@ -155,19 +132,21 @@ def _search_multiwafer(
 
     best: Optional[MultiWaferResult] = None
     fallback: Optional[MultiWaferResult] = None
+    considered: List[ParallelSpec] = []
 
     for pp in pipeline_degrees_for(scheme, num_wafers):
         stage_dies = system.total_dies // pp
         if stage_dies < 1 or stage_dies > dies_per_wafer:
             continue
-        specs = candidate_specs(
+        all_specs = candidate_specs(
             scheme, system.total_dies,
             max_tp=min(32, model.num_heads),
             max_tatp=max_tatp,
             pipeline_degrees=(pp,),
         )
-        specs = prune_specs(specs, model, wafer.config, memory_margin=2.0,
+        specs = prune_specs(all_specs, model, wafer.config, memory_margin=2.0,
                             plan_cache=plan_cache)
+        considered.extend(all_specs)
         for spec in specs:
             result = _evaluate_spec(
                 scheme, engine, model, spec, system, simulator, config,
@@ -182,6 +161,14 @@ def _search_multiwafer(
         return best
     if fallback is not None:
         return fallback
+    if considered:
+        # Pruning dropped every configuration as hopelessly over capacity;
+        # report the least-infeasible one as the OOM result.
+        spec = min(considered,
+                   key=lambda s: plan_cache.analyze(model, s).memory.total)
+        return _evaluate_spec(
+            scheme, engine, model, spec, system, simulator, config,
+            num_microbatches, plan_cache)
     raise ValueError(
         f"no feasible configuration found for {model.name} on {num_wafers} wafers")
 

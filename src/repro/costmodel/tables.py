@@ -247,10 +247,6 @@ class CostTables:
         self._reshard_mats: Dict[int, np.ndarray] = {}
         # Dedup cache keyed by the producer parameter the reshard model reads.
         self._reshard_by_bytes: Dict[float, np.ndarray] = {}
-        # Set by subset(): cells are gathered from the parent's (union)
-        # tables instead of being rebuilt.
-        self._parent: Optional["CostTables"] = None
-        self._parent_indices: Optional[np.ndarray] = None
         self._intra: Optional[np.ndarray] = None
         self._memory: Optional[np.ndarray] = None
         self._edge_arrays: Optional[tuple] = None
@@ -284,29 +280,6 @@ class CostTables:
             raise ValueError(
                 "tables were built with different simulator knobs")
 
-    def subset(self, candidates: Sequence[ParallelSpec]) -> "CostTables":
-        """A child table over a sub-list of this table's candidates.
-
-        Cells are gathered lazily from this (union) table instead of being
-        rebuilt, so portfolio axes that only narrow the spec list — e.g. a
-        ``max_candidates`` sweep whose downsampled lists nest — reuse every
-        materialised cell. Both tables read the same elementwise vectorized
-        arithmetic (no reductions run across the spec axis), so the gathered
-        values are bit-identical to a fresh build over ``candidates``.
-        """
-        missing = [spec for spec in candidates
-                   if spec not in self.spec_index]
-        if missing:
-            raise ValueError(
-                f"{len(missing)} candidate spec(s) are not covered by the "
-                "parent tables; build a fresh CostTables instead")
-        child = CostTables(
-            self.graph, candidates, self.wafer, self.config, self.hop_factor)
-        child._parent = self
-        child._parent_indices = np.asarray(
-            [self.spec_index[spec] for spec in candidates], dtype=np.int64)
-        return child
-
     # Table access -------------------------------------------------------------
 
     def intra_row(self, node_id: int) -> np.ndarray:
@@ -325,12 +298,7 @@ class CostTables:
             operator = self.graph.node(node_id).operator
             matrix = self._reshard_by_bytes.get(operator.output_bytes)
             if matrix is None:
-                if self._parent is not None:
-                    idx = self._parent_indices
-                    matrix = self._parent.reshard_matrix(node_id)[
-                        np.ix_(idx, idx)]
-                else:
-                    matrix = self._build_reshard(operator)
+                matrix = self._build_reshard(operator)
                 self._reshard_by_bytes[operator.output_bytes] = matrix
             self._reshard_mats[node_id] = matrix
             self.cells_materialized += matrix.size
@@ -344,12 +312,6 @@ class CostTables:
         operator parameters alias the same computation.
         """
         if self._intra is None:
-            if self._parent is not None:
-                idx = self._parent_indices
-                self._intra = self._parent.intra_matrix()[:, idx]
-                self._memory = self._parent._memory[:, idx]
-                self.cells_materialized += self._intra.size
-                return self._intra
             unique: Dict[tuple, int] = {}
             operators: List[Operator] = []
             row_of: List[int] = []

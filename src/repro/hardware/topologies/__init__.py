@@ -41,7 +41,6 @@ from typing import Dict, List, Mapping, Optional, Type
 from repro.hardware.topologies.base import (
     Coord,
     Link,
-    RouteTables,
     Topology,
     die_coord,
     die_id,
@@ -173,7 +172,6 @@ def topology_table() -> List[Dict[str, str]]:
 __all__ = [
     "Coord",
     "Link",
-    "RouteTables",
     "Topology",
     "MeshTopology",
     "TorusTopology",

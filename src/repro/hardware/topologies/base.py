@@ -20,9 +20,10 @@ The base class owns everything that follows from the link set alone:
 * contiguous-ring enumeration (rectangle fast path + backtracking
   Hamiltonian search) and ring hop penalties,
 * near-square partitioning into die groups,
-* the opt-in :class:`RouteTables` memo, generalised here so every family
-  gets route/ring memoisation for free (it used to live on
-  ``MeshTopology`` only).
+* the routing memo: a fabric's links and health are frozen at
+  construction, so every family memoises the route paths, ring orderings,
+  and ring hop factors the mapping layer asks for
+  (:mod:`repro.mapping.routing`, :mod:`repro.mapping.collectives`).
 
 Families implement :meth:`Topology._link_specs` (and usually override
 :meth:`hop_distance`/:meth:`collective_hop_factor` with cheaper analytic
@@ -42,46 +43,6 @@ Coord = Tuple[int, int]
 #: One directed link as a family yields it: (src, dst, bandwidth_factor,
 #: latency_factor).
 LinkSpec = Tuple[int, int, float, float]
-
-
-class RouteTables:
-    """Memoised pure routing decisions of one :class:`Topology`.
-
-    A topology's link set and health state are frozen at construction, so
-    the expensive pure functions the mapping layer calls per task —
-    ring/chain orderings of die groups, route paths, ring hop factors —
-    always return the same value for the same arguments on the same
-    topology instance. The tables cache exactly those return values, so a
-    cache hit is bit-identical to a recomputation by construction.
-
-    The tables are opt-in (:meth:`Topology.enable_route_tables`): the
-    default evaluation path stays memo-free, which is what the
-    batched-vs-per-point parity tests compare against. One batch layer
-    (:class:`repro.costmodel.portfolio.PortfolioTables`) enables them on
-    the wafer shared by a portfolio sweep, where the same groups and
-    src/dst pairs recur across every candidate spec of every point.
-
-    Attributes:
-        hits: lookups served from the tables.
-        misses: lookups that ran the underlying computation.
-    """
-
-    __slots__ = ("rings", "paths", "ring_hops", "hits", "misses")
-
-    def __init__(self) -> None:
-        self.rings: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], bool]] = {}
-        self.paths: Dict[Tuple[int, int, bool], Tuple["Link", ...]] = {}
-        self.ring_hops: Dict[Tuple[Tuple[int, ...], bool], int] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def stats(self) -> Dict[str, int]:
-        """Counter snapshot: ``hits``, ``misses``, ``entries``."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "entries": len(self.rings) + len(self.paths) + len(self.ring_hops),
-        }
 
 
 def die_id(row: int, col: int, cols: int) -> int:
@@ -171,9 +132,14 @@ class Topology:
         self._adjacency = self._build_adjacency()
         self._hop_memo: Dict[int, Dict[int, int]] = {}
         self._cost_memo: Dict[int, Dict[int, float]] = {}
-        #: Optional routing memo (see :class:`RouteTables`); ``None`` keeps
-        #: every routing call memo-free.
-        self.route_tables: Optional[RouteTables] = None
+        # Routing memo, filled by the mapping layer. The link set and health
+        # state never change after construction, so these are pure
+        # functions of their keys: route paths by (src, dst, prefer_yx),
+        # ring orderings by die group, ring hop factors by (ordering,
+        # closed).
+        self.path_memo: Dict[Tuple[int, int, bool], Tuple[Link, ...]] = {}
+        self.ring_memo: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], bool]] = {}
+        self.ring_hop_memo: Dict[Tuple[Tuple[int, ...], bool], int] = {}
 
     # Construction helpers ---------------------------------------------------
 
@@ -206,17 +172,6 @@ class Topology:
         for neighbours in adjacency.values():
             neighbours.sort()
         return adjacency
-
-    def enable_route_tables(self) -> RouteTables:
-        """Attach (or return the existing) :class:`RouteTables` memo.
-
-        Safe because the fabric's link set and health state are immutable
-        after construction; idempotent so several sharers converge on one
-        memo.
-        """
-        if self.route_tables is None:
-            self.route_tables = RouteTables()
-        return self.route_tables
 
     # Basic queries ----------------------------------------------------------
 

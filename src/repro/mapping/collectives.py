@@ -38,24 +38,19 @@ def order_group_for_ring(
     physical ring (every consecutive pair, including the wrap-around, is one
     hop apart). Non-ring groups fall back to a nearest-neighbour chain
     ordering that keeps logical neighbours as physically close as possible.
+    The answer is memoised on the topology; the caller gets its own list.
     """
     members = list(group)
     if len(members) <= 1:
         return members, True
-    tables = topology.route_tables
-    key = tuple(members) if tables is not None else None
-    if tables is not None:
-        cached = tables.rings.get(key)
-        if cached is not None:
-            tables.hits += 1
-            return list(cached[0]), cached[1]
-    ring = topology.contiguous_ring(members)
-    ordering, is_ring = ((ring, True) if ring is not None
-                         else (_greedy_chain(topology, members), False))
-    if tables is not None:
-        tables.misses += 1
-        tables.rings[key] = (tuple(ordering), is_ring)
-    return ordering, is_ring
+    key = tuple(members)
+    cached = topology.ring_memo.get(key)
+    if cached is None:
+        ring = topology.contiguous_ring(members)
+        cached = ((tuple(ring), True) if ring is not None
+                  else (tuple(_greedy_chain(topology, members)), False))
+        topology.ring_memo[key] = cached
+    return list(cached[0]), cached[1]
 
 
 def _greedy_chain(topology: Topology, members: Sequence[int]) -> List[int]:
@@ -77,20 +72,14 @@ def ring_hop_factor(
     ordering (see :meth:`Topology.hop_cost`)."""
     if len(ordering) <= 1:
         return 0
-    tables = topology.route_tables
-    key = (tuple(ordering), closed) if tables is not None else None
-    if tables is not None:
-        cached = tables.ring_hops.get(key)
-        if cached is not None:
-            tables.hits += 1
-            return cached
-    pairs = list(zip(ordering, list(ordering[1:])))
-    if closed:
-        pairs.append((ordering[-1], ordering[0]))
-    worst = max(topology.hop_cost(a, b) for a, b in pairs)
-    if tables is not None:
-        tables.misses += 1
-        tables.ring_hops[key] = worst
+    key = (tuple(ordering), closed)
+    worst = topology.ring_hop_memo.get(key)
+    if worst is None:
+        pairs = list(zip(ordering, list(ordering[1:])))
+        if closed:
+            pairs.append((ordering[-1], ordering[0]))
+        worst = max(topology.hop_cost(a, b) for a, b in pairs)
+        topology.ring_hop_memo[key] = worst
     return worst
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.hardware.topology import Link, MeshTopology
+from repro.hardware.topologies import Link, MeshTopology
 from repro.mapping.routing import Flow
 
 LinkKey = Tuple[int, int]

@@ -83,31 +83,25 @@ def route_flow(
 
     On mesh-like fabrics the canonical routes are dimension-ordered; other
     families route by deterministic BFS. Falls back to a BFS shortest path
-    when the canonical route is blocked by failed links.
+    when the canonical route is blocked by failed links. Paths are memoised
+    on the topology; the flow gets its own copy.
     """
-    if src == dst:
-        path: List[Link] = []
-    else:
-        tables = topology.route_tables
-        cached = tables.paths.get((src, dst, prefer_yx)) \
-            if tables is not None else None
-        if cached is not None:
-            tables.hits += 1
-            path = list(cached)
-        else:
+    path: List[Link] = []
+    if src != dst:
+        key = (src, dst, prefer_yx)
+        cached = topology.path_memo.get(key)
+        if cached is None:
             try:
-                path = (topology.yx_route(src, dst) if prefer_yx
-                        else topology.xy_route(src, dst))
+                found = (topology.yx_route(src, dst) if prefer_yx
+                         else topology.xy_route(src, dst))
             except KeyError:
                 found = topology.shortest_path(src, dst)
                 if found is None:
                     raise ValueError(
                         f"no route between die {src} and die {dst} "
                         "(too many failed links)") from None
-                path = found
-            if tables is not None:
-                tables.misses += 1
-                tables.paths[(src, dst, prefer_yx)] = tuple(path)
+            cached = topology.path_memo[key] = tuple(found)
+        path = list(cached)
     return Flow(
         src=src,
         dst=dst,

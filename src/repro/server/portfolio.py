@@ -182,39 +182,20 @@ def run_portfolio_local(
     points: Optional[List[PortfolioPoint]] = None,
     on_unique: Optional[Callable[[int, int, PointOutcome], None]] = None,
     max_points: Optional[int] = MAX_POINTS,
-    batched: Optional[bool] = None,
 ) -> List[PointOutcome]:
     """Sweep ``portfolio`` on a private scheduler (the offline CLI path).
 
     ``jobs``/``store``/``batch_window``/``max_batch`` configure the
     short-lived :class:`PlanScheduler` exactly like ``repro serve`` would;
     ``points`` skips re-expansion when the caller already holds them.
-
-    ``batched`` selects the in-process
-    :class:`~repro.costmodel.portfolio.BatchedPlanService`, which shares
-    route tables, simulation reports, and solver cost tables across the
-    portfolio's points (bit-identical results, substantially faster on
-    overlapping sweeps like fig13). It defaults to on for ``jobs == 1`` —
-    the scheduler only accepts an injected service in-process — and off
-    otherwise; requesting ``batched=True`` with ``jobs > 1`` raises.
     """
     if points is None:
         points = portfolio.expand(max_points=max_points)
-    if batched is None:
-        batched = jobs == 1
-    if batched and jobs != 1:
-        raise ValueError("batched sweeps run in-process; use jobs=1")
-    service = None
-    if batched:
-        from repro.costmodel.portfolio import BatchedPlanService
-
-        service = BatchedPlanService()
 
     async def _run() -> List[PointOutcome]:
         async with PlanScheduler(store=store, jobs=jobs,
                                  batch_window=batch_window,
-                                 max_batch=max_batch,
-                                 service=service) as scheduler:
+                                 max_batch=max_batch) as scheduler:
             return await sweep_portfolio(
                 scheduler, portfolio, points=points, on_unique=on_unique,
                 max_points=max_points)

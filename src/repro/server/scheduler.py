@@ -218,10 +218,10 @@ def _evaluate_group_in_worker(
 class PlanScheduler:
     """Batched, deduplicated, cached scenario serving over a worker pool.
 
+    With ``jobs=1`` the scheduler evaluates on one in-process
+    :class:`PlanService`; with ``jobs > 1`` each pool worker owns its own.
+
     Args:
-        service: the shared in-process :class:`PlanService` (``jobs=1``
-            only; defaults to a fresh one). With ``jobs > 1`` each pool
-            worker owns its own service instead.
         store: optional :class:`ResultStore` consulted before queueing and
             fed after every successful evaluation. The scheduler owns it
             (``close()`` closes it). A failed store write is survived (the
@@ -249,7 +249,6 @@ class PlanScheduler:
 
     def __init__(
         self,
-        service: Optional[PlanService] = None,
         store: Optional[ResultStore] = None,
         jobs: int = 1,
         batch_window: float = 0.005,
@@ -270,10 +269,6 @@ class PlanScheduler:
             raise ValueError(f"deadline must be > 0, got {deadline}")
         if max_queue is not None and max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
-        if service is not None and jobs != 1:
-            raise ValueError(
-                "a shared service only applies to jobs=1 (in-process) "
-                "scheduling; pool workers build their own")
         self.jobs = jobs
         self.batch_window = float(batch_window)
         self.max_batch = max_batch
@@ -283,8 +278,7 @@ class PlanScheduler:
         self.chaos = (FaultInjector.from_spec(chaos)
                       if isinstance(chaos, str) else chaos)
         self.store = store
-        self.service = (service if service is not None else PlanService()) \
-            if jobs == 1 else None
+        self.service = PlanService() if jobs == 1 else None
         self.counters = CounterBundle(
             requests=0,
             deduped=0,

@@ -64,7 +64,6 @@ class DualLevelWaferSolver:
         genetic_config: Optional[GeneticConfig] = None,
         num_finalists: int = 8,
         mapping_engine: str = "tcme",
-        tables_provider=None,
     ) -> None:
         if num_finalists < 1:
             raise ValueError("num_finalists must be at least 1")
@@ -74,10 +73,6 @@ class DualLevelWaferSolver:
                                                               population_size=16)
         self.num_finalists = num_finalists
         self.mapping_engine = mapping_engine
-        # Optional (model, candidates) -> CostTables hook letting a portfolio
-        # runner share tables across solves; see
-        # repro.costmodel.portfolio.PortfolioTables.tables_for.
-        self.tables_provider = tables_provider
         self.simulator = WaferSimulator(self.wafer, self.config)
 
     def solve(
@@ -106,21 +101,14 @@ class DualLevelWaferSolver:
             if not candidates:
                 candidates = space.candidates()
 
-        # One set of vectorized cost tables feeds both solver levels. A
-        # provider (portfolio batching) hands back tables built over its own
-        # representative graph, so the solve must adopt that graph too.
+        # One set of vectorized cost tables feeds both solver levels. The
+        # fabric's analytic hop model is 1 on the default mesh, higher on
+        # fabrics whose canonical die groups cannot ring cheaply.
         with span("solver.tables", candidates=len(candidates)):
-            if self.tables_provider is not None:
-                tables = self.tables_provider(model, candidates)
-                layer_graph = tables.graph
-            else:
-                layer_graph = representative_layer_graph(model)
-                # The fabric's analytic hop model: 1 on the default mesh,
-                # higher on fabrics whose canonical die groups cannot ring
-                # cheaply.
-                tables = CostTables(
-                    layer_graph, candidates, self.wafer.config, self.config,
-                    hop_factor=self.wafer.topology.collective_hop_factor())
+            layer_graph = representative_layer_graph(model)
+            tables = CostTables(
+                layer_graph, candidates, self.wafer.config, self.config,
+                hop_factor=self.wafer.topology.collective_hop_factor())
 
         # Level 1: dynamic program over the representative layer.
         with span("solver.dp", candidates=len(candidates)):

@@ -112,6 +112,30 @@ class TestStrictness:
         with pytest.raises(ScenarioError, match="unknown scheme"):
             SolverSpec(scheme="alpa")
 
+    @pytest.mark.parametrize("kwargs,field", [
+        ({"max_candidates": 0}, "max_candidates"),
+        ({"max_candidates": -3}, "max_candidates"),
+        ({"max_tatp": 0}, "max_tatp"),
+        ({"num_finalists": 0}, "num_finalists"),
+        ({"pipeline_degrees": ()}, "pipeline_degrees"),
+        ({"pipeline_degrees": (0,)}, "pipeline_degrees"),
+        ({"pipeline_degrees": (1, -2)}, "pipeline_degrees"),
+    ])
+    def test_nonsensical_solver_values_rejected(self, kwargs, field):
+        with pytest.raises(ScenarioError, match=field):
+            SolverSpec(**kwargs)
+        # The document path reports the same problem, not a later crash.
+        document = {"schema_version": SCHEMA_VERSION,
+                    "solver": {key: list(value) if isinstance(value, tuple)
+                               else value for key, value in kwargs.items()}}
+        with pytest.raises(ScenarioError, match=field):
+            Scenario.from_dict(document)
+
+    def test_smallest_solver_values_accepted(self):
+        spec = SolverSpec(max_candidates=1, max_tatp=1, num_finalists=1,
+                          pipeline_degrees=(1,))
+        assert spec.max_candidates == 1
+
     def test_unknown_fixed_spec_key_rejected(self):
         with pytest.raises(ScenarioError, match="unknown fixed_spec keys"):
             SolverSpec(fixed_spec={"warp": 9})

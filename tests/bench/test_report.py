@@ -185,8 +185,7 @@ class TestCompare:
 class TestRegistry:
     def test_seed_suite_registered(self):
         names = benchmark_names()
-        for expected in ("dls_search", "fig13_sweep_local",
-                         "fig13_sweep_scheduler", "cache_key",
+        for expected in ("dls_search", "fig13_sweep_local", "cache_key",
                          "scenario_serde", "server_roundtrip"):
             assert expected in names
 

@@ -77,12 +77,6 @@ class TestRegistry:
 
 
 class TestShim:
-    def test_legacy_module_reexports_the_same_classes(self):
-        from repro.hardware import topology as legacy
-
-        assert legacy.MeshTopology is MeshTopology
-        assert legacy.die_id(1, 3, 8) == 11
-
     def test_package_exports_from_hardware_namespace(self):
         from repro.hardware import MeshTopology as exported
 
@@ -205,23 +199,6 @@ class TestExpressMesh:
     def test_stride_must_be_at_least_two(self):
         with pytest.raises(ValueError):
             ExpressMeshTopology(4, 8, stride=1)
-
-
-class TestRouteTablesGeneralisation:
-    @pytest.mark.parametrize("name", sorted(LINK_COUNTS_4X8))
-    def test_every_family_memoises_ring_orderings(self, name):
-        from repro.mapping.collectives import order_group_for_ring
-
-        params, _ = LINK_COUNTS_4X8[name]
-        topology = build_topology({"name": name, **params}, 4, 8)
-        tables = topology.enable_route_tables()
-        group = topology.partition_into_groups(4)[0]
-        first = order_group_for_ring(topology, group)
-        again = order_group_for_ring(topology, group)
-        assert first == again
-        stats = tables.stats()
-        assert stats["hits"] >= 1
-        assert stats["misses"] >= 1
 
 
 class TestWaferIntegration:

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.hardware.topology import MeshTopology, die_coord, die_id
+from repro.hardware.topologies import MeshTopology, die_coord, die_id
 
 
 class TestBasics:

@@ -6,7 +6,7 @@ from repro.hardware.config import GB, TB
 from repro.hardware.faults import FaultModel, FaultType, classify_faults
 from repro.hardware.gpu_cluster import GPUCluster
 from repro.hardware.multiwafer import MultiWaferSystem
-from repro.hardware.topology import Link
+from repro.hardware.topologies import Link
 from repro.hardware.wafer import WaferScaleChip
 
 

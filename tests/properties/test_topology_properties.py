@@ -7,6 +7,9 @@ topology zoo and pins the structural contracts the mapping layer leans on:
   contiguously from src to dst, and match the BFS hop distance;
 * enumerated contiguous rings are genuine cycles — each die once, every
   consecutive (and wrap-around) pair fabric-adjacent;
+* the routing memo every topology carries is invisible: a topology that
+  has answered a query answers it again exactly like a freshly built twin,
+  even after the caller mutated the lists it got back;
 * ``HardwareSpec.topology`` survives document round-trips losslessly;
 * ``cache_key()`` distinguishes scenarios iff the topology name/params
   differ.
@@ -21,6 +24,8 @@ from hypothesis import strategies as st
 
 from repro.api.scenario import HardwareSpec, Scenario
 from repro.hardware.topologies import build_topology, topology_names
+from repro.mapping.collectives import order_group_for_ring, ring_hop_factor
+from repro.mapping.routing import route_flow
 
 FAST = settings(max_examples=50, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -134,6 +139,60 @@ class TestRingInvariants:
         topology, group = case
         penalty = topology.ring_penalty_hops(group)
         assert penalty >= (1 if len(group) > 1 else 0)
+
+
+#: Every fabric case (no faults) plus a mesh with failed links, whose
+#: blocked canonical routes detour through the BFS fallback.
+MEMO_CASES = [(rows, cols, spec, ()) for rows, cols, spec in FABRIC_CASES] + [
+    (4, 8, {"name": "mesh"}, ((0, 1), (9, 17), (10, 11), (13, 14), (20, 28))),
+]
+
+
+@st.composite
+def memo_queries(draw):
+    """A fabric case plus a die pair and a die group to query it with."""
+    rows, cols, spec, failed_links = draw(st.sampled_from(MEMO_CASES))
+    dies = st.integers(min_value=0, max_value=rows * cols - 1)
+    return {
+        "build": lambda: build_topology(spec, rows, cols,
+                                        failed_links=failed_links),
+        "src": draw(dies),
+        "dst": draw(dies),
+        "group": draw(st.lists(dies, min_size=1, max_size=6, unique=True)),
+    }
+
+
+class TestRoutingMemo:
+    @FAST
+    @given(query=memo_queries())
+    def test_memoised_answers_match_a_fresh_twin(self, query):
+        src, dst, group = query["src"], query["dst"], query["group"]
+        warm, fresh = query["build"](), query["build"]()
+
+        # Answer every query once on the warm topology, filling its memo,
+        # and scribble over every list handed back.
+        for prefer_yx in (True, False):
+            flow = route_flow(warm, src, dst, 1.0, prefer_yx=prefer_yx)
+            flow.path.append(None)
+            flow.path.reverse()
+        ordering, _ = order_group_for_ring(warm, group)
+        for closed in (True, False):
+            ring_hop_factor(warm, ordering, closed)
+        ordering.append(-1)
+        ordering.reverse()
+        if src != dst:
+            assert (src, dst, True) in warm.path_memo
+        if len(group) > 1:
+            assert tuple(group) in warm.ring_memo
+
+        for prefer_yx in (False, True):
+            assert route_flow(warm, src, dst, 1.0, prefer_yx=prefer_yx).path \
+                == route_flow(fresh, src, dst, 1.0, prefer_yx=prefer_yx).path
+        expected = order_group_for_ring(fresh, group)
+        assert order_group_for_ring(warm, group) == expected
+        for closed in (False, True):
+            assert ring_hop_factor(warm, expected[0], closed) \
+                == ring_hop_factor(fresh, expected[0], closed)
 
 
 def topology_specs() -> st.SearchStrategy:

@@ -318,10 +318,10 @@ class TestFabricZooSweep:
                     and row["throughput"] != mesh["throughput"]]
         assert len(distinct) >= 3, by_fabric
 
-    def test_local_batched_and_unbatched_sweeps_match_repro_run(
+    def test_local_in_process_and_pool_sweeps_match_repro_run(
             self, tmp_path):
         reference = self._reference_rows()
-        for index, flags in enumerate(([], ["--no-batched"])):
+        for index, flags in enumerate(([], ["--jobs", "2"])):
             out = tmp_path / f"sweep-{index}"
             assert main(["sweep", "fabric_zoo", "--reduced", *flags,
                          "--output-dir", str(out)]) == 0

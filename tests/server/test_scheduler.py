@@ -307,10 +307,6 @@ class TestProcessPool:
         # Worker telemetry made it back across the process boundary.
         assert stats["plan_cache"]["misses"] > 0
 
-    def test_shared_service_with_pool_is_rejected(self):
-        with pytest.raises(ValueError, match="jobs=1"):
-            PlanScheduler(service=PlanService(), jobs=2)
-
 
 class TestStats:
     def test_stats_document_shape(self):
