@@ -9,7 +9,7 @@ Quick start::
     result = PlanService().evaluate(scenario)
     print(result.spec, result.step_time, result.throughput)
 
-Every entry point — the experiment cell runners, ``python -m repro plan``,
+Every entry point — the experiment cells, ``python -m repro plan``,
 and the plan server — speaks this request/response shape. Scenario
 *families* (model zoo x geometry x scheme grids) are described by
 :class:`~repro.api.portfolio.Portfolio` and swept through the plan server's
@@ -25,11 +25,7 @@ from repro.api.portfolio import (  # noqa: F401
     PortfolioAxis,
     PortfolioError,
     PortfolioPoint,
-    RegisteredPortfolio,
-    get_portfolio,
     portfolio_from_scenarios,
-    portfolio_names,
-    register_portfolio,
 )
 from repro.api.scenario import (  # noqa: F401
     SCHEMA_VERSION,
@@ -50,15 +46,11 @@ __all__ = [
     "PortfolioAxis",
     "PortfolioError",
     "PortfolioPoint",
-    "RegisteredPortfolio",
     "Scenario",
     "ScenarioError",
     "SolverSpec",
     "WorkloadSpec",
-    "get_portfolio",
     "portfolio_from_scenarios",
-    "portfolio_names",
-    "register_portfolio",
     *_SERVICE_EXPORTS,
 ]
 

@@ -32,11 +32,10 @@ never escape as tracebacks.
 from __future__ import annotations
 
 import dataclasses
-import importlib
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.api.scenario import (
     SCHEMA_VERSION,
@@ -53,10 +52,6 @@ _SECTIONS = {
     "hardware": HardwareSpec,
     "solver": SolverSpec,
 }
-
-#: Module whose import registers the named portfolios (the experiments
-#: package re-expresses its grids as portfolios at import time).
-_PORTFOLIOS_PACKAGE = "repro.experiments"
 
 
 class PortfolioError(ScenarioError):
@@ -443,6 +438,21 @@ class Portfolio:
                 f"({self.expansion} over {axes})")
 
 
+def _section_axes(documents: Sequence[Mapping[str, object]]
+                  ) -> Tuple[PortfolioAxis, ...]:
+    """Unrecorded zipped axes swapping each point's whole sections.
+
+    One axis per spec section (``workload``, ``hardware``, ``solver``),
+    whose values are the sections of ``documents`` in point order, so
+    point ``i`` of a zipped portfolio evaluates exactly ``documents[i]``.
+    """
+    return tuple(
+        PortfolioAxis(name=section, record=False, path=section,
+                      values=tuple(document[section]
+                                   for document in documents))
+        for section in _SECTIONS)
+
+
 def portfolio_from_scenarios(
         name: str, scenarios: Sequence[object],
         description: str = "") -> Portfolio:
@@ -462,93 +472,7 @@ def portfolio_from_scenarios(
         name=name,
         description=description,
         expansion="zip",
-        axes=(
-            PortfolioAxis(name="scenario",
-                          values=tuple(range(len(documents)))),
-            PortfolioAxis(name="workload", record=False, path="workload",
-                          values=tuple(doc["workload"]
-                                       for doc in documents)),
-            PortfolioAxis(name="hardware", record=False, path="hardware",
-                          values=tuple(doc["hardware"]
-                                       for doc in documents)),
-            PortfolioAxis(name="solver", record=False, path="solver",
-                          values=tuple(doc["solver"] for doc in documents)),
-        ),
+        axes=(PortfolioAxis(name="scenario",
+                            values=tuple(range(len(documents)))),
+              *_section_axes(documents)),
     )
-
-
-# Registry ------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RegisteredPortfolio:
-    """A named portfolio builder (usually mirroring a registered figure).
-
-    Attributes:
-        name: registry key (``repro sweep <name>``).
-        build: callable mapping ``reduced`` to the :class:`Portfolio`.
-        figure: when set, the experiment-registry figure whose manifest the
-            sweep reproduces; the sweep manifest borrows its identity and
-            schema and pins row-identity against the orchestrator path.
-        row: optional ``(params, payload) -> row`` mapper turning one
-            point's served :class:`~repro.api.service.PlanResult` payload
-            into the figure's manifest-row columns (merged over ``params``).
-        description: one-line summary for ``repro sweep --list``.
-    """
-
-    name: str
-    build: Callable[[bool], Portfolio]
-    figure: Optional[str] = None
-    row: Optional[Callable[[Mapping, Mapping], Dict[str, object]]] = None
-    description: str = ""
-
-
-_PORTFOLIOS: Dict[str, RegisteredPortfolio] = {}
-
-
-def register_portfolio(
-    *,
-    name: str,
-    figure: Optional[str] = None,
-    row: Optional[Callable[[Mapping, Mapping], Dict[str, object]]] = None,
-    description: str = "",
-) -> Callable[[Callable[[bool], Portfolio]], Callable[[bool], Portfolio]]:
-    """Register the decorated ``build(reduced) -> Portfolio`` under ``name``."""
-
-    def decorator(
-            build: Callable[[bool], Portfolio]) -> Callable[[bool], Portfolio]:
-        if name in _PORTFOLIOS:
-            raise ValueError(f"portfolio {name!r} registered twice")
-        _PORTFOLIOS[name] = RegisteredPortfolio(
-            name=name, build=build, figure=figure, row=row,
-            description=description)
-        return build
-
-    return decorator
-
-
-def ensure_loaded() -> None:
-    """Import the experiments package so every portfolio registers itself."""
-    importlib.import_module(_PORTFOLIOS_PACKAGE)
-
-
-def get_portfolio(name: str) -> RegisteredPortfolio:
-    """Look up one registered portfolio.
-
-    Raises:
-        KeyError: when the name is unknown; the message lists the
-            registered names.
-    """
-    ensure_loaded()
-    try:
-        return _PORTFOLIOS[name]
-    except KeyError:
-        known = ", ".join(sorted(_PORTFOLIOS)) or "<none>"
-        raise KeyError(
-            f"unknown portfolio {name!r}; registered: {known}") from None
-
-
-def portfolio_names() -> List[str]:
-    """Sorted registered portfolio names."""
-    ensure_loaded()
-    return sorted(_PORTFOLIOS)

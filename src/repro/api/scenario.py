@@ -1,7 +1,7 @@
 """The typed, serializable plan-request tree of the Scenario API.
 
 A :class:`Scenario` is the one request shape every entry point of the
-framework speaks: the runner's cell runners, the ``repro plan`` CLI, and any
+framework speaks: the runner's figure cells, the ``repro plan`` CLI, and any
 future server front-end all construct a Scenario and hand it to
 :class:`repro.api.service.PlanService`. It is a frozen dataclass tree —
 

@@ -38,7 +38,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import span, tracing_enabled
 from repro.hardware.wafer import WaferScaleChip
 from repro.parallelism.baselines import candidate_specs
-from repro.simulation.config import SimulatorConfig
 from repro.simulation.gpu import GPUClusterSimulator
 from repro.solver.dlws import DualLevelWaferSolver, SolverResult
 from repro.solver.genetic import GeneticConfig
@@ -349,12 +348,7 @@ class PlanService:
 
     # Entry points ----------------------------------------------------------------
 
-    def evaluate(
-        self,
-        scenario: Scenario,
-        wafer: Optional[WaferScaleChip] = None,
-        config: Optional[SimulatorConfig] = None,
-    ) -> PlanResult:
+    def evaluate(self, scenario: Scenario) -> PlanResult:
         """Evaluate ``scenario`` and return the flat :class:`PlanResult`.
 
         With tracing enabled the result additionally carries a
@@ -366,7 +360,7 @@ class PlanService:
         start = time.perf_counter()
         with span("service.evaluate",
                   model=scenario.workload.model) as evaluate_span:
-            raw = self.evaluate_raw(scenario, wafer=wafer, config=config)
+            raw = self.evaluate_raw(scenario)
             if isinstance(raw, PlanResult):
                 result = raw
             elif isinstance(raw, MultiWaferResult):
@@ -393,28 +387,18 @@ class PlanService:
             })
         return result
 
-    def evaluate_raw(
-        self,
-        scenario: Scenario,
-        wafer: Optional[WaferScaleChip] = None,
-        config: Optional[SimulatorConfig] = None,
-    ) -> RawResult:
-        """Evaluate ``scenario`` and return the path's rich result object.
-
-        ``wafer`` / ``config`` are internal overrides for callers that
-        already hold the (identical) resolved objects; they default to what
-        the scenario's hardware spec resolves to.
-        """
+    def evaluate_raw(self, scenario: Scenario) -> RawResult:
+        """Evaluate ``scenario`` and return the path's rich result object."""
         hardware = scenario.hardware
         if hardware.platform == "gpu_cluster":
-            return self._evaluate_gpu(scenario, config=config)
+            return self._evaluate_gpu(scenario)
         if hardware.num_wafers > 1:
             return run_multiwafer_scenario(scenario,
                                            plan_cache=self.plan_cache)
         if hardware.has_fault_study:
-            return self._evaluate_faults(scenario, config=config)
-        wafer = wafer if wafer is not None else self.wafer_for(hardware)
-        config = config if config is not None else hardware.resolve_simulator()
+            return self._evaluate_faults(scenario)
+        wafer = self.wafer_for(hardware)
+        config = hardware.resolve_simulator()
         if scenario.solver.fixed_spec is not None:
             return simulate_fixed_spec(
                 scenario, plan_cache=self.plan_cache, wafer=wafer,
@@ -456,9 +440,7 @@ class PlanService:
 
     # Dispatch targets -------------------------------------------------------------
 
-    def _evaluate_faults(
-        self, scenario: Scenario, config: Optional[SimulatorConfig] = None
-    ) -> FaultToleranceResult:
+    def _evaluate_faults(self, scenario: Scenario) -> FaultToleranceResult:
         """Fault-tolerance path: pinned spec on a healthy vs faulty wafer."""
         solver = scenario.solver
         if solver.fixed_spec is None:
@@ -470,24 +452,19 @@ class PlanService:
             scenario.workload.resolve(),
             solver.resolve_fixed_spec(),
             fault_model,
-            config=(config if config is not None
-                    else scenario.hardware.resolve_simulator()),
+            config=scenario.hardware.resolve_simulator(),
             engine=solver.engine,
             wafer_config=scenario.hardware.resolve_config(),
         )
 
-    def _evaluate_gpu(
-        self, scenario: Scenario, config: Optional[SimulatorConfig] = None
-    ) -> PlanResult:
+    def _evaluate_gpu(self, scenario: Scenario) -> PlanResult:
         """GPU comparator path: best non-OOM configuration on the cluster."""
         model = scenario.workload.resolve()
         solver = scenario.solver
         scheme = solver.resolved_scheme()
         cluster = GPUCluster()
         simulator = GPUClusterSimulator(
-            cluster,
-            config if config is not None
-            else scenario.hardware.resolve_simulator())
+            cluster, scenario.hardware.resolve_simulator())
         num_devices = cluster.num_devices
         specs = candidate_specs(
             scheme, num_devices, max_tp=scheme_max_tp(scheme, model),

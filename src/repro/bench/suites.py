@@ -40,10 +40,9 @@ _STATE: Dict[str, object] = {}
 def _fig13_portfolio():
     """The fig13 reduced portfolio and its expanded points (built once)."""
     if "fig13" not in _STATE:
-        from repro.api.portfolio import ensure_loaded, get_portfolio
+        from repro.runner.registry import get_experiment
 
-        ensure_loaded()
-        portfolio = get_portfolio("fig13").build(True)
+        portfolio = get_experiment("fig13").portfolio(True)
         _STATE["fig13"] = (portfolio, portfolio.expand())
     return _STATE["fig13"]
 

@@ -1,11 +1,12 @@
 """Experiment runners — one per table/figure of the paper's evaluation.
 
 Every module registers its figure with the experiment registry
-(:mod:`repro.runner.registry`) at import time: a cell runner, the
-default/reduced parameter grids, and the manifest row schema. The registry
-is the single source of truth — ``__all__`` below, the ``python -m repro``
-CLI, the sweep orchestrator, and the generated ``EXPERIMENTS.md`` index are
-all derived from it.
+(:mod:`repro.runner.registry`) at import time: the default/reduced
+parameter grids, the manifest row schema, and either a scenario builder
+plus row mapper or a cell runner. The registry is the single source of
+truth — ``__all__`` below, the ``python -m repro`` CLI, the sweep
+orchestrator, the ``repro sweep`` portfolios, and the generated
+``EXPERIMENTS.md`` index are all derived from it.
 
 | Figure | Runner |
 |--------|--------|
@@ -42,10 +43,6 @@ from repro.experiments import fig20_fault_tolerance  # noqa: F401
 from repro.experiments import fig21_cost_model  # noqa: F401
 from repro.experiments import search_time  # noqa: F401
 from repro.experiments import fabric_zoo  # noqa: F401
-
-# Importing the portfolios module re-registers the sweepable grids with the
-# portfolio registry (repro.api.portfolio).
-from repro.experiments import portfolios  # noqa: F401
 from repro.runner import registry as _registry
 
 

@@ -20,10 +20,10 @@ costs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.api.scenario import HardwareSpec, Scenario, SolverSpec, WorkloadSpec
-from repro.api.service import PlanResult, PlanService
+from repro.api.service import PlanService
 from repro.costmodel.tables import PlanCache
 from repro.runner.registry import register
 
@@ -149,17 +149,18 @@ class FabricZooStudy:
         return speedups
 
 
-def evaluate_fabric(
-    model: str,
-    fabric: str,
-    plan_cache: Optional[PlanCache] = None,
-    service: Optional[PlanService] = None,
-) -> FabricCell:
-    """Evaluate one (model, fabric) cell of the study."""
-    if service is None:
-        service = PlanService(plan_cache=plan_cache)
-    result = service.evaluate(scenario_for_fabric(model, fabric))
-    return _cell_from(model, fabric, result)
+def fabric_row(params: Mapping[str, object],
+               payload: Mapping[str, object]) -> Dict[str, object]:
+    """One fabric-zoo row's columns from a cell's plan payload."""
+    return {
+        "spec": payload["spec"] if payload["spec"] else "-",
+        "oom": payload["oom"],
+        "step_time": payload["step_time"],
+        "compute_time": payload["compute_time"],
+        "comm_time": payload["comm_time"],
+        "memory_gb": payload["memory_gb"],
+        "throughput": payload["throughput"],
+    }
 
 
 def run_fabric_zoo(
@@ -184,22 +185,12 @@ def run_fabric_zoo(
     study = FabricZooStudy()
     for model in model_names:
         for fabric in fabric_names:
-            study.cells.append(evaluate_fabric(model, fabric, service=service))
+            params = {"model": model, "fabric": fabric}
+            payload = service.evaluate(
+                scenario_for_fabric(model, fabric)).to_dict()
+            study.cells.append(
+                FabricCell(**params, **fabric_row(params, payload)))
     return study
-
-
-def _cell_from(model: str, fabric: str, result: PlanResult) -> FabricCell:
-    return FabricCell(
-        model=model,
-        fabric=fabric,
-        spec=result.spec if result.spec else "-",
-        oom=result.oom,
-        step_time=result.step_time,
-        compute_time=result.compute_time,
-        comm_time=result.comm_time,
-        memory_gb=result.memory_gb,
-        throughput=result.throughput,
-    )
 
 
 def format_table(study: FabricZooStudy) -> str:
@@ -216,7 +207,7 @@ def format_table(study: FabricZooStudy) -> str:
     return "\n".join(lines)
 
 
-@register(
+register(
     figure="fabric_zoo",
     paper="§ topology zoo",
     title="Fabric zoo: which interconnect fabric wins per workload",
@@ -230,16 +221,5 @@ def format_table(study: FabricZooStudy) -> str:
                 "under pinned communication-heavy parallelisations, "
                 "reporting per-workload throughput and the winning fabric.",
     scenario=scenario_for_fabric,
+    row=fabric_row,
 )
-def fabric_cell(ctx, model, fabric):
-    """One (model, fabric) cell of the fabric-zoo study."""
-    cell = evaluate_fabric(model, fabric, service=ctx.service)
-    return [{
-        "spec": cell.spec,
-        "oom": cell.oom,
-        "step_time": cell.step_time,
-        "compute_time": cell.compute_time,
-        "comm_time": cell.comm_time,
-        "memory_gb": cell.memory_gb,
-        "throughput": cell.throughput,
-    }]

@@ -15,17 +15,14 @@ scenarios this figure reads the latency off.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.api.scenario import Scenario, SolverSpec, WorkloadSpec
-from repro.api.service import PlanResult, PlanService
-from repro.core.framework import BaselineResult
+from repro.api.service import PlanService
 from repro.core.metrics import geometric_mean
 from repro.costmodel.tables import PlanCache
-from repro.hardware.wafer import WaferScaleChip
 from repro.parallelism.baselines import BaselineScheme
 from repro.runner.registry import register
-from repro.simulation.config import SimulatorConfig
 from repro.workloads.models import TABLE_II_MODELS
 
 #: The six baseline (scheme, engine) pairs of the figure, in label order.
@@ -155,55 +152,29 @@ class OverallComparison:
         return ratios
 
 
-def evaluate_system_result(
-    model_name: str,
-    system: str,
-    wafer: Optional[WaferScaleChip] = None,
-    config: Optional[SimulatorConfig] = None,
-    plan_cache: Optional[PlanCache] = None,
-    service: Optional[PlanService] = None,
-) -> BaselineResult:
-    """Raw :class:`BaselineResult` of one (model, system) pair.
-
-    Builds the cell's scenario and runs it through a
-    :class:`~repro.api.service.PlanService` (a fresh one around
-    ``plan_cache`` unless ``service`` is given). Fig. 14 reads the power
-    numbers off the same results this figure reads the latency off, so both
-    share this evaluator.
-    """
-    if service is None:
-        service = PlanService(plan_cache=plan_cache)
-    return service.evaluate_raw(scenario_for_system(model_name, system),
-                                wafer=wafer, config=config)
-
-
-def evaluate_system(
-    model_name: str,
-    system: str,
-    wafer: Optional[WaferScaleChip] = None,
-    config: Optional[SimulatorConfig] = None,
-    plan_cache: Optional[PlanCache] = None,
-    service: Optional[PlanService] = None,
-) -> OverallCell:
-    """Evaluate one (model, system) cell of the Fig. 13 grid."""
-    result = evaluate_system_result(model_name, system, wafer=wafer,
-                                    config=config, plan_cache=plan_cache,
-                                    service=service)
-    return _cell_from(model_name, system, PlanResult.from_baseline(result))
+def overall_row(params: Mapping[str, object],
+                payload: Mapping[str, object]) -> Dict[str, object]:
+    """One Fig. 13 row's columns from a cell's plan payload."""
+    return {
+        "spec": payload["spec"] if payload["spec"] else "-",
+        "oom": payload["oom"],
+        "step_time": payload["step_time"],
+        "compute_time": payload["compute_time"],
+        "comm_time": payload["comm_time"],
+        "memory_gb": payload["memory_gb"],
+        "throughput": payload["throughput"],
+        "power_efficiency": payload["power_efficiency"],
+    }
 
 
 def run_overall_comparison(
     models: Optional[Sequence[str]] = None,
-    wafer: Optional[WaferScaleChip] = None,
-    config: Optional[SimulatorConfig] = None,
     plan_cache: Optional[PlanCache] = None,
 ) -> OverallComparison:
     """Run the Fig. 13 grid.
 
     Args:
         models: model names to evaluate (defaults to all of Table II).
-        wafer: wafer configuration (defaults to the 4x8 Table I wafer).
-        config: simulator knobs.
         plan_cache: optional shared ``analyze_model`` memoisation.
 
     Returns:
@@ -214,24 +185,12 @@ def run_overall_comparison(
     comparison = OverallComparison()
     for name in model_names:
         for system in SYSTEMS:
-            comparison.cells.append(evaluate_system(
-                name, system, wafer=wafer, config=config, service=service))
+            params = {"model": name, "system": system}
+            payload = service.evaluate(
+                scenario_for_system(name, system)).to_dict()
+            comparison.cells.append(
+                OverallCell(**params, **overall_row(params, payload)))
     return comparison
-
-
-def _cell_from(model: str, system: str, result: PlanResult) -> OverallCell:
-    return OverallCell(
-        model=model,
-        system=system,
-        spec=result.spec if result.spec else "-",
-        oom=result.oom,
-        step_time=result.step_time,
-        compute_time=result.compute_time,
-        comm_time=result.comm_time,
-        memory_gb=result.memory_gb,
-        throughput=result.throughput,
-        power_efficiency=result.power_efficiency,
-    )
 
 
 def format_table(comparison: OverallComparison) -> str:
@@ -249,7 +208,7 @@ def format_table(comparison: OverallComparison) -> str:
     return "\n".join(lines)
 
 
-@register(
+register(
     figure="fig13",
     paper="Fig. 13",
     title="Overall training-performance comparison (7 systems x Table II)",
@@ -263,17 +222,5 @@ def format_table(comparison: OverallComparison) -> str:
                 "its compute/communication breakdown, peak per-die memory, "
                 "and OOM flags.",
     scenario=scenario_for_system,
+    row=overall_row,
 )
-def overall_cell(ctx, model, system):
-    """One (model, system) cell of Fig. 13."""
-    cell = evaluate_system(model, system, service=ctx.service)
-    return [{
-        "spec": cell.spec,
-        "oom": cell.oom,
-        "step_time": cell.step_time,
-        "compute_time": cell.compute_time,
-        "comm_time": cell.comm_time,
-        "memory_gb": cell.memory_gb,
-        "throughput": cell.throughput,
-        "power_efficiency": cell.power_efficiency,
-    }]

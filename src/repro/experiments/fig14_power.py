@@ -9,20 +9,17 @@ baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.api.service import PlanResult, PlanService
+from repro.api.service import PlanService
 from repro.core.metrics import geometric_mean
 from repro.costmodel.tables import PlanCache
 from repro.experiments.fig13_overall import (
     FAST_MODELS,
     SYSTEMS,
-    evaluate_system_result,
     scenario_for_system,
 )
-from repro.hardware.wafer import WaferScaleChip
 from repro.runner.registry import register
-from repro.simulation.config import SimulatorConfig
 from repro.workloads.models import TABLE_II_MODELS
 
 
@@ -109,25 +106,22 @@ class PowerComparison:
         return geometric_mean(ratios) if ratios else 0.0
 
 
-def evaluate_power_system(
-    model_name: str,
-    system: str,
-    wafer: Optional[WaferScaleChip] = None,
-    config: Optional[SimulatorConfig] = None,
-    plan_cache: Optional[PlanCache] = None,
-    service: Optional[PlanService] = None,
-) -> PowerCell:
-    """Evaluate one (model, system) cell of the Fig. 14 grid."""
-    result = evaluate_system_result(model_name, system, wafer=wafer,
-                                    config=config, plan_cache=plan_cache,
-                                    service=service)
-    return _cell_from(model_name, system, PlanResult.from_baseline(result))
+def power_row(params: Mapping[str, object],
+              payload: Mapping[str, object]) -> Dict[str, object]:
+    """One Fig. 14 row's columns from a cell's plan payload."""
+    return {
+        "oom": payload["oom"],
+        "compute_watts": payload["compute_watts"],
+        "dram_watts": payload["dram_watts"],
+        "comm_watts": payload["comm_watts"],
+        "total_watts": payload["total_watts"],
+        "power_efficiency": payload["power_efficiency"],
+        "energy_per_step": payload["energy_per_step"],
+    }
 
 
 def run_power_comparison(
     models: Optional[Sequence[str]] = None,
-    wafer: Optional[WaferScaleChip] = None,
-    config: Optional[SimulatorConfig] = None,
     plan_cache: Optional[PlanCache] = None,
 ) -> PowerComparison:
     """Run the Fig. 14 grid (power breakdown + efficiency)."""
@@ -136,26 +130,15 @@ def run_power_comparison(
     comparison = PowerComparison()
     for name in model_names:
         for system in SYSTEMS:
-            comparison.cells.append(evaluate_power_system(
-                name, system, wafer=wafer, config=config, service=service))
+            params = {"model": name, "system": system}
+            payload = service.evaluate(
+                scenario_for_system(name, system)).to_dict()
+            comparison.cells.append(
+                PowerCell(**params, **power_row(params, payload)))
     return comparison
 
 
-def _cell_from(model: str, system: str, result: PlanResult) -> PowerCell:
-    return PowerCell(
-        model=model,
-        system=system,
-        oom=result.oom,
-        compute_watts=result.compute_watts,
-        dram_watts=result.dram_watts,
-        comm_watts=result.comm_watts,
-        total_watts=result.total_watts,
-        power_efficiency=result.power_efficiency,
-        energy_per_step=result.energy_per_step,
-    )
-
-
-@register(
+register(
     figure="fig14",
     paper="Fig. 14",
     title="Power breakdown and power efficiency (7 systems x Table II)",
@@ -169,16 +152,5 @@ def _cell_from(model: str, system: str, result: PlanResult) -> PowerCell:
                 "memory / communication decomposition and the "
                 "throughput-per-watt of every system.",
     scenario=scenario_for_system,
+    row=power_row,
 )
-def power_cell(ctx, model, system):
-    """One (model, system) cell of Fig. 14."""
-    cell = evaluate_power_system(model, system, service=ctx.service)
-    return [{
-        "oom": cell.oom,
-        "compute_watts": cell.compute_watts,
-        "dram_watts": cell.dram_watts,
-        "comm_watts": cell.comm_watts,
-        "total_watts": cell.total_watts,
-        "power_efficiency": cell.power_efficiency,
-        "energy_per_step": cell.energy_per_step,
-    }]

@@ -15,7 +15,7 @@ simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.api.scenario import HardwareSpec, Scenario, SolverSpec, WorkloadSpec
 from repro.api.service import PlanService
@@ -99,7 +99,20 @@ def run_gpu_comparison(
     return rows
 
 
-@register(
+def gpu_comparison_row(params: Mapping[str, object],
+                       payload: Mapping[str, object]) -> Dict[str, object]:
+    """One Fig. 15 row's columns from a cell's plan payload.
+
+    The payload carries the GPU cluster's OOM ``inf`` step time as null.
+    """
+    return {
+        "step_time": payload["step_time"],
+        "throughput": payload["throughput"],
+        "oom": payload["oom"],
+    }
+
+
+register(
     figure="fig15",
     paper="Fig. 15",
     title="Wafer-scale chip vs GPU cluster of matching aggregate peak",
@@ -112,13 +125,5 @@ def run_gpu_comparison(
                 "cluster runs Megatron-3 (MeSP), the wafer runs MeSP "
                 "(GMap-mapped) and TEMP.",
     scenario=scenario_for_gpu_system,
+    row=gpu_comparison_row,
 )
-def gpu_comparison_cell(ctx, model, system):
-    """One (model, system) cell of Fig. 15."""
-    result = ctx.service.evaluate(scenario_for_gpu_system(model, system))
-    payload = result.to_dict()  # serialises the OOM inf step time as null
-    return [{
-        "step_time": payload["step_time"],
-        "throughput": result.throughput,
-        "oom": result.oom,
-    }]

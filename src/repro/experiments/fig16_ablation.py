@@ -15,15 +15,13 @@ model size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.api.scenario import Scenario, SolverSpec, WorkloadSpec
 from repro.api.service import PlanService
 from repro.core.metrics import geometric_mean
 from repro.costmodel.tables import PlanCache
-from repro.hardware.wafer import WaferScaleChip
 from repro.runner.registry import register
-from repro.simulation.config import SimulatorConfig
 from repro.workloads.models import TABLE_II_MODELS
 
 #: Ablation step labels, in order.
@@ -89,28 +87,18 @@ class AblationStudy:
         return geometric_mean(gains) if gains else 0.0
 
 
-def evaluate_ablation_step(
-    model_name: str,
-    step: str,
-    wafer: Optional[WaferScaleChip] = None,
-    config: Optional[SimulatorConfig] = None,
-    plan_cache: Optional[PlanCache] = None,
-    service: Optional[PlanService] = None,
-):
-    """Evaluate one ablation step; returns the raw ``BaselineResult``.
-
-    ``step`` is one of :data:`ABLATION_STEPS`.
-    """
-    if service is None:
-        service = PlanService(plan_cache=plan_cache)
-    return service.evaluate_raw(scenario_for_step(model_name, step),
-                                wafer=wafer, config=config)
+def ablation_row(params: Mapping[str, object],
+                 payload: Mapping[str, object]) -> Dict[str, object]:
+    """One Fig. 16 row's columns from a cell's plan payload."""
+    return {
+        "throughput": payload["throughput"],
+        "spec": payload["spec"] if payload["spec"] else "-",
+        "oom": payload["oom"],
+    }
 
 
 def run_ablation(
     models: Optional[Sequence[str]] = None,
-    wafer: Optional[WaferScaleChip] = None,
-    config: Optional[SimulatorConfig] = None,
     plan_cache: Optional[PlanCache] = None,
 ) -> AblationStudy:
     """Run the Fig. 16 ablation."""
@@ -120,17 +108,16 @@ def run_ablation(
     for name in model_names:
         row = AblationRow(model=name)
         for step in ABLATION_STEPS:
-            result = evaluate_ablation_step(name, step, wafer=wafer,
-                                            config=config, service=service)
-            row.throughput[step] = (
-                result.report.throughput if result.report else 0.0)
-            row.specs[step] = (
-                result.best_spec.label() if result.best_spec else "-")
+            params = {"model": name, "step": step}
+            payload = service.evaluate(scenario_for_step(name, step)).to_dict()
+            columns = ablation_row(params, payload)
+            row.throughput[step] = columns["throughput"]
+            row.specs[step] = columns["spec"]
         study.rows.append(row)
     return study
 
 
-@register(
+register(
     figure="fig16",
     paper="Fig. 16",
     title="Ablation: base FSDP -> +TATP -> +TATP+TCME",
@@ -143,12 +130,5 @@ def run_ablation(
                 "of the FSDP+SMap baseline; the figure normalises each "
                 "model's throughput to the base step.",
     scenario=scenario_for_step,
+    row=ablation_row,
 )
-def ablation_cell(ctx, model, step):
-    """One (model, ablation step) cell of Fig. 16."""
-    result = evaluate_ablation_step(model, step, service=ctx.service)
-    return [{
-        "throughput": result.report.throughput if result.report else 0.0,
-        "spec": result.best_spec.label() if result.best_spec else "-",
-        "oom": result.oom,
-    }]

@@ -9,14 +9,15 @@ length and model size.
 
 Each sweep is one base :class:`repro.api.Scenario`
 (:func:`scenario_for_sweep`, carrying the workload overrides and the
-engine); every enumerated configuration is a pinned-spec copy evaluated
-through :class:`~repro.api.service.PlanService`.
+engine); every enumerated configuration is one cell, a pinned-spec copy
+(:func:`scenario_for_config`) evaluated through
+:class:`~repro.api.service.PlanService`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Mapping, Optional
 
 from repro.api.scenario import Scenario, SolverSpec, WorkloadSpec
 from repro.api.service import PlanService
@@ -43,10 +44,26 @@ def scenario_for_sweep(model: str, seq_length: int,
     )
 
 
+def scenario_for_config(model: str, seq_length: int, config: str, dp: int,
+                        tp: int, sp: int, tatp: int,
+                        batch_size: Optional[int] = None) -> Scenario:
+    """The :class:`Scenario` of one pinned configuration of a sweep.
+
+    ``config`` is the row's ``(DP,TP,SP,TATP)`` label of the pinned
+    degrees; it does not change the scenario.
+    """
+    spec = ParallelSpec(dp=dp, tp=tp, sp=sp, tatp=tatp)
+    return scenario_for_sweep(model, seq_length,
+                              batch_size=batch_size).with_fixed_spec(spec)
+
+
 @dataclass
 class ConfigThroughput:
     """Throughput of one (DP, TP, SP, TATP) configuration."""
 
+    model: str
+    seq_length: int
+    config: str
     dp: int
     tp: int
     sp: int
@@ -59,7 +76,7 @@ class ConfigThroughput:
     @property
     def label(self) -> str:
         """The paper's (DP, TP, SP, TATP) tuple notation."""
-        return f"({self.dp},{self.tp},{self.sp},{self.tatp})"
+        return self.config
 
 
 @dataclass
@@ -114,78 +131,67 @@ def enumerate_configs(num_devices: int, max_tatp: int = 32) -> List[ParallelSpec
     ]
 
 
+def config_cells(model: str, seq_length: int,
+                 max_tatp: int = 32) -> List[Dict[str, object]]:
+    """One cell per (DP, TP, SP, TATP) configuration filling the wafer.
+
+    Configurations whose TP degree exceeds the model's head count are
+    skipped: the heads cannot be split that finely.
+    """
+    base = scenario_for_sweep(model, seq_length)
+    num_heads = base.workload.resolve().num_heads
+    return [
+        {"model": model, "seq_length": seq_length,
+         "config": f"({spec.dp},{spec.tp},{spec.sp},{spec.tatp})",
+         "dp": spec.dp, "tp": spec.tp, "sp": spec.sp, "tatp": spec.tatp}
+        for spec in enumerate_configs(base.hardware.num_dies,
+                                      max_tatp=max_tatp)
+        if spec.tp <= num_heads
+    ]
+
+
+def config_row(params: Mapping[str, object],
+               payload: Mapping[str, object]) -> Dict[str, object]:
+    """One Fig. 17 row's columns from a cell's plan payload."""
+    return {
+        "throughput": payload["throughput"],
+        "step_time": payload["step_time"],
+        "memory_gb": payload["memory_gb"],
+        "oom": payload["oom"],
+    }
+
+
 def run_config_sweep(
     model_name: str = "llama2-7b",
     seq_length: int = 2048,
     batch_size: Optional[int] = None,
-    engine: str = "tcme",
     max_tatp: int = 32,
     service: Optional[PlanService] = None,
 ) -> ConfigSweep:
     """Sweep every (DP, TP, SP, TATP) configuration of one model."""
     service = service or PlanService()
-    base = scenario_for_sweep(model_name, seq_length, batch_size=batch_size)
-    if engine != base.solver.engine:
-        base = replace(base, solver=replace(base.solver, engine=engine))
-    model = base.workload.resolve()
-    num_dies = base.hardware.num_dies
-
     sweep = ConfigSweep(model=model_name, seq_length=seq_length)
-    for spec in enumerate_configs(num_dies, max_tatp=max_tatp):
-        if spec.tp > model.num_heads:
-            continue
-        result = service.evaluate(base.with_fixed_spec(spec))
-        sweep.configs.append(ConfigThroughput(
-            dp=spec.dp, tp=spec.tp, sp=spec.sp, tatp=spec.tatp,
-            throughput=result.throughput,
-            step_time=result.step_time,
-            memory_gb=result.memory_gb,
-            oom=result.oom,
-        ))
+    for cell in config_cells(model_name, seq_length, max_tatp=max_tatp):
+        scenario = scenario_for_config(**cell, batch_size=batch_size)
+        payload = service.evaluate(scenario).to_dict()
+        sweep.configs.append(
+            ConfigThroughput(**cell, **config_row(cell, payload)))
     return sweep
 
 
-def run_convergence_study(
-    model_names: Sequence[str] = ("gpt3-6.7b", "gpt3-76b", "gpt3-175b"),
-    seq_lengths: Sequence[int] = (2048, 16384),
-    service: Optional[PlanService] = None,
-) -> Dict[Tuple[str, int], ConfigSweep]:
-    """Fig. 18: best configurations of the GPT-3 models for short/long sequences."""
-    service = service or PlanService()
-    results: Dict[Tuple[str, int], ConfigSweep] = {}
-    for name in model_names:
-        for seq in seq_lengths:
-            results[(name, seq)] = run_config_sweep(
-                model_name=name, seq_length=seq, service=service)
-    return results
-
-
-@register(
+register(
     figure="fig17",
     paper="Fig. 17",
     title="Throughput of every (DP, TP, SP, TATP) configuration",
-    default_grid={"model": ["llama2-7b"], "seq_length": list(FIG17_SEQ_LENGTHS)},
-    reduced_grid={"model": ["llama2-7b"], "seq_length": [2048]},
+    default_grid=[cell for seq_length in FIG17_SEQ_LENGTHS
+                  for cell in config_cells("llama2-7b", seq_length)],
+    reduced_grid=config_cells("llama2-7b", 2048),
     schema=("model", "seq_length", "config", "dp", "tp", "sp", "tatp",
             "throughput", "step_time", "memory_gb", "oom"),
     entrypoints=("run_config_sweep", "enumerate_configs"),
     description="Llama2 7B on a 32-die wafer under TCME: every "
                 "(DP, TP, SP, TATP) combination filling the wafer, for "
                 "short (2k, batch 128) and long (16k, batch 32) sequences.",
-    scenario=scenario_for_sweep,
+    scenario=scenario_for_config,
+    row=config_row,
 )
-def config_sweep_cell(ctx, model, seq_length):
-    """One (model, sequence length) sweep of Fig. 17 (one row per config)."""
-    sweep = run_config_sweep(model_name=model, seq_length=seq_length,
-                             service=ctx.service)
-    return [{
-        "config": item.label,
-        "dp": item.dp,
-        "tp": item.tp,
-        "sp": item.sp,
-        "tatp": item.tatp,
-        "throughput": item.throughput,
-        "step_time": item.step_time,
-        "memory_gb": item.memory_gb,
-        "oom": item.oom,
-    } for item in sweep.configs]

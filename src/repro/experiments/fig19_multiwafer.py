@@ -10,7 +10,7 @@ parallelism; TEMP's TATP keeps the pipeline degree low and wins by 1.2-1.6x.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional
 
 from repro.api.scenario import HardwareSpec, Scenario, SolverSpec, WorkloadSpec
 from repro.api.service import PlanService
@@ -30,6 +30,9 @@ MULTI_WAFER_GRID = [
     (BaselineScheme.TEMP, "tcme", "TEMP"),
 ]
 
+#: System labels of the figure, baselines first, TEMP last.
+SYSTEMS = [label for _, _, label in MULTI_WAFER_GRID]
+
 #: Label -> (scheme, engine) lookup of the Fig. 19 systems.
 _SYSTEM_TABLE = {label: (scheme, engine)
                  for scheme, engine, label in MULTI_WAFER_GRID}
@@ -46,7 +49,7 @@ def scenario_for_multiwafer(model: str, system: str,
     try:
         scheme, engine = _SYSTEM_TABLE[system]
     except KeyError:
-        known = ", ".join(label for _, _, label in MULTI_WAFER_GRID)
+        known = ", ".join(SYSTEMS)
         raise KeyError(
             f"unknown system {system!r}; expected one of {known}") from None
     if num_wafers is None:
@@ -114,9 +117,24 @@ class MultiWaferStudy:
         return baseline.step_time / temp.step_time
 
 
+def multiwafer_row(params: Mapping[str, object],
+                   payload: Mapping[str, object]) -> Dict[str, object]:
+    """One Fig. 19 row's columns from a cell's plan payload."""
+    return {
+        "num_wafers": payload["num_wafers"],
+        "spec": payload["spec"] if payload["spec"] else "-",
+        "pp_degree": payload["pp_degree"],
+        "step_time": payload["step_time"],
+        "compute_time": payload["compute_time"],
+        "comm_time": payload["comm_time"],
+        "bubble_time": payload["bubble_time"],
+        "throughput": payload["throughput"],
+        "oom": payload["oom"],
+    }
+
+
 def run_multiwafer_study(
     models: Optional[Dict[str, int]] = None,
-    systems: Optional[Sequence[Tuple[BaselineScheme, str, str]]] = None,
     num_microbatches: int = 16,
     plan_cache: Optional[PlanCache] = None,
 ) -> MultiWaferStudy:
@@ -125,58 +143,30 @@ def run_multiwafer_study(
     Args:
         models: mapping of model name -> wafer count (defaults to the paper's
             four models).
-        systems: (scheme, engine, label) triples to evaluate.
         num_microbatches: pipeline microbatches per step.
         plan_cache: optional shared ``analyze_model`` memoisation.
     """
     model_map = dict(models) if models is not None else dict(MULTI_WAFER_MODELS)
-    grid = list(systems) if systems is not None else list(MULTI_WAFER_GRID)
     service = PlanService(plan_cache=plan_cache)
     study = MultiWaferStudy()
     for name, num_wafers in model_map.items():
-        for scheme, engine, label in grid:
-            scenario = Scenario(
-                workload=WorkloadSpec(model=name),
-                hardware=HardwareSpec(num_wafers=num_wafers,
-                                      num_microbatches=num_microbatches),
-                solver=SolverSpec(scheme=scheme.value, engine=engine),
-            )
-            study.cells.append(evaluate_multiwafer_cell(
-                scenario, label, service=service))
+        for system in SYSTEMS:
+            params = {"model": name, "system": system}
+            scenario = scenario_for_multiwafer(
+                name, system, num_wafers=num_wafers,
+                num_microbatches=num_microbatches)
+            payload = service.evaluate(scenario).to_dict()
+            study.cells.append(
+                MultiWaferCell(**params, **multiwafer_row(params, payload)))
     return study
 
 
-def evaluate_multiwafer_cell(
-    scenario: Scenario,
-    label: str,
-    service: Optional[PlanService] = None,
-) -> MultiWaferCell:
-    """Evaluate one (model, system) scenario of Fig. 19."""
-    service = service or PlanService()
-    result = service.evaluate(scenario)
-    return MultiWaferCell(
-        model=result.model,
-        system=label,
-        num_wafers=result.num_wafers,
-        spec=result.spec if result.spec else "-",
-        pp_degree=result.pp_degree,
-        step_time=result.step_time,
-        compute_time=result.compute_time,
-        comm_time=result.comm_time,
-        bubble_time=result.bubble_time,
-        throughput=result.throughput,
-        oom=result.oom,
-    )
-
-
-@register(
+register(
     figure="fig19",
     paper="Fig. 19",
     title="Multi-wafer scalability (pipeline parallelism across wafers)",
-    default_grid={"model": list(MULTI_WAFER_MODELS),
-                  "system": [label for _, _, label in MULTI_WAFER_GRID]},
-    reduced_grid={"model": ["gpt3-175b"],
-                  "system": [label for _, _, label in MULTI_WAFER_GRID]},
+    default_grid={"model": list(MULTI_WAFER_MODELS), "system": list(SYSTEMS)},
+    reduced_grid={"model": ["gpt3-175b"], "system": list(SYSTEMS)},
     schema=("model", "system", "num_wafers", "spec", "pp_degree",
             "step_time", "compute_time", "comm_time", "bubble_time",
             "throughput", "oom"),
@@ -185,19 +175,5 @@ def evaluate_multiwafer_cell(
                 "wafers; TEMP keeps the pipeline degree (and the bubble) "
                 "low because TATP covers more parallelism inside a wafer.",
     scenario=scenario_for_multiwafer,
+    row=multiwafer_row,
 )
-def multiwafer_cell(ctx, model, system):
-    """One (model, system) cell of Fig. 19."""
-    cell = evaluate_multiwafer_cell(
-        scenario_for_multiwafer(model, system), system, service=ctx.service)
-    return [{
-        "num_wafers": cell.num_wafers,
-        "spec": cell.spec,
-        "pp_degree": cell.pp_degree,
-        "step_time": cell.step_time,
-        "compute_time": cell.compute_time,
-        "comm_time": cell.comm_time,
-        "bubble_time": cell.bubble_time,
-        "throughput": cell.throughput,
-        "oom": cell.oom,
-    }]

@@ -15,7 +15,7 @@ the fault rate and whose solver spec pins the stressed configuration
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.api.scenario import HardwareSpec, Scenario, SolverSpec, WorkloadSpec
 from repro.api.service import PlanService
@@ -132,7 +132,13 @@ def evaluate_fault_point(
     return result.relative_throughput
 
 
-@register(
+def fault_row(params: Mapping[str, object],
+              payload: Mapping[str, object]) -> Dict[str, object]:
+    """One Fig. 20 row's columns from a cell's plan payload."""
+    return {"relative_throughput": payload["relative_throughput"]}
+
+
+register(
     figure="fig20",
     paper="Fig. 20",
     title="Fault tolerance: throughput under link and core faults",
@@ -149,10 +155,5 @@ def evaluate_fault_point(
                 "degradation via adaptive re-partitioning); seeded fault "
                 "sampling keeps the rows deterministic.",
     scenario=scenario_for_fault,
+    row=fault_row,
 )
-def fault_point_cell(ctx, sweep, rate):
-    """One (sweep, fault rate) point of Fig. 20."""
-    return [{
-        "relative_throughput": evaluate_fault_point(sweep, rate,
-                                                    service=ctx.service),
-    }]

@@ -21,10 +21,10 @@ Sub-commands::
     repro loadtest --requests 200 --dedup-ratio 0.95 --concurrency 8
                                        # replay synthetic plans against a live
                                        # server: p50/p95/p99, cache-hit rate
-    repro sweep fig13 --reduced        # registered portfolio -> manifest
+    repro sweep fig13 --reduced        # Scenario figure's grid -> manifest
     repro sweep fig13 --server 127.0.0.1:8099   # same sweep, remote
     repro sweep --file portfolio.json  # ad-hoc portfolio document
-    repro sweep --list                 # registered portfolios
+    repro sweep --list                 # sweepable figures
     repro check                        # every figure has a valid manifest
     repro docs [--check]               # (re)generate / verify EXPERIMENTS.md
                                        # and BENCHMARKS.md
@@ -269,12 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
              "plan scheduler and emit a validated manifest")
     sweep.add_argument(
         "portfolio", nargs="?", default=None,
-        help="registered portfolio name (see --list), e.g. 'fig13'")
+        help="sweepable figure (see --list), e.g. 'fig13'")
     sweep.add_argument("--file", metavar="PATH",
                        help="read an ad-hoc portfolio JSON document instead "
-                            "of a registered name")
+                            "of a figure's grid")
     sweep.add_argument("--list", action="store_true", dest="list_portfolios",
-                       help="list the registered portfolios and exit")
+                       help="list the sweepable figures and exit")
     sweep.add_argument("--reduced", action="store_true",
                        help="build the reduced (CI fidelity) portfolio")
     sweep.add_argument("--jobs", type=int, default=1, metavar="N",
@@ -643,61 +643,52 @@ def _parse_server_url(url: str):
 def _cmd_sweep(args: argparse.Namespace) -> int:
     import time
 
-    from repro.api.portfolio import (
-        Portfolio,
-        PortfolioError,
-        get_portfolio,
-        portfolio_names,
-    )
+    from repro.api.portfolio import Portfolio, PortfolioError
     from repro.server.portfolio import (
         MAX_POINTS,
         build_sweep_manifest,
         run_portfolio_local,
     )
 
+    # Every figure with a row mapper is sweepable.
+    sweepable = {experiment.figure: experiment
+                 for experiment in registry.all_experiments()
+                 if experiment.row is not None}
     if args.list_portfolios:
-        names = portfolio_names()
-        if not names:
-            print("no registered portfolios")
-            return 0
-        width = max(len(name) for name in names)
-        for name in names:
-            template = get_portfolio(name)
-            portfolio = template.build(args.reduced)
-            figure = template.figure or "-"
-            print(f"{name:<{width}}  figure={figure:<8} "
-                  f"{portfolio.num_points():>5} points  "
-                  f"{template.description}")
+        width = max(len(name) for name in sweepable)
+        for name, experiment in sweepable.items():
+            portfolio = experiment.portfolio(args.reduced)
+            print(f"{name:<{width}}  {portfolio.num_points():>5} points  "
+                  f"{experiment.title}")
         return 0
 
     if (args.portfolio is None) == (args.file is None):
-        print("error: give exactly one of a registered portfolio name or "
+        print("error: give exactly one of a sweepable figure or "
               "--file PATH (or --list)", file=sys.stderr)
         return 2
 
-    # Resolve the portfolio (and, for registered ones, the figure whose
+    # Resolve the portfolio (and, for a figure, the experiment whose
     # manifest identity and row schema the sweep reproduces).
-    template = None
     experiment = None
     try:
         if args.file is not None:
             with open(args.file, encoding="utf-8") as handle:
                 portfolio = Portfolio.from_json(handle.read())
         else:
-            template = get_portfolio(args.portfolio)
-            portfolio = template.build(args.reduced)
+            experiment = sweepable.get(args.portfolio)
+            if experiment is None:
+                print(f"error: unknown portfolio {args.portfolio!r}; "
+                      f"sweepable figures: {', '.join(sweepable)}",
+                      file=sys.stderr)
+                return 2
+            portfolio = experiment.portfolio(args.reduced)
         points = portfolio.expand(max_points=MAX_POINTS)
     except OSError as error:
         print(f"error: cannot read {args.file}: {error}", file=sys.stderr)
         return 2
-    except KeyError as error:
-        print(f"error: {error.args[0]}", file=sys.stderr)
-        return 2
     except PortfolioError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if template is not None and template.figure is not None:
-        experiment = registry.get_experiment(template.figure)
 
     print(f"sweep {portfolio.describe()}")
     start = time.perf_counter()
@@ -725,8 +716,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     manifest = build_sweep_manifest(
         portfolio, outcomes, reduced=args.reduced, jobs=jobs,
-        total_seconds=total_seconds, mode=mode, experiment=experiment,
-        row_builder=template.row if template is not None else None)
+        total_seconds=total_seconds, mode=mode, experiment=experiment)
     problems = manifest_module.validate_manifest(manifest, experiment)
     errors = sum(1 for cell in manifest["cells"] if cell["error"])
     oom = sum(cell["oom_rows"] for cell in manifest["cells"])

@@ -1,7 +1,7 @@
 """Per-worker execution context shared by every cell a worker runs.
 
 The orchestrator creates one :class:`RunContext` per worker (one total in
-serial mode) and passes it to every cell runner. The context owns the shared
+serial mode) and passes it to every cell. The context owns the shared
 :class:`~repro.api.service.PlanService` (and through it the shared
 :class:`~repro.costmodel.tables.PlanCache`) — the contract pinned by the
 serial-vs-parallel parity test is that the cache is a pure memoisation layer:
@@ -15,12 +15,10 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.costmodel.tables import PlanCache
-from repro.hardware.wafer import WaferScaleChip
-from repro.simulation.config import SimulatorConfig
 
 
 class RunContext:
-    """Shared state handed to every cell runner of a worker.
+    """Shared state handed to every cell of a worker.
 
     Attributes:
         plan_cache: memoised ``analyze_model`` shared across the worker's
@@ -37,8 +35,6 @@ class RunContext:
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
         self.reduced = reduced
         self._service = None
-        self._wafer: Optional[WaferScaleChip] = None
-        self._config: Optional[SimulatorConfig] = None
 
     @property
     def service(self):
@@ -52,17 +48,3 @@ class RunContext:
             from repro.api.service import PlanService
             self._service = PlanService(plan_cache=self.plan_cache)
         return self._service
-
-    @property
-    def wafer(self) -> WaferScaleChip:
-        """The default Table I wafer, built once per worker."""
-        if self._wafer is None:
-            self._wafer = WaferScaleChip()
-        return self._wafer
-
-    @property
-    def config(self) -> SimulatorConfig:
-        """Default simulator knobs, built once per worker."""
-        if self._config is None:
-            self._config = SimulatorConfig()
-        return self._config

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Callable, List
 
-from repro.api.portfolio import portfolio_names
 from repro.hardware.topologies import topology_table
 from repro.runner.registry import Experiment, all_experiments
 
@@ -35,11 +34,12 @@ List them with `python -m repro list`; run one with
 manifest per figure to `results/<figure>.json` (format documented in
 `README.md`).
 
-Figures marked with a portfolio are also registered with the portfolio
-sweep engine: `python -m repro sweep <figure> --reduced` expands the same
-grid through the plan scheduler (locally or against a `repro serve`
-instance via `--server HOST:PORT`) and emits a manifest row-identical to
-the orchestrator run. See README "Portfolio sweeps".
+Figures marked with a portfolio are Scenario figures (a scenario builder
+plus a row mapper), so the portfolio sweep engine can run them too:
+`python -m repro sweep <figure> --reduced` expands the same grid through
+the plan scheduler (locally or against a `repro serve` instance via
+`--server HOST:PORT`) and emits a manifest row-identical to the
+orchestrator run. See README "Portfolio sweeps".
 """
 
 
@@ -56,13 +56,12 @@ def _grid_summary(experiment: Experiment, reduced: bool) -> str:
 def render_experiments_md() -> str:
     """Render the full document from the registry."""
     experiments = all_experiments()
-    sweepable = set(portfolio_names())
     lines: List[str] = [_HEADER]
     lines.append("| Figure | Paper | Title | Module | Default cells | "
                  "Reduced cells | Portfolio |")
     lines.append("|---|---|---|---|---|---|---|")
     for exp in experiments:
-        portfolio = "yes" if exp.figure in sweepable else "-"
+        portfolio = "yes" if exp.row is not None else "-"
         lines.append(
             f"| `{exp.figure}` | {exp.paper} | {exp.title} | "
             f"`{exp.module}` | {_grid_summary(exp, False)} | "
@@ -83,7 +82,7 @@ def render_experiments_md() -> str:
         columns = ", ".join(f"`{column}`" for column in exp.schema)
         lines.append(f"- Manifest row columns: {columns}")
         lines.append(f"- Command: `python -m repro run {exp.figure} --reduced`")
-        if exp.figure in sweepable:
+        if exp.row is not None:
             lines.append(f"- Portfolio sweep: `python -m repro sweep "
                          f"{exp.figure} --reduced` (row-identical manifest "
                          f"via the plan scheduler; add `--server HOST:PORT` "

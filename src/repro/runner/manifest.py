@@ -94,7 +94,8 @@ def validate_manifest(
     Args:
         manifest: the parsed JSON document.
         experiment: when given, the manifest is additionally checked against
-            the registered schema and grid of the figure.
+            the figure's registered schema and its registered grid at the
+            manifest's fidelity (``reduced``).
 
     Returns:
         A list of problems; empty when the manifest is valid.
@@ -147,8 +148,14 @@ def validate_manifest(
         if schema != list(experiment.schema):
             problems.append(
                 f"schema {schema} != registered {list(experiment.schema)}")
-        expected_cells = len(expand_grid(manifest["grid"]))
-        if len(cells) != expected_cells:
+        grid_cells = expand_grid(manifest["grid"])
+        if grid_cells != experiment.cells(manifest["reduced"]):
+            fidelity = "reduced" if manifest["reduced"] else "default"
             problems.append(
-                f"{len(cells)} cells but the grid expands to {expected_cells}")
+                f"grid does not match the registered {fidelity} grid of "
+                f"{experiment.figure!r}")
+        if len(cells) != len(grid_cells):
+            problems.append(
+                f"{len(cells)} cells but the grid expands to "
+                f"{len(grid_cells)}")
     return problems

@@ -1,11 +1,11 @@
 """The experiment registry: one entry per figure/table of the evaluation.
 
 Every module under :mod:`repro.experiments` registers its figure with
-:func:`register` at import time: a cell runner (the unit of parallel work),
-the default and reduced parameter grids, and the schema of the manifest rows
-it emits. The orchestrator, the CLI, the generated ``EXPERIMENTS.md``, and
-``repro.experiments.__all__`` are all derived from this table, so adding a
-figure is one decorator — no hand-maintained lists.
+:func:`register` at import time: the default and reduced parameter grids,
+the schema of the manifest rows it emits, and how a cell is computed. The
+orchestrator, ``repro sweep``, the CLI, the generated ``EXPERIMENTS.md``,
+and ``repro.experiments.__all__`` are all derived from this table, so
+adding a figure is one registration — no hand-maintained lists.
 
 A *grid* is either
 
@@ -14,19 +14,32 @@ A *grid* is either
 * an explicit list of cell-parameter dicts, for figures whose cells are not
   a full product (e.g. Fig. 4's two sub-studies over different model sets).
 
-A *cell runner* has the signature ``cell(ctx, **params) -> list[dict]``:
-``ctx`` is a :class:`repro.runner.context.RunContext` (shared plan cache),
-``params`` is one point of the grid, and the returned dicts are merged with
-``params`` into manifest rows. The merged keys must equal the registered
-``schema`` for every row.
+A cell is computed in one of two ways:
+
+* a *Scenario figure* registers a ``scenario`` builder and a ``row``
+  mapper. Each cell evaluates ``scenario(**params)`` through the worker's
+  :class:`~repro.api.service.PlanService` and maps the result payload to
+  one row with ``row(params, payload)``. The same two callables make the
+  figure sweepable: :meth:`Experiment.portfolio` is the grid as a
+  :class:`~repro.api.portfolio.Portfolio` for ``repro sweep``.
+* a *computed figure* decorates a *cell runner*
+  ``cell(ctx, **params) -> list[dict]``: ``ctx`` is a
+  :class:`repro.runner.context.RunContext` (shared plan service),
+  ``params`` is one point of the grid, and the returned dicts are the
+  cell's rows.
+
+Either way the orchestrator merges ``params`` into each row, and the merged
+keys must equal the registered ``schema``.
 """
 
 from __future__ import annotations
 
 import importlib
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+
+from repro.api.portfolio import Portfolio, PortfolioAxis, _section_axes
 
 Grid = Union[Dict[str, Sequence], List[Dict[str, object]]]
 
@@ -36,19 +49,32 @@ _EXPERIMENTS_PACKAGE = "repro.experiments"
 
 @dataclass(frozen=True)
 class Experiment:
-    """Registered metadata and runner of one figure."""
+    """Registered metadata and cell computation of one figure."""
 
     figure: str
     paper: str
     title: str
     module: str
-    cell: Callable
     default_grid: Grid
     reduced_grid: Grid
     schema: Tuple[str, ...]
     entrypoints: Tuple[str, ...] = field(default_factory=tuple)
     description: str = ""
     scenario: Optional[Callable] = None
+    row: Optional[Callable] = None
+    runner: Optional[Callable] = None
+
+    def cell(self, ctx, **params) -> List[Dict[str, object]]:
+        """The rows of one cell (before ``params`` are merged in).
+
+        A Scenario figure evaluates the cell's scenario on ``ctx.service``
+        and maps the payload to one row; a computed figure runs its cell
+        runner.
+        """
+        if self.row is None:
+            return self.runner(ctx, **params)
+        result = ctx.service.evaluate(self.scenario_for(**params))
+        return [self.row(params, result.to_dict())]
 
     def scenario_for(self, **params) -> "object":
         """Build the figure's :class:`repro.api.Scenario` for one cell.
@@ -65,6 +91,31 @@ class Experiment:
             raise ValueError(
                 f"figure {self.figure!r} registered no scenario builder")
         return self.scenario(**params)
+
+    def portfolio(self, reduced: bool = False) -> Portfolio:
+        """The grid as a zipped :class:`Portfolio` (what ``repro sweep`` runs).
+
+        Each cell parameter is a recorded annotation-only axis, so a
+        point's params are its cell's; unrecorded section axes carry the
+        cell's scenario, so point ``i`` evaluates
+        ``scenario_for(**cells[i])``.
+
+        Raises:
+            ValueError: when the figure has no row mapper (computed figures
+                are not sweepable).
+        """
+        if self.row is None:
+            raise ValueError(
+                f"figure {self.figure!r} has no row mapper, so it is not "
+                f"sweepable")
+        cells = self.cells(reduced)
+        documents = [self.scenario_for(**cell).to_dict() for cell in cells]
+        params = tuple(
+            PortfolioAxis(name=name, values=tuple(cell[name] for cell in cells))
+            for name in self.axes())
+        return Portfolio(name=self.figure, description=self.title,
+                         expansion="zip",
+                         axes=params + _section_axes(documents))
 
     def grid(self, reduced: bool = False) -> Grid:
         """The parameter grid for the requested fidelity."""
@@ -90,6 +141,12 @@ class Experiment:
 _REGISTRY: Dict[str, Experiment] = {}
 
 
+def _add(experiment: Experiment) -> None:
+    if experiment.figure in _REGISTRY:
+        raise ValueError(f"figure {experiment.figure!r} registered twice")
+    _REGISTRY[experiment.figure] = experiment
+
+
 def register(
     *,
     figure: str,
@@ -101,8 +158,13 @@ def register(
     entrypoints: Sequence[str] = (),
     description: str = "",
     scenario: Optional[Callable] = None,
+    row: Optional[Callable] = None,
 ) -> Callable[[Callable], Callable]:
-    """Class the decorated cell runner under ``figure`` in the registry.
+    """Register one figure under ``figure``.
+
+    A Scenario figure passes ``scenario`` and ``row`` and is registered by
+    this call. A computed figure decorates its cell runner with the
+    returned decorator.
 
     Args:
         figure: registry key, e.g. ``"fig13"`` or ``"search_time"``.
@@ -111,34 +173,54 @@ def register(
         default_grid: the paper-fidelity grid.
         reduced_grid: the fast grid used by CI and the test suite.
         schema: keys of every manifest row (cell params merged with the
-            runner's row dicts).
+            cell's row dicts).
         entrypoints: public ``run_*`` functions of the module, re-exported
             from ``repro.experiments``.
         description: longer prose for the generated docs.
         scenario: builder mapping one cell's grid params to the
-            :class:`repro.api.Scenario` the cell evaluates (same signature
-            as the cell runner minus ``ctx``).
+            :class:`repro.api.Scenario` the cell evaluates.
+        row: ``(params, payload) -> columns`` mapper turning one cell's
+            :class:`~repro.api.service.PlanResult` payload into its row
+            columns. Requires ``scenario``; the figure then has no cell
+            runner and is sweepable.
+
+    Raises:
+        ValueError: on a figure registered twice, a ``row`` without a
+            ``scenario``, or a cell runner decorated with a ``row``.
     """
+    experiment = Experiment(
+        figure=figure,
+        paper=paper,
+        title=title,
+        module="",
+        default_grid=default_grid,
+        reduced_grid=reduced_grid,
+        schema=tuple(schema),
+        entrypoints=tuple(entrypoints),
+        description=description,
+        scenario=scenario,
+        row=row,
+    )
+    if row is None:
+        def decorator(func: Callable) -> Callable:
+            _add(replace(experiment, module=func.__module__, runner=func))
+            return func
 
-    def decorator(func: Callable) -> Callable:
-        if figure in _REGISTRY:
-            raise ValueError(f"figure {figure!r} registered twice")
-        _REGISTRY[figure] = Experiment(
-            figure=figure,
-            paper=paper,
-            title=title,
-            module=func.__module__,
-            cell=func,
-            default_grid=default_grid,
-            reduced_grid=reduced_grid,
-            schema=tuple(schema),
-            entrypoints=tuple(entrypoints),
-            description=description,
-            scenario=scenario,
-        )
-        return func
+        return decorator
 
-    return decorator
+    if scenario is None:
+        raise ValueError(
+            f"figure {figure!r} registers a row mapper without a scenario "
+            f"builder")
+    _add(replace(experiment, module=row.__module__))
+
+    def reject(func: Callable) -> Callable:
+        del _REGISTRY[figure]
+        raise ValueError(
+            f"figure {figure!r} registers a row mapper, so it takes no cell "
+            f"runner")
+
+    return reject
 
 
 def ensure_loaded() -> None:

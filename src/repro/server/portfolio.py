@@ -20,7 +20,7 @@ Three front ends drive it:
 * :func:`build_sweep_manifest` — turns the outcomes into a
   ``results/<figure>.json`` manifest compatible with
   :mod:`repro.runner.manifest` (validated by ``repro check`` and pinned
-  row-identical to the orchestrator path for registered portfolios).
+  row-identical to the orchestrator path for figure portfolios).
 """
 
 from __future__ import annotations
@@ -210,8 +210,8 @@ def default_row(params: Mapping[str, object],
                 payload: Mapping[str, object]) -> Dict[str, object]:
     """Ad-hoc row mapper: the whole result payload (minus param collisions).
 
-    Used when a portfolio mirrors no registered figure: the row is the
-    point's params merged with every :class:`PlanResult` field.
+    Used when a portfolio is not a figure's: the row is the point's params
+    merged with every :class:`PlanResult` field.
     """
     return {key: value for key, value in payload.items()
             if key not in params}
@@ -235,15 +235,14 @@ def build_sweep_manifest(
     total_seconds: float = 0.0,
     mode: str = "local",
     experiment=None,
-    row_builder: Optional[Callable[[Mapping, Mapping],
-                                   Dict[str, object]]] = None,
 ) -> Dict[str, object]:
     """The sweep's ``results/<figure>.json`` manifest document.
 
-    For a registered portfolio (``experiment`` given), the manifest borrows
-    the figure's identity and schema and its rows are pinned row-identical
-    to ``repro run <figure>``; otherwise the identity is the portfolio's own
-    and the schema is params + the :class:`PlanResult` fields.
+    For a figure's portfolio (``experiment`` given), the manifest borrows
+    the figure's identity and schema, its rows come from the figure's row
+    mapper, and they are pinned row-identical to ``repro run <figure>``;
+    otherwise the identity is the portfolio's own and the rows are params +
+    the :class:`PlanResult` fields.
 
     Error payloads become failed cells (``error`` set, no row) — the same
     accounting :mod:`repro.runner.orchestrator` gives a raising cell, so
@@ -251,8 +250,7 @@ def build_sweep_manifest(
     """
     from repro.runner.manifest import MANIFEST_VERSION, finite
 
-    if row_builder is None:
-        row_builder = default_row
+    row_builder = experiment.row if experiment is not None else default_row
     cells: List[Dict[str, object]] = []
     rows: List[Dict[str, object]] = []
     source_counts: Dict[str, int] = {}

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.hardware.wafer import WaferScaleChip
-from repro.mapping.engines import MappingEngine, MappingResult, get_engine
+from repro.mapping.engines import MappingResult, get_engine
 from repro.parallelism.strategies import ExecutionPlan
 from repro.simulation.communication import bottleneck_time, task_time
 from repro.simulation.compute import compute_time, compute_utilization
@@ -103,13 +103,6 @@ class WaferSimulator:
         """
         if mapping is None:
             mapping = get_engine(engine).map(plan, self.wafer)
-        return self._simulate_mapped(plan, mapping)
-
-    def simulate_with_engine(
-        self, plan: ExecutionPlan, engine: MappingEngine
-    ) -> SimulationReport:
-        """Simulate ``plan`` using a pre-constructed mapping engine."""
-        mapping = engine.map(plan, self.wafer)
         return self._simulate_mapped(plan, mapping)
 
     # Internals --------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests of the typed Portfolio spec: serde, expansion, registry."""
+"""Tests of the typed Portfolio spec: serde, expansion, figure portfolios."""
 
 import json
 
@@ -8,11 +8,14 @@ from repro.api.portfolio import (
     Portfolio,
     PortfolioAxis,
     PortfolioError,
-    get_portfolio,
     portfolio_from_scenarios,
-    portfolio_names,
 )
 from repro.api.scenario import SCHEMA_VERSION, Scenario, WorkloadSpec
+from repro.runner.registry import all_experiments, get_experiment
+
+#: Figures ``repro sweep`` accepts: every one registered with a row mapper.
+SWEEPABLE = [experiment.figure for experiment in all_experiments()
+             if experiment.row is not None]
 
 
 def _portfolio(**overrides):
@@ -276,18 +279,32 @@ class TestScenarioListPortfolio:
 
 class TestRegistry:
     def test_figure_portfolios_are_registered(self):
-        names = portfolio_names()
         for figure in ("fig13", "fig17", "fig19"):
-            assert figure in names
-            template = get_portfolio(figure)
-            assert template.figure == figure
-            assert template.row is not None
+            assert figure in SWEEPABLE
+            portfolio = get_experiment(figure).portfolio(True)
+            assert portfolio.name == figure
+            assert portfolio.expansion == "zip"
 
     def test_unknown_name_lists_known_ones(self):
         with pytest.raises(KeyError, match="fig13"):
-            get_portfolio("not-a-portfolio")
+            get_experiment("not-a-portfolio")
+
+    def test_computed_figure_is_not_sweepable(self):
+        with pytest.raises(ValueError, match="not sweepable"):
+            get_experiment("fig18").portfolio(True)
 
     def test_registered_portfolio_documents_round_trip(self):
-        for name in portfolio_names():
-            portfolio = get_portfolio(name).build(True)
+        for figure in SWEEPABLE:
+            portfolio = get_experiment(figure).portfolio(True)
             assert Portfolio.from_json(portfolio.to_json()) == portfolio
+
+    @pytest.mark.parametrize("reduced", [True, False])
+    @pytest.mark.parametrize("figure", SWEEPABLE)
+    def test_points_evaluate_the_cells_scenarios_in_cell_order(
+            self, figure, reduced):
+        experiment = get_experiment(figure)
+        cells = experiment.cells(reduced)
+        points = experiment.portfolio(reduced).expand()
+        assert [point.params for point in points] == cells
+        assert [point.cache_key() for point in points] == [
+            experiment.scenario_for(**cell).cache_key() for cell in cells]

@@ -91,6 +91,26 @@ class TestManifest:
         assert any("missing top-level key" in problem
                    for problem in validate_manifest(broken, experiment))
 
+    def test_validator_checks_the_registered_grid(self):
+        manifest = run_experiment("fig20", reduced=True, jobs=1)
+        experiment = get_experiment("fig20")
+        assert validate_manifest(manifest, experiment) == []
+
+        # Dropping the last grid point together with its cell and row
+        # keeps the manifest self-consistent, but not with the registry.
+        truncated = json.loads(json.dumps(manifest))
+        truncated["grid"].pop()
+        truncated["cells"].pop()
+        truncated["rows"].pop()
+        assert any("registered reduced grid" in problem
+                   for problem in validate_manifest(truncated, experiment))
+
+        # A reduced run does not pass for the default grid.
+        relabelled = json.loads(json.dumps(manifest))
+        relabelled["reduced"] = False
+        assert any("registered default grid" in problem
+                   for problem in validate_manifest(relabelled, experiment))
+
     def test_failing_cell_is_recorded_not_raised(self):
         from repro.runner.context import RunContext
         from repro.runner.orchestrator import execute_cell

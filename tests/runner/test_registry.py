@@ -11,6 +11,7 @@ from repro.runner.registry import (
     expand_grid,
     figure_ids,
     get_experiment,
+    register,
 )
 
 #: Every figure/table of the paper's evaluation plus the topology-zoo
@@ -67,6 +68,32 @@ class TestRegistry:
             name for experiment in all_experiments()
             for name in experiment.entrypoints)
         assert experiments.__all__ == registered
+
+
+def _registration(**overrides):
+    """Keyword arguments of a throwaway figure registration."""
+    kwargs = dict(figure="fig_registration_test", paper="-", title="-",
+                  default_grid={"model": ["gpt3-6.7b"]},
+                  reduced_grid={"model": ["gpt3-6.7b"]},
+                  schema=("model", "oom"))
+    kwargs.update(overrides)
+    return kwargs
+
+
+class TestRegistration:
+    def test_row_mapper_and_cell_runner_together_are_rejected(self):
+        decorator = register(**_registration(
+            scenario=lambda model: None,
+            row=lambda params, payload: {"oom": payload["oom"]}))
+        with pytest.raises(ValueError, match="no cell runner"):
+            decorator(lambda ctx, model: [{"oom": False}])
+        assert "fig_registration_test" not in figure_ids()
+
+    def test_row_mapper_without_scenario_builder_is_rejected(self):
+        with pytest.raises(ValueError, match="scenario builder"):
+            register(**_registration(
+                row=lambda params, payload: {"oom": payload["oom"]}))
+        assert "fig_registration_test" not in figure_ids()
 
 
 class TestReducedGridsExecute:

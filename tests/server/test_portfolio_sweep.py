@@ -1,6 +1,6 @@
 """Tests of the portfolio sweep engine, its HTTP job API, and ``repro sweep``.
 
-The acceptance contract of the sweep backbone lives here: a registered
+The acceptance contract of the sweep backbone lives here: a figure's
 portfolio swept through the scheduler (locally or via a live server) emits
 a manifest whose rows are bit-identical to the orchestrator path
 (``repro run <figure> --reduced``), duplicates are evaluated once, bad
@@ -16,14 +16,13 @@ import pytest
 from repro.api.portfolio import (
     Portfolio,
     PortfolioAxis,
-    get_portfolio,
     portfolio_from_scenarios,
 )
 from repro.api.scenario import Scenario
 from repro.runner import orchestrator
 from repro.runner.cli import main
 from repro.runner.manifest import validate_manifest
-from repro.runner.registry import get_experiment
+from repro.runner.registry import all_experiments, get_experiment
 from repro.server.client import PlanClient, PlanServerError
 from repro.server.portfolio import (
     build_sweep_manifest,
@@ -145,20 +144,22 @@ class TestManifest:
         assert any("failed" in problem for problem in problems)
 
 
-@pytest.mark.parametrize("figure", ["fig13", "fig19", "fabric_zoo"])
+@pytest.mark.parametrize("figure", [
+    experiment.figure for experiment in all_experiments()
+    if experiment.row is not None])
 class TestOrchestratorParity:
     def test_local_sweep_rows_identical_to_orchestrator(self, figure):
-        template = get_portfolio(figure)
         experiment = get_experiment(figure)
-        portfolio = template.build(True)
+        portfolio = experiment.portfolio(True)
         outcomes = run_portfolio_local(portfolio)
         manifest = build_sweep_manifest(
-            portfolio, outcomes, reduced=True, experiment=experiment,
-            row_builder=template.row)
+            portfolio, outcomes, reduced=True, experiment=experiment)
         assert validate_manifest(manifest, experiment) == []
         reference = orchestrator.run_experiment(figure, reduced=True)
         assert manifest["rows"] == reference["rows"]
         assert manifest["schema"] == reference["schema"]
+        assert [cell["params"] for cell in manifest["cells"]] == \
+            [cell["params"] for cell in reference["cells"]]
 
 
 class TestHttpJobs:
@@ -217,6 +218,14 @@ class TestSweepCli:
     def test_sweep_unknown_portfolio_exits_2(self, capsys):
         assert main(["sweep", "not-a-portfolio"]) == 2
         assert "unknown portfolio" in capsys.readouterr().err
+
+    def test_sweep_computed_figure_exits_2_listing_sweepable_ones(
+            self, capsys):
+        # fig18 is registered but has a cell runner, not a row mapper.
+        assert main(["sweep", "fig18", "--reduced", "--no-write"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown portfolio 'fig18'" in err
+        assert "fig13" in err
 
     def test_sweep_malformed_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "portfolio.json"
@@ -304,7 +313,7 @@ class TestFabricZooSweep:
         from repro.experiments.fabric_zoo import FABRICS
         from repro.hardware.topologies import topology_names
 
-        portfolio = get_portfolio("fabric_zoo").build(True)
+        portfolio = get_experiment("fabric_zoo").portfolio(True)
         labels = [point.params["fabric"] for point in portfolio.expand()]
         assert labels == list(FABRICS)
         assert set(labels) == set(topology_names())
