@@ -262,12 +262,12 @@ class SolverSpec:
             downsampled, endpoints kept).
         num_finalists: finalists the dual-level solver simulates.
         ga_generations: optional genetic-refinement generation override.
-        seed: RNG seed for seeded sub-systems (fault sampling, cost-model
-            training).
+        seed: RNG seed for seeded sub-systems: fault sampling, cost-model
+            training and the dual-level solver's genetic refinement.
         fixed_spec: when set, the search is skipped and exactly this
             :class:`ParallelSpec` (given as a field dict) is evaluated.
-        allow_checkpoint_fallback: retry an OOM fixed-spec evaluation with
-            full activation checkpointing before reporting the OOM.
+        allow_checkpoint_fallback: run an OOM fixed-spec configuration with
+            full activation checkpointing when that makes it fit.
     """
 
     scheme: str = "temp"

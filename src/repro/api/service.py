@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.api.scenario import SCHEMA_VERSION, HardwareSpec, Scenario, ScenarioError
@@ -39,7 +39,11 @@ from repro.obs.tracing import span, tracing_enabled
 from repro.hardware.wafer import WaferScaleChip
 from repro.parallelism.baselines import candidate_specs
 from repro.simulation.gpu import GPUClusterSimulator
-from repro.solver.dlws import DualLevelWaferSolver, SolverResult
+from repro.solver.dlws import (
+    DEFAULT_GENETIC_CONFIG,
+    DualLevelWaferSolver,
+    SolverResult,
+)
 from repro.solver.genetic import GeneticConfig
 
 _GB = 1024 ** 3
@@ -94,7 +98,7 @@ class PlanResult:
     total_watts: float
     energy_per_step: float
     power_efficiency: float
-    candidates_evaluated: int
+    candidates_evaluated: int  # configurations considered, mapped or not
     num_wafers: int = 1
     pp_degree: int = 0
     relative_throughput: Optional[float] = None
@@ -256,7 +260,7 @@ class SolverOutcome:
     step_time: float
     throughput: float
     candidates_considered: int
-    finalists_simulated: int
+    finalists_simulated: int  # finalists considered, mapped or not
     dp_cost: float
     ga_cost: float
     evaluations: int
@@ -420,14 +424,13 @@ class PlanService:
 
     def _solve_raw(self, scenario: Scenario) -> SolverResult:
         solver_spec = scenario.solver
-        genetic_config = None
-        if solver_spec.ga_generations is not None:
-            genetic_config = GeneticConfig(
-                generations=solver_spec.ga_generations)
+        genetic_config = (
+            DEFAULT_GENETIC_CONFIG if solver_spec.ga_generations is None
+            else GeneticConfig(generations=solver_spec.ga_generations))
         solver = DualLevelWaferSolver(
             wafer=self.wafer_for(scenario.hardware),
             config=scenario.hardware.resolve_simulator(),
-            genetic_config=genetic_config,
+            genetic_config=replace(genetic_config, seed=solver_spec.seed),
             num_finalists=solver_spec.num_finalists,
             mapping_engine=solver_spec.engine,
         )

@@ -3,28 +3,31 @@
 :func:`run_baseline_scenario` is the engine room behind
 :meth:`repro.api.PlanService.evaluate`: it consumes a
 :class:`~repro.api.scenario.Scenario`, enumerates the scheme's candidate
-configurations, simulates each with the requested mapping engine, and keeps
-the best-performing configuration that does not run out of memory (reporting
-the OOM if none fits). The TEMP framework itself is the ``temp`` scheme with
-the TCME engine (:meth:`~repro.api.scenario.SolverSpec.for_framework`, which
-also expresses the +TATP/+TCME ablation switches).
+configurations, maps and simulates those that fit in memory with the
+requested engine, and keeps the fastest (reporting the OOM if none fits).
+The TEMP framework itself is the ``temp`` scheme with the TCME engine
+(:meth:`~repro.api.scenario.SolverSpec.for_framework`, which also expresses
+the +TATP/+TCME ablation switches).
 :func:`simulate_fixed_spec` is the no-search variant for scenarios that pin
 one :class:`ParallelSpec`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from functools import partial
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.costmodel.tables import PlanCache
 from repro.hardware.wafer import WaferScaleChip
 from repro.obs.tracing import span
 from repro.parallelism.baselines import BaselineScheme, candidate_specs
 from repro.parallelism.spec import ParallelSpec
+from repro.parallelism.strategies import ExecutionPlan
 from repro.simulation.config import SimulatorConfig
+from repro.simulation.memory import fits_in_memory
 from repro.simulation.simulator import SimulationReport, WaferSimulator
-from repro.solver.search_space import prune_specs
+from repro.solver.search_space import prune_specs, select_fastest
 from repro.workloads.models import ModelConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -41,8 +44,7 @@ class BaselineResult:
     best_spec: Optional[ParallelSpec]
     report: Optional[SimulationReport]
     oom: bool
-    candidates_evaluated: int
-    all_reports: Dict[str, SimulationReport] = field(default_factory=dict)
+    candidates_evaluated: int  # configurations considered, mapped or not
 
     @property
     def label(self) -> str:
@@ -100,8 +102,8 @@ def simulate_fixed_spec(
     """Evaluate the one pinned configuration of a fixed-spec scenario.
 
     No search happens: the solver spec's ``fixed_spec`` is analysed and
-    simulated as-is (with the usual activation-checkpointing retry on OOM,
-    unless the scenario disables ``allow_checkpoint_fallback``).
+    simulated as-is, with activation checkpointing when only that makes it
+    fit (unless the scenario disables ``allow_checkpoint_fallback``).
     """
     solver = scenario.solver
     spec = solver.resolve_fixed_spec()
@@ -112,41 +114,39 @@ def simulate_fixed_spec(
     plan_cache = plan_cache if plan_cache is not None else PlanCache()
     simulator = WaferSimulator(wafer, config)
     with span("evaluate.simulate", spec=spec.label()):
-        report = _simulate_with_fallback(
-            simulator, plan_cache, model, spec, wafer.num_dies, solver.engine,
-            allow_checkpointing=solver.allow_checkpoint_fallback)
+        plan = _plan_for(plan_cache, model, spec, wafer,
+                         allow_checkpointing=solver.allow_checkpoint_fallback)
+        _, report, oom = select_fastest(
+            [(spec, plan)], wafer.config.die,
+            partial(simulator.simulate, engine=solver.engine))
     return BaselineResult(
         scheme=solver.resolved_scheme(),
         engine=solver.engine,
         model=model,
         best_spec=spec,
         report=report,
-        oom=report.oom,
+        oom=oom,
         candidates_evaluated=1,
-        all_reports={spec.label(): report},
     )
 
 
-def _simulate_with_fallback(
-    simulator: WaferSimulator,
+def _plan_for(
     plan_cache: PlanCache,
     model: ModelConfig,
     spec: ParallelSpec,
-    num_devices: int,
-    engine: str,
+    wafer: WaferScaleChip,
     allow_checkpointing: bool,
-) -> SimulationReport:
-    """Simulate one spec, retrying with activation checkpointing on OOM."""
-    plan = plan_cache.analyze(model, spec, num_devices=num_devices)
-    report = simulator.simulate(plan, engine=engine)
-    if report.oom and allow_checkpointing:
-        checkpointed_plan = plan_cache.analyze(
-            model, spec, num_devices=num_devices,
+) -> ExecutionPlan:
+    """The plan that runs for ``spec``: checkpointed when only that fits."""
+    plan = plan_cache.analyze(model, spec, num_devices=wafer.num_dies)
+    die = wafer.config.die
+    if allow_checkpointing and not fits_in_memory(plan.memory, die):
+        checkpointed = plan_cache.analyze(
+            model, spec, num_devices=wafer.num_dies,
             activation_checkpointing=True)
-        checkpointed = simulator.simulate(checkpointed_plan, engine=engine)
-        if not checkpointed.oom:
-            report = checkpointed
-    return report
+        if fits_in_memory(checkpointed.memory, die):
+            return checkpointed
+    return plan
 
 
 def _search_baseline(
@@ -162,15 +162,16 @@ def _search_baseline(
 ) -> BaselineResult:
     """Evaluate one scheme with one mapping engine on one model.
 
-    Every candidate configuration of the scheme is analysed and simulated;
-    the fastest configuration that fits in memory wins. When no configuration
-    fits, the result is flagged OOM and carries the least-over-capacity
-    report (this is how the OOM bars of Fig. 13 are produced).
+    Every candidate configuration of the scheme is analysed; the fastest
+    configuration that fits in memory wins, and only configurations that fit
+    are mapped and simulated. When no configuration fits, the result is
+    flagged OOM and carries the report of the least-over-capacity one, the
+    only one simulated (this is how the OOM bars of Fig. 13 are produced).
     """
     wafer = wafer or WaferScaleChip()
     simulator = WaferSimulator(wafer, config)
     num_devices = wafer.num_dies
-    # Pruning and the simulation loop below analyse the same specs; the plan
+    # Pruning and the selection below analyse the same specs; the plan
     # cache derives each execution plan exactly once.
     plan_cache = plan_cache if plan_cache is not None else PlanCache()
     with span("evaluate.candidates", scheme=scheme.value):
@@ -193,42 +194,21 @@ def _search_baseline(
         if max_candidates is not None and len(specs) > max_candidates:
             specs = downsample_specs(specs, max_candidates)
 
-    reports: Dict[str, SimulationReport] = {}
-    best_spec: Optional[ParallelSpec] = None
-    best_report: Optional[SimulationReport] = None
-    fallback_spec: Optional[ParallelSpec] = None
-    fallback_report: Optional[SimulationReport] = None
-
     # Full activation recomputation is part of every scheme's toolbox except
     # Megatron-1's, whose replication-reliant execution the paper evaluates
     # with its published (selective-recompute-only) recipe.
     allow_checkpointing = scheme is not BaselineScheme.MEGATRON1
 
     with span("evaluate.simulate", candidates=len(specs)):
-        for spec in specs:
-            report = _simulate_with_fallback(
-                simulator, plan_cache, model, spec, num_devices, engine,
-                allow_checkpointing=allow_checkpointing)
-            reports[spec.label()] = report
-            if report.oom:
-                if (fallback_report is None
-                        or (report.memory_pressure
-                            < fallback_report.memory_pressure)):
-                    fallback_spec, fallback_report = spec, report
-                continue
-            if (best_report is None
-                    or report.step_time < best_report.step_time):
-                best_spec, best_report = spec, report
-
-    if best_report is not None:
-        return BaselineResult(
-            scheme=scheme, engine=engine, model=model,
-            best_spec=best_spec, report=best_report, oom=False,
-            candidates_evaluated=len(specs), all_reports=reports)
+        best_spec, report, oom = select_fastest(
+            ((spec, _plan_for(plan_cache, model, spec, wafer,
+                              allow_checkpointing))
+             for spec in specs),
+            wafer.config.die,
+            partial(simulator.simulate, engine=engine))
     return BaselineResult(
-        scheme=scheme, engine=engine, model=model,
-        best_spec=fallback_spec, report=fallback_report, oom=True,
-        candidates_evaluated=len(specs), all_reports=reports)
+        scheme=scheme, engine=engine, model=model, best_spec=best_spec,
+        report=report, oom=oom, candidates_evaluated=len(specs))
 
 
 def downsample_specs(specs: List[ParallelSpec], limit: int) -> List[ParallelSpec]:

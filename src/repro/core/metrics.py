@@ -68,16 +68,3 @@ def average_speedup(
         raise ValueError("baseline and optimized sequences must have equal length")
     ratios = [speedup(base, opt) for base, opt in zip(baseline_times, optimized_times)]
     return geometric_mean(ratios)
-
-
-def best_non_oom(reports: Mapping[str, "object"]) -> Optional[str]:
-    """Key of the fastest non-OOM report in a mapping of simulation reports."""
-    best_key: Optional[str] = None
-    best_time = math.inf
-    for key, report in reports.items():
-        if getattr(report, "oom", False):
-            continue
-        step_time = getattr(report, "step_time", math.inf)
-        if step_time < best_time:
-            best_key, best_time = key, step_time
-    return best_key

@@ -22,9 +22,10 @@ from repro.costmodel.tables import PlanCache
 from repro.hardware.multiwafer import MultiWaferSystem
 from repro.parallelism.baselines import BaselineScheme, candidate_specs
 from repro.parallelism.spec import ParallelSpec
+from repro.parallelism.strategies import ExecutionPlan
 from repro.simulation.config import SimulatorConfig
 from repro.simulation.simulator import SimulationReport, WaferSimulator
-from repro.solver.search_space import prune_specs
+from repro.solver.search_space import prune_specs, select_fastest
 from repro.workloads.models import ModelConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -116,10 +117,13 @@ def _search_multiwafer(
 ) -> MultiWaferResult:
     """Evaluate one scheme + mapping engine on a multi-wafer system.
 
-    The fastest configuration that fits in memory wins. When none fits, the
-    result is flagged OOM; when pruning leaves no candidate at all, the one
-    with the smallest memory footprint is simulated and reported as the OOM
-    result (the single-wafer search's rule).
+    The candidates of every admissible pipeline degree are pruned together,
+    and the single-wafer search's rules pick the result: the fastest
+    configuration that fits in memory wins, and only configurations that fit
+    are mapped and simulated. When none fits, the result is flagged OOM and
+    is the configuration with the least memory pressure; when pruning leaves
+    no candidate at all, the one with the smallest memory footprint is
+    simulated and reported as the OOM result.
     """
     if num_wafers < 1:
         raise ValueError("num_wafers must be >= 1")
@@ -130,64 +134,46 @@ def _search_multiwafer(
     simulator = WaferSimulator(wafer, config)
     dies_per_wafer = wafer.config.num_dies
 
-    best: Optional[MultiWaferResult] = None
-    fallback: Optional[MultiWaferResult] = None
-    considered: List[ParallelSpec] = []
-
-    for pp in pipeline_degrees_for(scheme, num_wafers):
-        stage_dies = system.total_dies // pp
-        if stage_dies < 1 or stage_dies > dies_per_wafer:
-            continue
-        all_specs = candidate_specs(
-            scheme, system.total_dies,
-            max_tp=min(32, model.num_heads),
-            max_tatp=max_tatp,
-            pipeline_degrees=(pp,),
-        )
-        specs = prune_specs(all_specs, model, wafer.config, memory_margin=2.0,
-                            plan_cache=plan_cache)
-        considered.extend(all_specs)
-        for spec in specs:
-            result = _evaluate_spec(
-                scheme, engine, model, spec, system, simulator, config,
-                num_microbatches, plan_cache)
-            if result.oom:
-                if fallback is None or result.step_time < fallback.step_time:
-                    fallback = result
-                continue
-            if best is None or result.step_time < best.step_time:
-                best = result
-    if best is not None:
-        return best
-    if fallback is not None:
-        return fallback
-    if considered:
+    # A pipeline stage must fit on one wafer.
+    degrees = [pp for pp in pipeline_degrees_for(scheme, num_wafers)
+               if 1 <= system.total_dies // pp <= dies_per_wafer]
+    all_specs = candidate_specs(
+        scheme, system.total_dies,
+        max_tp=min(32, model.num_heads),
+        max_tatp=max_tatp,
+        pipeline_degrees=degrees,
+    )
+    specs = prune_specs(all_specs, model, wafer.config, memory_margin=2.0,
+                        plan_cache=plan_cache)
+    if not specs and all_specs:
         # Pruning dropped every configuration as hopelessly over capacity;
         # report the least-infeasible one as the OOM result.
-        spec = min(considered,
-                   key=lambda s: plan_cache.analyze(model, s).memory.total)
-        return _evaluate_spec(
-            scheme, engine, model, spec, system, simulator, config,
-            num_microbatches, plan_cache)
-    raise ValueError(
-        f"no feasible configuration found for {model.name} on {num_wafers} wafers")
+        specs = [min(all_specs,
+                     key=lambda s: plan_cache.analyze(model, s).memory.total)]
+
+    _, best, _ = select_fastest(
+        ((spec, plan_cache.analyze(model, spec, num_devices=spec.total_degree,
+                                   num_microbatches=num_microbatches))
+         for spec in specs),
+        wafer.config.die,
+        lambda plan: _evaluate_plan(scheme, engine, plan, system, simulator,
+                                    num_microbatches))
+    if best is None:
+        raise ValueError(f"no feasible configuration found for {model.name} "
+                         f"on {num_wafers} wafers")
+    return best
 
 
-def _evaluate_spec(
+def _evaluate_plan(
     scheme: BaselineScheme,
     engine: str,
-    model: ModelConfig,
-    spec: ParallelSpec,
+    plan: ExecutionPlan,
     system: MultiWaferSystem,
     simulator: WaferSimulator,
-    config: SimulatorConfig,
     num_microbatches: int,
-    plan_cache: PlanCache,
 ) -> MultiWaferResult:
     """Simulate one pipelined configuration on the multi-wafer system."""
-    plan = plan_cache.analyze(
-        model, spec, num_devices=spec.total_degree,
-        num_microbatches=num_microbatches)
+    model, spec = plan.model, plan.spec
     report = simulator.simulate(plan, engine=engine)
 
     # The intra-stage simulation already contains the bubble for spec.pp; the

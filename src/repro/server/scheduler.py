@@ -14,8 +14,9 @@ the CLI batch path) and the evaluation workers. One request travels::
       -> micro-batch queue           # requests arriving within batch_window
                                      # are grouped before dispatch
       -> hardware grouping           # same HardwareSpec -> one worker task,
-                                     # so the group shares the worker's
-                                     # resolved wafer and CostTables
+                                     # the unit dispatched, retried and
+                                     # bisected (wafers are cached per
+                                     # service for every request)
       -> worker pool                 # jobs=1: one in-process PlanService
                                      # (single worker thread); jobs>1: a
                                      # persistent ProcessPoolExecutor, one

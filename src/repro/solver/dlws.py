@@ -11,15 +11,16 @@ DLWS orchestrates the full search for one model on one wafer:
    return the winner together with its simulation report.
 
 Steps 3-4 use the fast analytical/learned cost model; only a handful of
-finalists reach the simulator, which is how the solver stays ~200x faster than
-exhaustive/ILP search while matching its quality.
+finalists that fit in memory reach the simulator, which is how the solver stays
+~200x faster than exhaustive/ILP search while matching its quality.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from functools import partial
+from typing import List, Optional, Sequence
 
 from repro.costmodel.tables import CostTables, PlanCache
 from repro.hardware.wafer import WaferScaleChip
@@ -31,9 +32,13 @@ from repro.simulation.config import SimulatorConfig
 from repro.simulation.simulator import SimulationReport, WaferSimulator
 from repro.solver.dp import optimize_segments
 from repro.solver.genetic import GeneticConfig, GeneticRefiner
-from repro.solver.search_space import SearchSpace
+from repro.solver.search_space import SearchSpace, select_fastest
 from repro.workloads.models import ModelConfig
 from repro.workloads.transformer import representative_layer_graph
+
+
+#: The genetic refinement a solver runs unless given its own configuration.
+DEFAULT_GENETIC_CONFIG = GeneticConfig(generations=12, population_size=16)
 
 
 @dataclass
@@ -44,12 +49,11 @@ class SolverResult:
     best_spec: ParallelSpec
     best_report: SimulationReport
     candidates_considered: int
-    finalists_simulated: int
+    finalists_simulated: int  # finalists considered, mapped or not
     dp_cost: float
     ga_cost: float
     search_seconds: float
     evaluations: int
-    reports: Dict[str, SimulationReport] = field(default_factory=dict)
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
 
@@ -69,8 +73,7 @@ class DualLevelWaferSolver:
             raise ValueError("num_finalists must be at least 1")
         self.wafer = wafer or WaferScaleChip()
         self.config = config or SimulatorConfig()
-        self.genetic_config = genetic_config or GeneticConfig(generations=12,
-                                                              population_size=16)
+        self.genetic_config = genetic_config or DEFAULT_GENETIC_CONFIG
         self.num_finalists = num_finalists
         self.mapping_engine = mapping_engine
         self.simulator = WaferSimulator(self.wafer, self.config)
@@ -126,31 +129,16 @@ class DualLevelWaferSolver:
             ga_result = refiner.refine(
                 initial_assignment=dp_result.assignment)
 
-        # Finalists: whole-model candidates ranked by the fast cost model, then
-        # validated through the full simulator with the TCME mapping.
+        # Finalists: whole-model candidates ranked by the fast cost model; the
+        # full simulator and the TCME mapping pick the fastest that fits.
         finalists = self._select_finalists(model, candidates, plan_cache)
         with span("solver.simulate", finalists=len(finalists)):
-            reports: Dict[str, SimulationReport] = {}
-            best_spec: Optional[ParallelSpec] = None
-            best_report: Optional[SimulationReport] = None
-            for spec in finalists:
-                plan = plan_cache.analyze(model, spec,
-                                          num_devices=num_devices)
-                report = self.simulator.simulate(
-                    plan, engine=self.mapping_engine)
-                reports[spec.label()] = report
-                if report.oom:
-                    continue
-                if (best_report is None
-                        or report.step_time < best_report.step_time):
-                    best_spec, best_report = spec, report
-            if best_report is None:
-                # Every finalist went OOM; fall back to the
-                # least-over-capacity one.
-                best_spec = min(
-                    finalists,
-                    key=lambda s: reports[s.label()].memory_pressure)
-                best_report = reports[best_spec.label()]
+            best_spec, best_report, _ = select_fastest(
+                ((spec, plan_cache.analyze(model, spec,
+                                           num_devices=num_devices))
+                 for spec in finalists),
+                self.wafer.config.die,
+                partial(self.simulator.simulate, engine=self.mapping_engine))
 
         elapsed = time.perf_counter() - start
         return SolverResult(
@@ -163,7 +151,6 @@ class DualLevelWaferSolver:
             ga_cost=ga_result.cost,
             search_seconds=elapsed,
             evaluations=dp_result.evaluations + ga_result.evaluations,
-            reports=reports,
             plan_cache_hits=plan_cache.hits,
             plan_cache_misses=plan_cache.misses,
         )

@@ -10,18 +10,28 @@ manageable with structural pruning:
   degrees at around 32),
 * configurations whose estimated per-die memory footprint already exceeds the
   HBM capacity by a wide margin are dropped before simulation.
+Every search then keeps the fastest survivor that fits
+(:func:`select_fastest`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.costmodel.tables import PlanCache
-from repro.hardware.config import WaferConfig, default_wafer_config
+from repro.hardware.config import (
+    ComputeDieConfig,
+    WaferConfig,
+    default_wafer_config,
+)
 from repro.parallelism.baselines import BaselineScheme, candidate_specs
 from repro.parallelism.spec import ParallelSpec
+from repro.parallelism.strategies import ExecutionPlan
+from repro.simulation.memory import fits_in_memory, memory_pressure
 from repro.workloads.models import ModelConfig
+
+Result = TypeVar("Result")  # what a search's evaluate returns: has a step_time
 
 
 @dataclass
@@ -114,3 +124,36 @@ def prune_specs(
         if checkpointed.memory.total <= capacity * memory_margin:
             survivors.append(spec)
     return survivors
+
+
+def select_fastest(
+    candidates: Iterable[Tuple[ParallelSpec, ExecutionPlan]],
+    die: ComputeDieConfig,
+    evaluate: Callable[[ExecutionPlan], Result],
+) -> Tuple[Optional[ParallelSpec], Optional[Result], bool]:
+    """The fastest of ``(spec, plan)`` candidates that fits in ``die``'s HBM.
+
+    The plan's memory alone decides OOM (the simulator's own test), so
+    ``evaluate`` (mapping plus simulation) runs once per candidate that fits
+    and never on one that does not, unless none fits: then only the one with
+    the least memory pressure is evaluated and reported as OOM. On either
+    key a tie keeps the earlier candidate. Returns ``(spec, result, oom)``,
+    or ``(None, None, True)`` without candidates.
+    """
+    best: Optional[Tuple[ParallelSpec, Result]] = None
+    fallback: Optional[Tuple[float, ParallelSpec, ExecutionPlan]] = None
+    for spec, plan in candidates:
+        if fits_in_memory(plan.memory, die):
+            result = evaluate(plan)
+            if best is None or result.step_time < best[1].step_time:
+                best = (spec, result)
+            continue
+        pressure = memory_pressure(plan.memory, die)
+        if fallback is None or pressure < fallback[0]:
+            fallback = (pressure, spec, plan)
+    if best is not None:
+        return best[0], best[1], False
+    if fallback is None:
+        return None, None, True
+    _, spec, plan = fallback
+    return spec, evaluate(plan), True

@@ -12,6 +12,8 @@ from repro.api.scenario import (
     WorkloadSpec,
 )
 from repro.api.service import PlanResult, PlanService, validate_result_payload
+from repro.solver import dlws
+from repro.solver.genetic import GeneticConfig, GeneticRefiner
 
 
 def _scenario(model="gpt3-6.7b", **solver_kwargs) -> Scenario:
@@ -162,6 +164,25 @@ class TestSolve:
         assert outcome.finalists_simulated >= 1
         assert outcome.evaluations > 0
         assert validate_result_payload.__name__  # smoke: module linkage
+
+    def test_seed_reaches_the_genetic_refinement(self, monkeypatch):
+        configs = []
+
+        class RecordingRefiner(GeneticRefiner):
+            def __init__(self, *args, genetic_config=None, **kwargs):
+                configs.append(genetic_config)
+                super().__init__(*args, genetic_config=genetic_config,
+                                 **kwargs)
+
+        monkeypatch.setattr(dlws, "GeneticRefiner", RecordingRefiner)
+        service = PlanService()
+        service.solve(_scenario(seed=7))
+        service.solve(_scenario(seed=7, ga_generations=4))
+        # The seed is the only GA parameter the scenario changes.
+        assert configs == [
+            GeneticConfig(generations=12, population_size=16, seed=7),
+            GeneticConfig(generations=4, seed=7),
+        ]
 
     def test_solve_rejects_gpu_platform(self):
         scenario = Scenario(workload=WorkloadSpec(model="gpt3-6.7b"),

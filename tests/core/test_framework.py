@@ -19,7 +19,6 @@ from repro.core.fault_tolerance import evaluate_with_faults
 from repro.core.framework import downsample_specs
 from repro.core.metrics import (
     average_speedup,
-    best_non_oom,
     geometric_mean,
     normalize_breakdown,
     normalize_to,
@@ -87,15 +86,6 @@ class TestMetrics:
             geometric_mean([2.0, 4.0]))
         with pytest.raises(ValueError):
             average_speedup([1.0], [1.0, 2.0])
-
-    def test_best_non_oom(self):
-        class _Stub:
-            def __init__(self, step_time, oom):
-                self.step_time = step_time
-                self.oom = oom
-        reports = {"a": _Stub(2.0, False), "b": _Stub(1.0, True), "c": _Stub(1.5, False)}
-        assert best_non_oom(reports) == "c"
-        assert best_non_oom({"only": _Stub(1.0, True)}) is None
 
 
 class TestBaselineSearch:
@@ -231,6 +221,19 @@ class TestMultiWafer:
         assert payload["oom"] is True
         assert payload["spec"] is not None
         assert payload["step_time"] is not None
+
+    def test_all_oom_reports_least_memory_candidate(self, service):
+        # 24 GB of HBM per die: pruning keeps pipelined configurations but
+        # none fits, so the pruned candidate with the least memory pressure
+        # is reported, as on a single wafer.
+        scenario = Scenario(workload=WorkloadSpec(model="gpt3-175b"),
+                            hardware=HardwareSpec(num_wafers=2,
+                                                  hbm_capacity=24e9))
+        payload = service.evaluate(scenario).to_dict()
+        assert validate_result_payload(payload) == []
+        assert payload["oom"] is True
+        assert payload["spec"] == "(dp=1,tp=1,sp=1,tatp=32,pp=2)"
+        assert payload["memory_gb"] == pytest.approx(31.68, abs=0.01)
 
 
 class TestFaultTolerance:
