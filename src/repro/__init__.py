@@ -35,9 +35,9 @@ Scenario API (the blessed request/response surface)
     and ``solve(scenario) -> SolverOutcome``; ``python -m repro plan`` is the
     CLI front end.
 
-Plan server (batched, cached, concurrent Scenario serving)
-    :class:`repro.server.PlanScheduler` (dedup + micro-batching over a
-    persistent worker pool), :class:`repro.server.ResultStore` (disk-backed,
+Plan server (cached, concurrent Scenario serving)
+    :class:`repro.server.PlanScheduler` (dedup, one request per persistent
+    worker lane), :class:`repro.server.ResultStore` (disk-backed,
     keyed by :meth:`repro.api.Scenario.cache_key`),
     :class:`repro.server.PlanServer` / :class:`repro.server.PlanClient`
     (``repro serve`` / ``repro submit``).

@@ -88,7 +88,7 @@ def bench_dls_search() -> Optional[Dict[str, object]]:
     name="fig13_sweep_local",
     title="fig13 reduced sweep, in-process",
     description="run_portfolio_local at jobs=1: a private PlanScheduler "
-                "(dedup, batching windows) over one PlanService.",
+                "(dedup, one worker lane) over one PlanService.",
     repeat=3,
 )
 def bench_fig13_sweep_local() -> Optional[Dict[str, object]]:

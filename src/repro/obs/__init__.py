@@ -6,7 +6,6 @@ The one instrumentation layer every dispatch path reports through — see
 
 from repro.obs.logs import JsonFormatter, setup_logging
 from repro.obs.metrics import (
-    COUNT_BUCKETS,
     DEFAULT_LATENCY_BUCKETS,
     PROMETHEUS_CONTENT_TYPE,
     Counter,
@@ -34,7 +33,6 @@ from repro.obs.tracing import (
 )
 
 __all__ = [
-    "COUNT_BUCKETS",
     "DEFAULT_LATENCY_BUCKETS",
     "PROMETHEUS_CONTENT_TYPE",
     "Counter",

@@ -41,9 +41,6 @@ DEFAULT_LATENCY_BUCKETS = (
     0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0,
 )
 
-#: Bucket upper bounds for small-count histograms (batch sizes, group sizes).
-COUNT_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128)
-
 #: Content type of the Prometheus text exposition format.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 

@@ -9,7 +9,7 @@ Sub-commands::
     repro plan '[<json>, ...]'         # batch: array in, array out, one
                                        # shared PlanService across the batch
     repro plan --file scenario.json --solve
-    repro serve --port 8099 --jobs 2   # long-lived batched/cached plan server
+    repro serve --port 8099 --jobs 2   # long-lived cached plan server
     repro serve --deadline 30 --max-queue 256   # + deadlines, load shedding
     repro serve --chaos worker-crash:once       # + deterministic fault injection
     repro serve --store plans.sqlite   # indexed SQLite result store (O(1) open)
@@ -124,8 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve", parents=[traced],
-        help="run the long-lived plan server (batched, deduplicated, "
-             "disk-cached Scenario serving over HTTP)")
+        help="run the long-lived plan server (deduplicated, disk-cached "
+             "Scenario serving over HTTP)")
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default: %(default)s)")
     serve.add_argument("--port", type=int, default=8099,
@@ -133,8 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: %(default)s)")
     serve.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="evaluation workers: 1 serves from one "
-                            "in-process PlanService, N>1 from a persistent "
-                            "process pool (default: %(default)s)")
+                            "in-process PlanService, N>1 from N persistent "
+                            "worker processes (default: %(default)s)")
     serve.add_argument("--store", metavar="PATH", default=None,
                        help="persistent result store; repeated requests are "
                             "served from it across restarts (default: "
@@ -145,12 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "an indexed SQLite database; 'auto' picks by "
                             "extension (.sqlite/.sqlite3/.db -> sqlite, "
                             "default: %(default)s)")
-    serve.add_argument("--batch-window", type=float, default=0.005,
-                       metavar="SECONDS",
-                       help="micro-batching window (default: %(default)s)")
-    serve.add_argument("--max-batch", type=int, default=16, metavar="N",
-                       help="requests per micro-batch cap "
-                            "(default: %(default)s)")
     serve.add_argument("--deadline", type=float, default=None,
                        metavar="SECONDS",
                        help="per-request deadline; an expired request gets "
@@ -538,8 +532,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             store=ResultStore(args.store, durable=args.durable,
                               backend=args.store_backend),
             jobs=args.jobs,
-            batch_window=args.batch_window,
-            max_batch=args.max_batch,
             deadline=args.deadline,
             max_queue=args.max_queue,
             chaos=chaos,

@@ -1,19 +1,21 @@
-"""The plan server: batched, cached, concurrent, *resilient* Scenario serving.
+"""The plan server: cached, concurrent, *resilient* Scenario serving.
 
 A long-lived front end over the Scenario API — requests are deduplicated
-and micro-batched by :class:`~repro.server.scheduler.PlanScheduler`, served
-across restarts from the :class:`~repro.server.store.ResultStore`, exposed
-over HTTP by :class:`~repro.server.http.PlanServer` (``repro serve``), and
-spoken to by :class:`~repro.server.client.PlanClient` (``repro submit``).
+by :class:`~repro.server.scheduler.PlanScheduler` and evaluated one per
+worker lane, served across restarts from the
+:class:`~repro.server.store.ResultStore`, exposed over HTTP by
+:class:`~repro.server.http.PlanServer` (``repro serve``), and spoken to by
+:class:`~repro.server.client.PlanClient` (``repro submit``).
 
 The stack is built to survive the failures it will meet at scale: the
-scheduler self-heals around crashed pool workers (rebuild + re-dispatch +
-group bisection), per-request deadlines and admission control bound tail
-latency and memory, the client retries idempotent requests with jittered
-backoff (:mod:`repro.server.resilience` owns the shared failure taxonomy
-and :class:`~repro.server.resilience.RetryPolicy`), and every failure path
-is drivable deterministically via :mod:`repro.server.faults`
-(``repro serve --chaos <spec>``).
+scheduler self-heals around crashed pool workers (lane replacement +
+re-dispatch of the one request that lane was running), per-request
+deadlines and admission control bound tail latency and memory, the client
+retries idempotent requests with jittered backoff
+(:mod:`repro.server.resilience` owns the shared failure taxonomy and
+:class:`~repro.server.resilience.RetryPolicy`), and every failure path is
+drivable deterministically via :mod:`repro.server.faults` (``repro serve
+--chaos <spec>``).
 
 Quick start::
 

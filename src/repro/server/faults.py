@@ -6,8 +6,8 @@ so this module makes every failure the server is built to survive
 ``REPRO_CHAOS`` environment variable) arms a :class:`FaultInjector` that
 the scheduler, the result store, and the HTTP front end consult at their
 natural failure points. The chaos tests and the CI smoke drive real
-recovery code — pool rebuilds, group bisection, client backoff — instead
-of mocking it.
+recovery code — lane replacement, request re-dispatch, client backoff —
+instead of mocking it.
 
 A spec is a comma-separated list of ``name[:arg[:arg]]`` rules:
 
@@ -20,8 +20,9 @@ A spec is a comma-separated list of ``name[:arg[:arg]]`` rules:
                             :class:`InjectedWorkerCrash`.
 ``poison:SUBSTR``           crash the worker *every* time it evaluates a
                             scenario whose canonical JSON contains
-                            ``SUBSTR`` — the poison scenario the
-                            scheduler's bisection must isolate.
+                            ``SUBSTR`` — the poison scenario that must
+                            end in a terminal error of its own while
+                            every other request still succeeds.
 ``slow-eval:SECONDS[:N]``   sleep before each of the first ``N``
                             evaluations (default: every one) — drives
                             deadline expiry.
@@ -33,8 +34,8 @@ A spec is a comma-separated list of ``name[:arg[:arg]]`` rules:
 
 Counted rules are claimed through atomically-created token files in a
 state directory, so the count holds globally across every worker process
-— including workers of a pool the scheduler *rebuilds* after a crash
-(which re-arm from the same spec but find the tokens already taken).
+— including the worker of a lane the scheduler *replaces* after a crash
+(which re-arms from the same spec but finds the tokens already taken).
 Unlimited rules (``poison``, uncounted ``slow-eval``) need no tokens.
 """
 
@@ -73,7 +74,7 @@ class FaultSpecError(ValueError):
 
 
 class InjectedWorkerCrash(RuntimeError):
-    """An in-process stand-in for a worker process dying mid-group."""
+    """An in-process stand-in for a worker process dying mid-evaluation."""
 
     #: Pre-classification consumed by ``resilience.classify_exception``.
     retryable = True

@@ -5,10 +5,10 @@ This is the batch backbone of the plan server. A
 engine de-duplicates them via :meth:`Scenario.cache_key
 <repro.api.scenario.Scenario.cache_key>` and streams the unique scenarios
 through an existing :class:`~repro.server.scheduler.PlanScheduler` — so the
-in-flight dedup map, the hardware-spec grouping, the warm worker pool, and
-the cross-restart :class:`~repro.server.store.ResultStore` are all reused
-for free. Every point gets its own :class:`PointOutcome` (duplicates share
-the payload of one evaluation).
+in-flight dedup map, the warm worker lanes, and the cross-restart
+:class:`~repro.server.store.ResultStore` are all reused for free. Every
+point gets its own :class:`PointOutcome` (duplicates share the payload of
+one evaluation).
 
 Three front ends drive it:
 
@@ -177,25 +177,21 @@ def run_portfolio_local(
     portfolio: Portfolio,
     jobs: int = 1,
     store=None,
-    batch_window: float = 0.005,
-    max_batch: int = 16,
     points: Optional[List[PortfolioPoint]] = None,
     on_unique: Optional[Callable[[int, int, PointOutcome], None]] = None,
     max_points: Optional[int] = MAX_POINTS,
 ) -> List[PointOutcome]:
     """Sweep ``portfolio`` on a private scheduler (the offline CLI path).
 
-    ``jobs``/``store``/``batch_window``/``max_batch`` configure the
-    short-lived :class:`PlanScheduler` exactly like ``repro serve`` would;
-    ``points`` skips re-expansion when the caller already holds them.
+    ``jobs``/``store`` configure the short-lived :class:`PlanScheduler`
+    exactly like ``repro serve`` would; ``points`` skips re-expansion when
+    the caller already holds them.
     """
     if points is None:
         points = portfolio.expand(max_points=max_points)
 
     async def _run() -> List[PointOutcome]:
-        async with PlanScheduler(store=store, jobs=jobs,
-                                 batch_window=batch_window,
-                                 max_batch=max_batch) as scheduler:
+        async with PlanScheduler(store=store, jobs=jobs) as scheduler:
             return await sweep_portfolio(
                 scheduler, portfolio, points=points, on_unique=on_unique,
                 max_points=max_points)

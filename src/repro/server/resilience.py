@@ -14,10 +14,11 @@ of two families:
   retry is always safe; payloads carry ``"retryable": true``.
 
 The classification is shared by every layer: the scheduler uses it to
-decide whether to re-dispatch a failed group (and when to bisect it to
-isolate a poison scenario), :class:`~repro.server.client.PlanClient` to
-decide whether to back off and retry, and the runner orchestrator to decide
-whether a failed cell deserves a second attempt.
+decide whether to re-dispatch a request whose worker failed (and when to
+give a poison scenario its terminal error),
+:class:`~repro.server.client.PlanClient` to decide whether to back off and
+retry, and the runner orchestrator to decide whether a failed cell
+deserves a second attempt.
 
 :class:`RetryPolicy` is the one backoff object all of them share:
 exponential delays with full decorrelated jitter, capped, and deterministic

@@ -1,4 +1,4 @@
-"""The async micro-batching scheduler of the plan server.
+"""The async plan scheduler of the plan server.
 
 :class:`PlanScheduler` is the layer between a front end (the HTTP server,
 the CLI batch path) and the evaluation workers. One request travels::
@@ -7,38 +7,33 @@ the CLI batch path) and the evaluation workers. One request travels::
       -> cache_key()                 # canonical identity of the request
       -> ResultStore.get(key)        # served across restarts without solving
       -> in-flight dedup map         # identical concurrent requests share
-                                     # one evaluation (one future, N awaiters)
+                                     # one evaluation (one task, N awaiters)
       -> admission control           # beyond max_queue unique in-flight
                                      # requests, new work is shed with a
                                      # structured 503 + Retry-After
-      -> micro-batch queue           # requests arriving within batch_window
-                                     # are grouped before dispatch
-      -> hardware grouping           # same HardwareSpec -> one worker task,
-                                     # the unit dispatched, retried and
-                                     # bisected (wafers are cached per
-                                     # service for every request)
-      -> worker pool                 # jobs=1: one in-process PlanService
-                                     # (single worker thread); jobs>1: a
-                                     # persistent ProcessPoolExecutor, one
-                                     # PlanService per worker — the PR 2
-                                     # orchestrator's shared-PlanCache
-                                     # pattern, kept warm across requests
+      -> a free worker lane          # jobs lanes, each running one request
+                                     # at a time: jobs=1 is one in-process
+                                     # PlanService on a worker thread; jobs>1
+                                     # are one-process ProcessPoolExecutors,
+                                     # each worker with its own warm
+                                     # PlanService
 
 Evaluation is deterministic and the plan cache purely memoises, so a served
 payload is bit-identical to ``PlanService().evaluate(scenario).to_dict()``
 no matter which path produced it (pinned in ``tests/server/``).
 
-The scheduler is self-healing: a crashed pool worker (a genuine
-``BrokenProcessPool``) triggers a pool rebuild and a re-dispatch of the
-failed group under the shared :class:`~repro.server.resilience.RetryPolicy`;
-a group that keeps failing is *bisected* so one poison scenario ends up
-alone, gets a terminal typed error (kind ``worker_crashed``, its
-``cache_key`` inlined), and its batch-mates still succeed. A per-request
-``deadline`` turns a hung evaluation into a structured ``deadline_expired``
-error instead of a hung future. All of it is countable in ``stats()``
-(``retries`` / ``shed`` / ``deadline_expired`` / ``pool_rebuilds``) and
-drivable deterministically via an armed
-:class:`~repro.server.faults.FaultInjector`.
+The scheduler is self-healing. A lane runs one request at a time, so a
+crashed pool worker (a genuine ``BrokenProcessPool``) is the failure of
+the request it was running alone: the lane is replaced and the request
+re-dispatched under the shared
+:class:`~repro.server.resilience.RetryPolicy`. A request that keeps
+crashing its worker (a poison scenario) gets a terminal typed error (kind
+``worker_crashed``, its ``cache_key`` inlined) while every other request
+evaluates normally. A per-request ``deadline`` turns a hung evaluation
+into a structured ``deadline_expired`` error instead of a hung future. All
+of it is countable in ``stats()`` (``retries`` / ``shed`` /
+``deadline_expired`` / ``pool_rebuilds``) and drivable deterministically
+via an armed :class:`~repro.server.faults.FaultInjector`.
 
 Malformed documents raise :class:`PlanRequestError`, whose ``payload`` is a
 structured ``{"error": {...}}`` document — front ends turn it into a 400,
@@ -52,11 +47,11 @@ from __future__ import annotations
 import asyncio
 import copy
 import functools
-import json
 import os
 import time
 from concurrent.futures import (
     BrokenExecutor,
+    Executor,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
@@ -64,7 +59,7 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.api.scenario import Scenario, ScenarioError
 from repro.api.service import PlanService
-from repro.obs.metrics import COUNT_BUCKETS, CounterBundle, MetricsRegistry
+from repro.obs.metrics import CounterBundle, MetricsRegistry
 from repro.obs.tracing import configure_tracing, get_tracer, span, tracing_enabled
 from repro.server.faults import FaultInjector, mark_pool_worker
 from repro.server.resilience import RetryPolicy, classify_exception
@@ -73,8 +68,9 @@ from repro.server.store import ResultStore
 #: Where a served payload came from (the trace of ``submit_traced``).
 SOURCES = ("store", "inflight", "evaluated")
 
-#: Group re-dispatch policy: cheap, bounded — a pool rebuild per attempt is
-#: already expensive, and a group still failing after this gets bisected.
+#: Re-dispatch policy after a worker failure: cheap, bounded — a lane
+#: replacement per attempt is already expensive, and a request still failing
+#: after this gets a terminal ``worker_crashed`` error.
 DEFAULT_RETRY = RetryPolicy(max_attempts=2, base_delay=0.01, max_delay=0.25)
 
 
@@ -121,59 +117,49 @@ class PlanRequestError(ValueError):
                              retryable=self.retryable)
 
 
+
+
 # Worker-side evaluation ---------------------------------------------------------
 
 
-def _evaluate_doc(service: PlanService,
-                  doc: Mapping[str, object]) -> Dict[str, object]:
-    """One scenario document -> result payload (or structured error)."""
-    try:
-        scenario = Scenario.from_dict(doc)
-        return service.evaluate(scenario).to_dict()
-    except Exception as error:
-        # Contain any per-document failure here: one bad request must come
-        # back as its own structured error, never poison the co-batched
-        # requests of its group (which a raising evaluate_group would).
-        message = error.args[0] if error.args else error
-        return error_payload(str(message), kind=type(error).__name__,
-                             status=422,
-                             retryable=classify_exception(error).retryable)
+def evaluate_doc(service: PlanService, doc: Mapping[str, object],
+                 trace_context: Optional[Dict[str, str]] = None,
+                 chaos: Optional[FaultInjector] = None,
+                 drain_spans: bool = False) -> Tuple[
+                     Dict[str, object], Dict[str, object]]:
+    """Evaluate one scenario document on one service.
 
-
-def evaluate_group(service: PlanService,
-                   docs: List[Dict[str, object]],
-                   trace_context: Optional[Dict[str, str]] = None,
-                   chaos: Optional[FaultInjector] = None,
-                   drain_spans: bool = False) -> Tuple[
-                       List[Dict[str, object]], Dict[str, object]]:
-    """Evaluate one hardware-compatible group on one service.
-
-    Returns the per-document payloads plus a worker telemetry snapshot
-    (pid, plan-cache counters, the service's metrics-registry snapshot,
-    and — in pool workers, where ``drain_spans`` is set — the buffered
-    trace spans) the scheduler folds into ``stats()`` and its trace sink.
-    ``trace_context`` parents the worker's spans under the scheduler's
-    dispatch span across the thread/process boundary. The chaos hook
-    fires *outside* the per-document containment, so an injected worker
+    Returns the result payload (or its structured error) plus a worker
+    telemetry snapshot (pid, plan-cache counters, the service's
+    metrics-registry snapshot, and — in pool workers, where ``drain_spans``
+    is set — the buffered trace spans) the scheduler folds into ``stats()``
+    and its trace sink. ``trace_context`` parents the worker's spans under
+    the scheduler's dispatch span across the thread/process boundary. The
+    chaos hook fires *outside* the error containment, so an injected worker
     crash escapes like a real one would.
     """
     tracer = get_tracer()
-    payloads = []
-    with tracer.span_under(trace_context, "scheduler.evaluate_group",
-                           scenarios=len(docs)):
-        for doc in docs:
-            if chaos is not None:
-                chaos.on_worker_evaluate(doc)
-            payloads.append(_evaluate_doc(service, doc))
+    with tracer.span_under(trace_context, "scheduler.evaluate"):
+        if chaos is not None:
+            chaos.on_worker_evaluate(doc)
+        try:
+            payload = service.evaluate(Scenario.from_dict(doc)).to_dict()
+        except Exception as error:
+            # A failed evaluation is the request's own structured error,
+            # not a worker failure to retry.
+            message = error.args[0] if error.args else error
+            payload = error_payload(
+                str(message), kind=type(error).__name__, status=422,
+                retryable=classify_exception(error).retryable)
     telemetry = {"pid": os.getpid(),
                  "plan_cache": service.plan_cache.stats(),
                  "metrics": service.registry.snapshot(),
                  "spans": tracer.drain() if drain_spans else []}
-    return payloads, telemetry
+    return payload, telemetry
 
 
 #: Per-process service of pool workers (the PR 2 orchestrator pattern: one
-#: shared PlanCache per worker, warm across every group the worker runs).
+#: shared PlanCache per worker, warm across every request the worker runs).
 _WORKER_SERVICE: Optional[PlanService] = None
 
 #: Per-process chaos injector of pool workers (re-armed from the spec the
@@ -187,8 +173,8 @@ def _init_pool_worker(chaos_spec: Optional[str] = None,
     """Pool initializer: one persistent PlanService (and chaos) per worker.
 
     ``trace`` arms *buffered* tracing in the worker: spans are collected in
-    memory and shipped back inside group telemetry — workers never contend
-    on the parent's trace file.
+    memory and shipped back inside the request's telemetry — workers never
+    contend on the parent's trace file.
     """
     global _WORKER_SERVICE, _WORKER_CHAOS
     _WORKER_SERVICE = PlanService()
@@ -201,37 +187,33 @@ def _init_pool_worker(chaos_spec: Optional[str] = None,
                                                 state_dir=chaos_state_dir)
 
 
-def _evaluate_group_in_worker(
-        docs: List[Dict[str, object]],
+def _evaluate_in_worker(
+        doc: Dict[str, object],
         trace_context: Optional[Dict[str, str]] = None) -> Tuple[
-            List[Dict[str, object]], Dict[str, object]]:
-    """Top-level (picklable) pool task: evaluate one group."""
-    global _WORKER_SERVICE
-    if _WORKER_SERVICE is None:
-        _WORKER_SERVICE = PlanService()
-    return evaluate_group(_WORKER_SERVICE, docs, trace_context,
-                          chaos=_WORKER_CHAOS, drain_spans=True)
+            Dict[str, object], Dict[str, object]]:
+    """Top-level (picklable) pool task: evaluate one document."""
+    return evaluate_doc(_WORKER_SERVICE, doc, trace_context,
+                        chaos=_WORKER_CHAOS, drain_spans=True)
 
 
 # Scheduler ----------------------------------------------------------------------
 
 
 class PlanScheduler:
-    """Batched, deduplicated, cached scenario serving over a worker pool.
+    """Deduplicated, cached scenario serving over ``jobs`` worker lanes.
 
-    With ``jobs=1`` the scheduler evaluates on one in-process
-    :class:`PlanService`; with ``jobs > 1`` each pool worker owns its own.
+    A lane is an executor with one worker and runs one request at a time:
+    with ``jobs=1`` the scheduler's own :class:`PlanService` on a worker
+    thread; with ``jobs > 1`` one-process pools, each worker keeping its
+    own warm service.
 
     Args:
-        store: optional :class:`ResultStore` consulted before queueing and
+        store: optional :class:`ResultStore` consulted before dispatch and
             fed after every successful evaluation. The scheduler owns it
             (``close()`` closes it). A failed store write is survived (the
             result is still served) and counted.
-        jobs: ``1`` evaluates in-process on a single worker thread;
-            ``N > 1`` fans groups out to a persistent process pool.
-        batch_window: seconds the batcher waits for more requests after the
-            first one of a batch arrives.
-        max_batch: requests per micro-batch cap.
+        jobs: number of worker lanes; ``1`` evaluates in-process on a
+            single worker thread, ``N > 1`` in ``N`` worker processes.
         deadline: optional per-request deadline in seconds; an expired
             request gets a structured ``deadline_expired`` error (504)
             instead of a hung future.
@@ -239,8 +221,8 @@ class PlanScheduler:
             beyond it new work is shed with ``overloaded`` (503 +
             ``Retry-After``). Store hits and deduplicated requests are
             never shed — they cost no evaluation.
-        retry: group re-dispatch policy after worker failures (defaults to
-            :data:`DEFAULT_RETRY`).
+        retry: re-dispatch policy of a request whose worker failed
+            (defaults to :data:`DEFAULT_RETRY`).
         chaos: a :class:`~repro.server.faults.FaultInjector` (or its spec
             string) arming deterministic fault injection.
         registry: the :class:`~repro.obs.metrics.MetricsRegistry` the
@@ -252,8 +234,6 @@ class PlanScheduler:
         self,
         store: Optional[ResultStore] = None,
         jobs: int = 1,
-        batch_window: float = 0.005,
-        max_batch: int = 16,
         deadline: Optional[float] = None,
         max_queue: Optional[int] = None,
         retry: Optional[RetryPolicy] = None,
@@ -262,17 +242,11 @@ class PlanScheduler:
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if batch_window < 0:
-            raise ValueError(f"batch_window must be >= 0, got {batch_window}")
         if deadline is not None and deadline <= 0:
             raise ValueError(f"deadline must be > 0, got {deadline}")
         if max_queue is not None and max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         self.jobs = jobs
-        self.batch_window = float(batch_window)
-        self.max_batch = max_batch
         self.deadline = deadline
         self.max_queue = max_queue
         self.retry = retry if retry is not None else DEFAULT_RETRY
@@ -280,13 +254,14 @@ class PlanScheduler:
                       if isinstance(chaos, str) else chaos)
         self.store = store
         self.service = PlanService() if jobs == 1 else None
+        self._evaluate_fn = (
+            functools.partial(evaluate_doc, self.service, chaos=self.chaos)
+            if jobs == 1 else _evaluate_in_worker)
         self.counters = CounterBundle(
             requests=0,
             deduped=0,
             evaluations=0,
             errors=0,
-            batches=0,
-            groups=0,
             retries=0,
             shed=0,
             deadline_expired=0,
@@ -299,36 +274,25 @@ class PlanScheduler:
             help="end-to-end submit latency (store hits included)")
         self._queue_wait_hist = self.registry.histogram(
             "scheduler.queue_wait_seconds",
-            help="time a request sat in the micro-batch queue")
-        self._assembly_hist = self.registry.histogram(
-            "scheduler.batch_assembly_seconds",
-            help="time spent collecting one micro-batch")
+            help="time a request waited for a free worker lane")
         self._dispatch_hist = self.registry.histogram(
             "scheduler.dispatch_seconds",
-            help="worker-pool evaluation time per group (retries included)")
-        self._batch_size_hist = self.registry.histogram(
-            "scheduler.batch_size", buckets=COUNT_BUCKETS,
-            help="requests per dispatched micro-batch")
+            help="worker evaluation time per request (retries included)")
         self._store_write_hist = self.registry.histogram(
             "scheduler.store_write_seconds",
             help="result-store append latency")
-        self._inflight: Dict[str, asyncio.Future] = {}
+        self._inflight: Dict[str, asyncio.Task] = {}
         self._worker_stats: Dict[int, Dict[str, int]] = {}
         self._worker_metrics: Dict[int, Dict[str, object]] = {}
-        self._queue: Optional[asyncio.Queue] = None
-        self._batcher: Optional[asyncio.Task] = None
-        self._dispatch_tasks: set = set()
-        self._executor = None
-        self._group_fn = None
-        self._pool_generation = 0
-        self._rebuild_lock: Optional[asyncio.Lock] = None
+        self._lanes: List[Executor] = []
+        self._free_lanes: Optional[asyncio.Queue] = None
         self._started = False
         self._closing = False
 
     # Lifecycle -------------------------------------------------------------------
 
-    def _make_executor(self):
-        """A fresh worker pool (also the rebuild path after a crash)."""
+    def _make_lane(self) -> Executor:
+        """A fresh one-worker executor (also the replacement after a crash)."""
         if self.jobs == 1:
             # One worker thread serialises evaluation: PlanService is not
             # thread-safe and a single in-process service is the point —
@@ -341,54 +305,34 @@ class PlanScheduler:
             tracing_enabled(),
         )
         return ProcessPoolExecutor(
-            max_workers=self.jobs, initializer=_init_pool_worker,
-            initargs=initargs)
+            max_workers=1, initializer=_init_pool_worker, initargs=initargs)
 
     async def start(self) -> None:
-        """Create the queue, the worker pool, and the batcher task."""
+        """Create the worker lanes and the queue of free ones."""
         if self._started:
             return
-        self._queue = asyncio.Queue()
-        self._executor = self._make_executor()
-        self._rebuild_lock = asyncio.Lock()
-        if self.jobs == 1:
-            self._group_fn = functools.partial(evaluate_group, self.service,
-                                               chaos=self.chaos)
-        else:
-            self._group_fn = _evaluate_group_in_worker
-        self._batcher = asyncio.create_task(self._batch_loop())
+        self._lanes = [self._make_lane() for _ in range(self.jobs)]
+        self._free_lanes = asyncio.Queue()
+        for lane in range(self.jobs):
+            self._free_lanes.put_nowait(lane)
         self._started = True
         self._closing = False
 
     async def drain(self) -> None:
-        """Wait until every queued and in-flight request has resolved."""
-        while (self._queue is not None
-               and (not self._queue.empty() or self._dispatch_tasks
-                    or self._inflight)):
-            tasks = list(self._dispatch_tasks)
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-            else:
-                # Requests are sitting in the queue or the batcher's open
-                # window; give it a window's time to dispatch them.
-                await asyncio.sleep(max(self.batch_window, 0.001))
+        """Wait until every in-flight request has resolved."""
+        while self._inflight:
+            await asyncio.gather(*self._inflight.values(),
+                                 return_exceptions=True)
 
     async def close(self) -> None:
-        """Drain, then stop the batcher and the worker pool (idempotent)."""
+        """Drain, then stop the worker lanes (idempotent)."""
         if not self._started:
             return
         self._closing = True
         await self.drain()
-        if self._batcher is not None:
-            self._batcher.cancel()
-            try:
-                await self._batcher
-            except asyncio.CancelledError:
-                pass
-            self._batcher = None
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+        for lane in self._lanes:
+            lane.shutdown(wait=True)
+        self._lanes = []
         if self.store is not None:
             self.store.close()
         self._started = False
@@ -422,7 +366,7 @@ class PlanScheduler:
                 per-request deadline expired (504).
             RuntimeError: when the scheduler was never started.
         """
-        if not self._started or self._queue is None:
+        if not self._started:
             raise RuntimeError("PlanScheduler.start() was never awaited")
         if self._closing:
             raise PlanRequestError("plan server is shutting down",
@@ -431,16 +375,16 @@ class PlanScheduler:
         start = time.perf_counter()
         self.counters["requests"] += 1
         key = scenario.cache_key()
-        with span("scheduler.request", cache_key=key) as request_span:
+        with span("scheduler.request", cache_key=key):
             if self.store is not None:
                 stored = self.store.get(key)
                 if stored is not None:
                     self._record_latency(start)
                     return stored, "store"
-            future = self._inflight.get(key)
-            if future is not None:
+            task = self._inflight.get(key)
+            if task is not None:
                 self.counters["deduped"] += 1
-                payload = copy.deepcopy(await self._await_result(future))
+                payload = copy.deepcopy(await self._await_result(task))
                 self._record_latency(start)
                 return payload, "inflight"
             # Admission control: only *new* evaluations are shed — store
@@ -454,19 +398,16 @@ class PlanScheduler:
                     f"requests in flight, max_queue={self.max_queue}); "
                     f"retry with backoff", kind="overloaded", status=503,
                     retryable=True, retry_after=1.0)
-            future = asyncio.get_running_loop().create_future()
-            self._inflight[key] = future
-            context = None
-            if request_span.span_id:
-                context = {"trace_id": request_span.trace_id,
-                           "span_id": request_span.span_id}
-            self._queue.put_nowait(
-                (key, scenario, time.perf_counter(), context))
-            payload = copy.deepcopy(await self._await_result(future))
+            # The task inherits this request's span context, so its queue
+            # wait and dispatch spans parent under the request.
+            task = asyncio.create_task(
+                self._run(key, scenario, time.perf_counter()))
+            self._inflight[key] = task
+            payload = copy.deepcopy(await self._await_result(task))
             self._record_latency(start)
             return payload, "evaluated"
 
-    async def _await_result(self, future: asyncio.Future) -> Dict[str, object]:
+    async def _await_result(self, task: asyncio.Task) -> Dict[str, object]:
         """Await one shared evaluation, under the per-request deadline.
 
         shield(): one awaiter being cancelled (or timing out) must not
@@ -474,9 +415,9 @@ class PlanScheduler:
         the evaluation completes and feeds the store either way.
         """
         if self.deadline is None:
-            return await asyncio.shield(future)
+            return await asyncio.shield(task)
         try:
-            return await asyncio.wait_for(asyncio.shield(future),
+            return await asyncio.wait_for(asyncio.shield(task),
                                           self.deadline)
         except asyncio.TimeoutError:
             self.counters["deadline_expired"] += 1
@@ -522,135 +463,83 @@ class PlanScheduler:
 
         return list(await asyncio.gather(*(_one(doc) for doc in docs)))
 
-    # Batching and dispatch -------------------------------------------------------
+    # Dispatch --------------------------------------------------------------------
 
-    async def _batch_loop(self) -> None:
-        """Collect micro-batches from the queue and dispatch them."""
-        while True:
-            batch = [await self._queue.get()]
-            assembly_start = time.perf_counter()
-            loop = asyncio.get_running_loop()
-            deadline = loop.time() + self.batch_window
-            while len(batch) < self.max_batch:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    batch.append(await asyncio.wait_for(
-                        self._queue.get(), remaining))
-                except asyncio.TimeoutError:
-                    break
-            self.counters["batches"] += 1
-            assembly = time.perf_counter() - assembly_start
-            self._assembly_hist.observe(assembly)
-            self._batch_size_hist.observe(len(batch))
-            tracer = get_tracer()
-            if tracer.enabled:
-                tracer.record_span("scheduler.batch", assembly,
-                                   context=batch[0][3], size=len(batch))
-            # Dispatch concurrently: the batcher goes straight back to
-            # collecting while the pool evaluates this batch.
-            task = asyncio.create_task(self._dispatch(batch))
-            self._dispatch_tasks.add(task)
-            task.add_done_callback(self._dispatch_tasks.discard)
+    async def _run(self, key: str, scenario: Scenario,
+                   submitted: float) -> Dict[str, object]:
+        """The in-flight task of ``key``: wait for a free lane, evaluate.
 
-    async def _dispatch(self, batch: List[Tuple]) -> None:
-        """Group one batch by hardware spec and fan the groups out."""
-        now = time.perf_counter()
-        tracer = get_tracer()
-        for key, _, enqueued, context in batch:
-            wait = now - enqueued
+        A successful payload is stored before the task resolves, so a
+        request arriving after that is a store hit.
+        """
+        try:
+            lane = await self._free_lanes.get()
+            wait = time.perf_counter() - submitted
             self._queue_wait_hist.observe(wait)
-            if tracer.enabled:
-                tracer.record_span("scheduler.queue_wait", wait,
-                                   context=context, cache_key=key)
-        groups: Dict[str, List[Tuple]] = {}
-        for item in batch:
-            hardware_key = json.dumps(item[1].to_dict()["hardware"],
-                                      sort_keys=True)
-            groups.setdefault(hardware_key, []).append(item)
-        self.counters["groups"] += len(groups)
-        await asyncio.gather(*(self._run_group(group)
-                               for group in groups.values()))
+            get_tracer().record_span("scheduler.queue_wait", wait,
+                                     cache_key=key)
+            try:
+                payload = await self._dispatch(lane, key, scenario)
+            finally:
+                self._free_lanes.put_nowait(lane)
+            if "error" in payload:
+                # Every error names its request, so a batch client can
+                # tell which of its scenarios failed.
+                payload["error"].setdefault("cache_key", key)
+                self.counters["errors"] += 1
+            else:
+                self.counters["evaluations"] += 1
+                self._store_put(key, payload)
+            return payload
+        finally:
+            self._inflight.pop(key, None)
 
-    async def _rebuild_pool(self, observed_generation: int) -> None:
-        """Replace a broken executor (once per generation, lock-guarded).
+    async def _dispatch(self, lane: int, key: str,
+                        scenario: Scenario) -> Dict[str, object]:
+        """Evaluate one request on ``lane``, self-healing around its worker.
 
-        Concurrent groups all observing the same broken pool race here;
-        only the first rebuilds — the rest see the bumped generation and
-        retry on the already-fresh pool.
+        The lane runs nothing else, so a broken pool is this request's
+        failure alone: the lane is replaced and the request re-dispatched
+        under :attr:`retry`. A request that still fails after the last
+        attempt gets a terminal ``worker_crashed`` error payload carrying
+        its ``cache_key``.
         """
-        async with self._rebuild_lock:
-            if self._pool_generation != observed_generation:
-                return
-            broken = self._executor
-            self._executor = self._make_executor()
-            self._pool_generation += 1
-            self.counters["pool_rebuilds"] += 1
-            if broken is not None:
-                # wait=False: the pool is already broken; reaping its dead
-                # processes must not block the event loop.
-                broken.shutdown(wait=False)
-
-    async def _evaluate_with_retry(
-            self, group: List[Tuple]) -> List[Dict[str, object]]:
-        """Evaluate one group, self-healing around worker failures.
-
-        Retryable failures (a crashed worker, a broken pool) re-dispatch
-        the whole group under :attr:`retry`; a group that keeps failing is
-        bisected so each half retries independently — the recursion
-        terminates with the poison scenario alone in a singleton group,
-        which gets a terminal ``worker_crashed`` error payload carrying its
-        ``cache_key``, while every other request still evaluates normally.
-        """
-        docs = [scenario.to_dict() for _, scenario, _, _ in group]
+        doc = scenario.to_dict()
         loop = asyncio.get_running_loop()
         tracer = get_tracer()
         attempts = 0
-        # The dispatch runs in the batch-loop task, not a request's; parent
-        # it under the first grouped request's serialized span context.
-        with tracer.span_under(group[0][3], "scheduler.dispatch",
-                               scenarios=len(docs)) as dispatch_span:
-            context = None
-            if dispatch_span.span_id:
-                context = {"trace_id": dispatch_span.trace_id,
-                           "span_id": dispatch_span.span_id}
+        with tracer.span("scheduler.dispatch"):
+            context = tracer.serialize_context()
             dispatch_start = time.perf_counter()
             while True:
-                generation = self._pool_generation
                 try:
-                    payloads, telemetry = await loop.run_in_executor(
-                        self._executor, self._group_fn, docs, context)
+                    payload, telemetry = await loop.run_in_executor(
+                        self._lanes[lane], self._evaluate_fn, doc, context)
                 except Exception as error:
                     failure = classify_exception(error)
                     if isinstance(error, BrokenExecutor):
-                        await self._rebuild_pool(generation)
+                        # wait=False: the pool is already broken; reaping
+                        # its dead process must not block the event loop.
+                        self._lanes[lane].shutdown(wait=False)
+                        self._lanes[lane] = self._make_lane()
+                        self.counters["pool_rebuilds"] += 1
                     attempts += 1
                     if (failure.retryable
                             and attempts < self.retry.max_attempts):
                         self.counters["retries"] += 1
                         await asyncio.sleep(self.retry.delay(attempts))
                         continue
-                    if failure.retryable and len(group) > 1:
-                        # Bisect: isolate the poison scenario so its
-                        # batch-mates still succeed.
-                        mid = len(group) // 2
-                        left = await self._evaluate_with_retry(group[:mid])
-                        right = await self._evaluate_with_retry(group[mid:])
-                        return left + right
                     retries_note = (f" after {attempts} attempts"
                                     if failure.retryable else "")
-                    return [error_payload(
+                    return error_payload(
                         f"evaluation worker failed{retries_note}: {error}",
                         kind=("worker_crashed" if failure.retryable
                               else failure.kind),
                         status=500, retryable=False, cache_key=key)
-                        for key, _, _, _ in group]
                 self._dispatch_hist.observe(
                     time.perf_counter() - dispatch_start)
-                if telemetry is not None:
-                    self._absorb_telemetry(telemetry, tracer)
-                return payloads
+                self._absorb_telemetry(telemetry, tracer)
+                return payload
 
     def _absorb_telemetry(self, telemetry: Dict[str, object],
                           tracer) -> None:
@@ -662,27 +551,10 @@ class PlanScheduler:
         """
         pid = telemetry["pid"]
         self._worker_stats[pid] = telemetry["plan_cache"]
-        if telemetry.get("metrics") is not None:
-            self._worker_metrics[pid] = telemetry["metrics"]
+        self._worker_metrics[pid] = telemetry["metrics"]
         if tracer.enabled:
-            for record in telemetry.get("spans") or ():
+            for record in telemetry["spans"]:
                 tracer.emit(record)
-
-    async def _run_group(self, group: List[Tuple]) -> None:
-        """Evaluate one hardware-compatible group on one pool worker."""
-        payloads = await self._evaluate_with_retry(group)
-        for (key, _, _, _), payload in zip(group, payloads):
-            if "error" in payload:
-                # Every per-scenario error names its request: batch-mates
-                # sharing a group-wide failure stay distinguishable.
-                payload["error"].setdefault("cache_key", key)
-                self.counters["errors"] += 1
-            else:
-                self.counters["evaluations"] += 1
-                self._store_put(key, payload)
-            future = self._inflight.pop(key, None)
-            if future is not None and not future.done():
-                future.set_result(payload)
 
     def _store_put(self, key: str, payload: Dict[str, object]) -> None:
         """Persist one payload, surviving (and counting) write failures.
@@ -727,7 +599,7 @@ class PlanScheduler:
             plan_cache = self.service.plan_cache.stats()
         else:
             # Pool mode: fold the latest per-worker snapshots (piggybacked
-            # on every group result) into one aggregate.
+            # on every result) into one aggregate.
             plan_cache = {"hits": 0, "misses": 0, "entries": 0,
                           "max_entries": 0}
             for snapshot in self._worker_stats.values():
@@ -737,8 +609,6 @@ class PlanScheduler:
             "scheduler": {
                 **self.counters,
                 "jobs": self.jobs,
-                "max_batch": self.max_batch,
-                "batch_window_seconds": self.batch_window,
                 "deadline_seconds": self.deadline,
                 "max_queue": self.max_queue,
                 "retry_policy": self.retry.to_dict(),

@@ -34,8 +34,7 @@ def test_pool_worker_spans_parent_under_dispatch(tmp_path):
     configure_tracing(path=str(path))
 
     async def scenario():
-        async with PlanScheduler(store=ResultStore(None), jobs=2,
-                                 batch_window=0.001) as scheduler:
+        async with PlanScheduler(store=ResultStore(None), jobs=2) as scheduler:
             await scheduler.submit_doc(_doc())
 
     asyncio.run(scenario())
@@ -59,16 +58,16 @@ def test_pool_worker_spans_parent_under_dispatch(tmp_path):
 
     # Worker spans were recorded in another process, shipped back, and
     # re-emitted under the dispatch span of this process.
-    group = by_name["scheduler.evaluate_group"][0]
-    assert group["pid"] != os.getpid()
-    assert group["parent_id"] == dispatch["span_id"]
-    assert group["trace_id"] == request["trace_id"]
+    worker = by_name["scheduler.evaluate"][0]
+    assert worker["pid"] != os.getpid()
+    assert worker["parent_id"] == dispatch["span_id"]
+    assert worker["trace_id"] == request["trace_id"]
 
-    # The worker's evaluation chain hangs off its group span.
+    # The worker's evaluation chain hangs off its scheduler.evaluate span.
     evaluate = by_name["service.evaluate"][0]
-    assert evaluate["pid"] == group["pid"]
+    assert evaluate["pid"] == worker["pid"]
     parent = by_id[evaluate["parent_id"]]
-    assert parent["name"] == "scheduler.evaluate_group"
+    assert parent["name"] == "scheduler.evaluate"
     assert "evaluate.simulate" in by_name
 
 
@@ -77,8 +76,7 @@ def test_in_process_worker_spans_parent_under_dispatch(tmp_path):
     configure_tracing(path=str(path))
 
     async def scenario():
-        async with PlanScheduler(store=ResultStore(None), jobs=1,
-                                 batch_window=0.001) as scheduler:
+        async with PlanScheduler(store=ResultStore(None), jobs=1) as scheduler:
             await scheduler.submit_doc(_doc())
 
     asyncio.run(scenario())
@@ -86,7 +84,7 @@ def test_in_process_worker_spans_parent_under_dispatch(tmp_path):
 
     records = read_trace(str(path))
     by_name = {record["name"]: record for record in records}
-    group = by_name["scheduler.evaluate_group"]
-    assert group["pid"] == os.getpid()
-    assert group["parent_id"] == by_name["scheduler.dispatch"]["span_id"]
-    assert (by_name["service.evaluate"]["parent_id"] == group["span_id"])
+    worker = by_name["scheduler.evaluate"]
+    assert worker["pid"] == os.getpid()
+    assert worker["parent_id"] == by_name["scheduler.dispatch"]["span_id"]
+    assert (by_name["service.evaluate"]["parent_id"] == worker["span_id"])

@@ -25,11 +25,10 @@ from repro.server.store import ResultStore
 class ServerHarness:
     """A PlanServer running its own asyncio loop in a daemon thread."""
 
-    def __init__(self, store_path=None, jobs=1, batch_window=0.002,
-                 deadline=None, max_queue=None, chaos=None):
+    def __init__(self, store_path=None, jobs=1, deadline=None,
+                 max_queue=None, chaos=None):
         self._store_path = store_path
         self._jobs = jobs
-        self._batch_window = batch_window
         self._deadline = deadline
         self._max_queue = max_queue
         self._chaos = chaos
@@ -60,7 +59,6 @@ class ServerHarness:
         store = (ResultStore(self._store_path)
                  if self._store_path is not None else None)
         scheduler = PlanScheduler(store=store, jobs=self._jobs,
-                                  batch_window=self._batch_window,
                                   deadline=self._deadline,
                                   max_queue=self._max_queue,
                                   chaos=self._chaos)

@@ -1,10 +1,10 @@
 """Tests of the resilience layer, driven by deterministic fault injection.
 
 The acceptance contract of PR 6 lives here: a crashed worker (thread-mode
-exception or a genuinely killed pool process) triggers retry, pool rebuild,
-and — when a poison scenario keeps killing its group — bisection that
-isolates the poison behind a terminal typed error while its batch-mates
-come back bit-identical to a direct evaluation. Deadlines become structured
+exception or a genuinely killed pool process) triggers retry and lane
+replacement, and a poison scenario that keeps killing its worker ends in a
+terminal typed error of its own while every other request comes back
+bit-identical to a direct evaluation. Deadlines become structured
 504s instead of hung futures, admission control sheds with 503 +
 ``Retry-After``, the client retries dropped connections with jittered
 backoff, and every failure path is countable in ``/metrics``.
@@ -228,7 +228,7 @@ class TestWorkerCrashRecovery:
         chaos = FaultInjector("worker-crash:1", state_dir=str(tmp_path))
 
         async def scenario():
-            async with PlanScheduler(batch_window=0.001, chaos=chaos,
+            async with PlanScheduler(chaos=chaos,
                                      retry=FAST_RETRY) as scheduler:
                 payload = await scheduler.submit_doc(document)
                 return payload, dict(scheduler.counters)
@@ -239,7 +239,7 @@ class TestWorkerCrashRecovery:
         assert counters["evaluations"] == 1
         assert chaos.fired == {"worker-crash": 1}
 
-    def test_poison_scenario_is_bisected_out_of_its_group(self):
+    def test_poison_scenario_fails_alone(self):
         good_a = _doc(solver={"scheme": "temp", "engine": "tcme",
                               "max_candidates": 2})
         good_b = _doc(solver={"scheme": "temp", "engine": "tcme",
@@ -250,10 +250,7 @@ class TestWorkerCrashRecovery:
         poison_key = Scenario.from_dict(poison).cache_key()
 
         async def scenario():
-            # One wide window so all three land in one micro-batch (and one
-            # hardware group); the poison then kills the whole group until
-            # bisection isolates it.
-            async with PlanScheduler(batch_window=0.25, chaos="poison:768",
+            async with PlanScheduler(chaos="poison:768",
                                      retry=FAST_RETRY) as scheduler:
                 results = await scheduler.submit_batch(
                     [good_a, good_b, poison])
@@ -280,7 +277,7 @@ class TestWorkerCrashRecovery:
                 for doc in (doc_a, doc_b)}
 
         async def scenario():
-            async with PlanScheduler(batch_window=0.25, chaos="poison:768",
+            async with PlanScheduler(chaos="poison:768",
                                      retry=FAST_RETRY) as scheduler:
                 return await scheduler.submit_batch([doc_a, doc_b])
 
@@ -290,12 +287,35 @@ class TestWorkerCrashRecovery:
         assert all(payload["error"]["type"] == "worker_crashed"
                    for payload in results)
 
+    def test_lane_is_freed_after_a_failed_request(self):
+        # One lane: if the poison's failure kept it, the next request would
+        # wait for a free lane forever.
+        poison = _doc(workload={"seq_length": 768})
+        good = _doc()
+
+        async def scenario():
+            scheduler = PlanScheduler(chaos="poison:768",
+                                      retry=RetryPolicy(max_attempts=1))
+            await scheduler.start()
+            failed = await scheduler.submit_doc(poison)
+            # Bounded, and close() only after it: draining a request stuck
+            # waiting for a lane would hang instead of failing.
+            served = await asyncio.wait_for(scheduler.submit_doc(good),
+                                            timeout=30)
+            await scheduler.close()
+            return failed, served, dict(scheduler.counters)
+
+        failed, served, counters = _run(scenario())
+        assert failed["error"]["type"] == "worker_crashed"
+        assert served == _direct(good)
+        assert counters["errors"] == 1
+        assert counters["evaluations"] == 1
+
 
 class TestDeadline:
     def test_expired_deadline_is_a_structured_504(self):
         async def scenario():
-            async with PlanScheduler(batch_window=0.001,
-                                     chaos="slow-eval:0.3",
+            async with PlanScheduler(chaos="slow-eval:0.3",
                                      deadline=0.05) as scheduler:
                 with pytest.raises(PlanRequestError) as excinfo:
                     await scheduler.submit_doc(_doc())
@@ -319,8 +339,7 @@ class TestDeadline:
 
         async def scenario():
             store = ResultStore(None)
-            async with PlanScheduler(batch_window=0.001,
-                                     chaos=chaos,
+            async with PlanScheduler(chaos=chaos,
                                      deadline=0.05,
                                      store=store) as scheduler:
                 with pytest.raises(PlanRequestError):
@@ -347,7 +366,7 @@ class TestStoreWriteFailure:
 
         async def scenario():
             store = ResultStore(None)
-            async with PlanScheduler(batch_window=0.001, chaos=chaos,
+            async with PlanScheduler(chaos=chaos,
                                      store=store) as scheduler:
                 first = await scheduler.submit_doc(document)
                 # The budget is spent: the re-evaluation's write succeeds.
@@ -374,7 +393,7 @@ class TestStoreWriteFailure:
         async def scenario():
             with ResultStore(path) as store:
                 assert store.backend == "sqlite"
-                async with PlanScheduler(batch_window=0.001, chaos=chaos,
+                async with PlanScheduler(chaos=chaos,
                                          store=store) as scheduler:
                     first = await scheduler.submit_doc(document)
                     second, source = await scheduler.submit_doc_traced(
@@ -400,8 +419,7 @@ class TestAdmissionControl:
         other = _doc(workload={"batch_size": 16})
 
         async def scenario():
-            async with PlanScheduler(batch_window=0.001,
-                                     chaos="slow-eval:0.2",
+            async with PlanScheduler(chaos="slow-eval:0.2",
                                      max_queue=1) as scheduler:
                 first = asyncio.ensure_future(scheduler.submit_doc(slow))
                 await asyncio.sleep(0)  # let it register as in-flight
@@ -451,8 +469,7 @@ class TestSweepBackpressure:
         portfolio = self._portfolio()
 
         async def scenario():
-            async with PlanScheduler(batch_window=0.001,
-                                     max_queue=1) as scheduler:
+            async with PlanScheduler(max_queue=1) as scheduler:
                 outcomes = await sweep_portfolio(scheduler, portfolio)
                 return outcomes, dict(scheduler.counters)
 
@@ -467,8 +484,7 @@ class TestSweepBackpressure:
                               max_delay=0.05, jitter=0.0)
 
         async def scenario():
-            async with PlanScheduler(batch_window=0.001,
-                                     max_queue=1) as scheduler:
+            async with PlanScheduler(max_queue=1) as scheduler:
                 outcomes = await sweep_portfolio(
                     scheduler, portfolio, retry=patient,
                     max_concurrency=3)  # deliberately floods max_queue=1
@@ -569,7 +585,7 @@ class TestLiveChaos:
 
         async def scenario():
             async with PlanScheduler(
-                    jobs=2, batch_window=0.25, chaos=chaos,
+                    jobs=2, chaos=chaos,
                     retry=RetryPolicy(max_attempts=3, base_delay=0.01,
                                       max_delay=0.05)) as scheduler:
                 results = await scheduler.submit_batch(documents)
@@ -595,10 +611,10 @@ class TestLiveChaos:
         chaos = FaultInjector("poison:768")
 
         async def scenario():
-            # max_attempts=1: a crashing group bisects immediately instead
-            # of paying a pool rebuild per doomed retry.
+            # max_attempts=1: the poison gets its terminal error after one
+            # lane replacement instead of one per doomed retry.
             async with PlanScheduler(
-                    jobs=2, batch_window=0.25, chaos=chaos,
+                    jobs=2, chaos=chaos,
                     retry=RetryPolicy(max_attempts=1)) as scheduler:
                 results = await scheduler.submit_batch(
                     good_docs + [poison])
@@ -613,3 +629,45 @@ class TestLiveChaos:
         assert error["cache_key"] == poison_key
         assert counters["errors"] == 1
         assert counters["pool_rebuilds"] >= 1
+
+    def test_crash_is_charged_only_to_the_request_that_caused_it(self):
+        # The innocent request has other hardware and shares the pool with
+        # the poison: the poison's crashes must not fail it.
+        poison = _doc(workload={"seq_length": 768})
+        innocent = _doc(hardware={"rows": 2, "cols": 4})
+        poison_key = Scenario.from_dict(poison).cache_key()
+
+        async def scenario():
+            async with PlanScheduler(jobs=2,
+                                     chaos="poison:768") as scheduler:
+                return await scheduler.submit_batch([poison, innocent])
+
+        poisoned, served = _run(scenario())
+        assert served == _direct(innocent)
+        assert poisoned["error"]["type"] == "worker_crashed"
+        assert poisoned["error"]["cache_key"] == poison_key
+
+    def test_replaced_lane_serves_later_requests(self):
+        # Free lanes are handed out first-in first-out, so with two lanes
+        # the second request after the poison runs on the lane that
+        # replaced the one the poison broke.
+        poison = _doc(workload={"seq_length": 768})
+        later = [_doc(solver={"scheme": "temp", "engine": "tcme",
+                              "max_candidates": candidates})
+                 for candidates in (2, 3)]
+
+        async def scenario():
+            async with PlanScheduler(jobs=2, chaos="poison:768",
+                                     retry=RetryPolicy(max_attempts=1)
+                                     ) as scheduler:
+                failed = await scheduler.submit_doc(poison)
+                served = [await scheduler.submit_doc(document)
+                          for document in later]
+                return failed, served, dict(scheduler.counters)
+
+        failed, served, counters = _run(scenario())
+        assert failed["error"]["type"] == "worker_crashed"
+        assert served == [_direct(document) for document in later]
+        assert counters["pool_rebuilds"] == 1
+        assert counters["errors"] == 1
+        assert counters["evaluations"] == 2

@@ -87,7 +87,7 @@ def test_direct_payloads_cover_every_result_kind(direct_payloads):
 
 def test_scheduler_path_matches_direct(scenarios, direct_payloads):
     async def run():
-        async with PlanScheduler(batch_window=0.001) as scheduler:
+        async with PlanScheduler() as scheduler:
             return {kind: await scheduler.submit(scenario)
                     for kind, scenario in scenarios.items()}
 
@@ -128,7 +128,7 @@ def test_portfolio_server_path_matches_direct(client, scenarios,
 def test_pool_scheduler_path_matches_direct(scenarios, direct_payloads):
     # jobs=2 crosses a process boundary: payloads must still be identical.
     async def run():
-        async with PlanScheduler(jobs=2, batch_window=0.001) as scheduler:
+        async with PlanScheduler(jobs=2) as scheduler:
             return {kind: await scheduler.submit(scenario)
                     for kind, scenario in scenarios.items()}
 
@@ -146,8 +146,7 @@ def test_store_backends_serve_bit_identical_payloads(
     path = tmp_path / store_name
 
     async def run(store):
-        async with PlanScheduler(batch_window=0.001,
-                                 store=store) as scheduler:
+        async with PlanScheduler(store=store) as scheduler:
             first = {kind: await scheduler.submit(scenario)
                      for kind, scenario in scenarios.items()}
             second = {}
@@ -180,8 +179,7 @@ def test_jsonl_and_sqlite_stores_hold_identical_mappings(
     stores = {}
     for name in ("plans.jsonl", "plans.sqlite"):
         async def run(store):
-            async with PlanScheduler(batch_window=0.001,
-                                     store=store) as scheduler:
+            async with PlanScheduler(store=store) as scheduler:
                 for scenario in scenarios.values():
                     await scheduler.submit(scenario)
 

@@ -75,7 +75,7 @@ class TestEngine:
         )
 
         async def scenario():
-            async with PlanScheduler(batch_window=0.001) as scheduler:
+            async with PlanScheduler() as scheduler:
                 outcomes = await sweep_portfolio(scheduler, portfolio)
                 return outcomes, dict(scheduler.counters)
 

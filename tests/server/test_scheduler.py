@@ -1,4 +1,4 @@
-"""Tests of the micro-batching plan scheduler.
+"""Tests of the plan scheduler.
 
 The acceptance contract of the plan server lives here: a served payload is
 bit-identical to ``PlanService().evaluate(scenario).to_dict()``, duplicate
@@ -46,7 +46,7 @@ class TestServing:
             Scenario.from_dict(document)).to_dict()
 
         async def scenario():
-            async with PlanScheduler(batch_window=0.001) as scheduler:
+            async with PlanScheduler() as scheduler:
                 return await scheduler.submit_doc(document)
 
         assert _run(scenario()) == direct
@@ -55,7 +55,7 @@ class TestServing:
         document = _doc()
 
         async def scenario():
-            async with PlanScheduler(batch_window=0.001) as scheduler:
+            async with PlanScheduler() as scheduler:
                 results = await asyncio.gather(
                     *(scheduler.submit_doc_traced(document)
                       for _ in range(4)))
@@ -75,8 +75,7 @@ class TestServing:
 
         async def scenario():
             store = ResultStore(None)
-            async with PlanScheduler(store=store,
-                                     batch_window=0.001) as scheduler:
+            async with PlanScheduler(store=store) as scheduler:
                 first, first_source = await scheduler.submit_doc_traced(
                     document)
                 second, second_source = await scheduler.submit_doc_traced(
@@ -97,13 +96,11 @@ class TestServing:
         path = tmp_path / "store.jsonl"
 
         async def first_life():
-            async with PlanScheduler(store=ResultStore(path),
-                                     batch_window=0.001) as scheduler:
+            async with PlanScheduler(store=ResultStore(path)) as scheduler:
                 return await scheduler.submit_doc_traced(document)
 
         async def second_life():
-            async with PlanScheduler(store=ResultStore(path),
-                                     batch_window=0.001) as scheduler:
+            async with PlanScheduler(store=ResultStore(path)) as scheduler:
                 traced = await scheduler.submit_doc_traced(document)
                 return traced, dict(scheduler.counters)
 
@@ -114,29 +111,27 @@ class TestServing:
         assert second == first
         assert counters["evaluations"] == 0
 
-    def test_mixed_hardware_batch_splits_into_groups(self):
+    def test_mixed_hardware_requests_match_direct_evaluate(self):
         default_hw = _doc()
         small_hw = _doc(hardware={"rows": 2, "cols": 4})
 
         async def scenario():
-            # A generous window so both requests land in one micro-batch.
-            async with PlanScheduler(batch_window=0.25) as scheduler:
-                payloads = await asyncio.gather(
+            async with PlanScheduler() as scheduler:
+                return await asyncio.gather(
                     scheduler.submit_doc(default_hw),
                     scheduler.submit_doc(small_hw))
-                return payloads, dict(scheduler.counters)
 
-        payloads, counters = _run(scenario())
-        assert counters["batches"] == 1
-        assert counters["groups"] == 2
-        assert all("error" not in payload for payload in payloads)
+        payloads = _run(scenario())
+        assert payloads == [
+            PlanService().evaluate(Scenario.from_dict(document)).to_dict()
+            for document in (default_hw, small_hw)]
         assert payloads[0] != payloads[1]
 
 
 class TestErrors:
     def test_malformed_document_raises_structured_error(self):
         async def scenario():
-            async with PlanScheduler(batch_window=0.001) as scheduler:
+            async with PlanScheduler() as scheduler:
                 await scheduler.submit_doc({"schema_version": 99})
 
         with pytest.raises(PlanRequestError) as excinfo:
@@ -154,8 +149,7 @@ class TestErrors:
 
         async def scenario():
             store = ResultStore(None)
-            async with PlanScheduler(store=store,
-                                     batch_window=0.001) as scheduler:
+            async with PlanScheduler(store=store) as scheduler:
                 payload = await scheduler.submit_doc(document)
                 return payload, dict(scheduler.counters), store.stats()
 
@@ -169,7 +163,7 @@ class TestErrors:
         # {"rows": "4"} raises TypeError inside HardwareSpec validation;
         # it must surface as a structured 400, not escape as a traceback.
         async def scenario():
-            async with PlanScheduler(batch_window=0.001) as scheduler:
+            async with PlanScheduler() as scheduler:
                 await scheduler.submit_doc(
                     _doc(hardware={"rows": "4"}))
 
@@ -187,7 +181,7 @@ class TestErrors:
                              "batch_size": None, "seq_length": None})
 
         async def scenario():
-            async with PlanScheduler(batch_window=0.25) as scheduler:
+            async with PlanScheduler() as scheduler:
                 results = await scheduler.submit_batch([good, bad])
                 return results, dict(scheduler.counters)
 
@@ -199,7 +193,7 @@ class TestErrors:
 
     def test_batch_inlines_item_errors(self):
         async def scenario():
-            async with PlanScheduler(batch_window=0.001) as scheduler:
+            async with PlanScheduler() as scheduler:
                 return await scheduler.submit_batch(
                     [_doc(), {"schema_version": 99}, "not even an object"])
 
@@ -211,7 +205,7 @@ class TestErrors:
 
     def test_empty_batch_is_a_noop(self):
         async def scenario():
-            async with PlanScheduler(batch_window=0.001) as scheduler:
+            async with PlanScheduler() as scheduler:
                 results = await scheduler.submit_batch([])
                 return results, dict(scheduler.counters)
 
@@ -230,7 +224,7 @@ class TestLifecycle:
                      for candidates in (2, 3)]
 
         async def scenario():
-            async with PlanScheduler(batch_window=0.05) as scheduler:
+            async with PlanScheduler() as scheduler:
                 pending = [
                     asyncio.ensure_future(scheduler.submit_doc(document))
                     for document in documents]
@@ -256,7 +250,7 @@ class TestLifecycle:
                      for candidates in (2, 3, 4)]
 
         async def scenario():
-            scheduler = PlanScheduler(batch_window=0.05)
+            scheduler = PlanScheduler()
             await scheduler.start()
             pending = [asyncio.ensure_future(scheduler.submit_doc(document))
                        for document in documents]
@@ -271,7 +265,7 @@ class TestLifecycle:
 
     def test_submit_after_close_raises(self):
         async def scenario():
-            scheduler = PlanScheduler(batch_window=0.001)
+            scheduler = PlanScheduler()
             await scheduler.start()
             await scheduler.close()
             await scheduler.submit_doc(_doc())
@@ -281,7 +275,7 @@ class TestLifecycle:
 
     def test_close_is_idempotent(self):
         async def scenario():
-            scheduler = PlanScheduler(batch_window=0.001)
+            scheduler = PlanScheduler()
             await scheduler.start()
             await scheduler.close()
             await scheduler.close()
@@ -297,8 +291,7 @@ class TestProcessPool:
             Scenario.from_dict(document)).to_dict()
 
         async def scenario():
-            async with PlanScheduler(jobs=2,
-                                     batch_window=0.001) as scheduler:
+            async with PlanScheduler(jobs=2) as scheduler:
                 payload = await scheduler.submit_doc(document)
                 return payload, scheduler.stats()
 
@@ -308,11 +301,28 @@ class TestProcessPool:
         assert stats["plan_cache"]["misses"] > 0
 
 
+class TestLanes:
+    def test_request_waits_for_the_busy_lane(self):
+        # One lane runs one request at a time: the second distinct request
+        # waits at least the first one's injected 0.2 s evaluation delay.
+        documents = [_doc(), _doc(workload={"batch_size": 16})]
+
+        async def scenario():
+            async with PlanScheduler(chaos="slow-eval:0.2") as scheduler:
+                await asyncio.gather(
+                    *(scheduler.submit_doc(document)
+                      for document in documents))
+                return scheduler.stats()["timings"]
+
+        wait = _run(scenario())["scheduler.queue_wait_seconds"]
+        assert wait["count"] == 2
+        assert wait["max"] >= 0.2
+
+
 class TestStats:
     def test_stats_document_shape(self):
         async def scenario():
-            async with PlanScheduler(store=ResultStore(None),
-                                     batch_window=0.001) as scheduler:
+            async with PlanScheduler(store=ResultStore(None)) as scheduler:
                 await scheduler.submit_doc(_doc())
                 return scheduler.stats()
 
@@ -339,7 +349,7 @@ class TestStats:
 
     def test_store_disabled_marker(self):
         async def scenario():
-            async with PlanScheduler(batch_window=0.001) as scheduler:
+            async with PlanScheduler() as scheduler:
                 return scheduler.stats()
 
         assert _run(scenario())["store"] == {"enabled": False}
@@ -348,8 +358,6 @@ class TestStats:
 class TestConstruction:
     @pytest.mark.parametrize("kwargs", [
         {"jobs": 0},
-        {"max_batch": 0},
-        {"batch_window": -0.1},
     ])
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ValueError):
