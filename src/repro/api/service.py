@@ -337,8 +337,11 @@ class PlanService:
     def wafer_for(self, hardware: HardwareSpec) -> WaferScaleChip:
         """A healthy wafer for ``hardware``, built once per geometry + fabric.
 
-        The wafer's topology memoises the routes it answers, so every
-        scenario evaluated on the same hardware reuses them.
+        The key holds every field :meth:`HardwareSpec.resolve_config` and
+        the fabric read, so one chip serves the single-wafer, pinned-spec,
+        solver and multi-wafer paths alike (a multi-wafer system's wafers
+        are all this chip). Its topology memoises the routes it answers, so
+        every scenario evaluated on the same hardware reuses them.
         """
         topology = (json.dumps(hardware.topology, sort_keys=True)
                     if hardware.topology is not None else None)
@@ -397,8 +400,9 @@ class PlanService:
         if hardware.platform == "gpu_cluster":
             return self._evaluate_gpu(scenario)
         if hardware.num_wafers > 1:
-            return run_multiwafer_scenario(scenario,
-                                           plan_cache=self.plan_cache)
+            return run_multiwafer_scenario(
+                scenario, plan_cache=self.plan_cache,
+                wafer=self.wafer_for(hardware))
         if hardware.has_fault_study:
             return self._evaluate_faults(scenario)
         wafer = self.wafer_for(hardware)

@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.costmodel.tables import PlanCache
 from repro.hardware.multiwafer import MultiWaferSystem
+from repro.hardware.wafer import WaferScaleChip
 from repro.parallelism.baselines import BaselineScheme, candidate_specs
 from repro.parallelism.spec import ParallelSpec
 from repro.parallelism.strategies import ExecutionPlan
@@ -82,15 +83,20 @@ def pipeline_degrees_for(
 def run_multiwafer_scenario(
     scenario: "Scenario",
     plan_cache: Optional[PlanCache] = None,
+    wafer: Optional[WaferScaleChip] = None,
 ) -> MultiWaferResult:
     """Run the multi-wafer (pipelined) search described by ``scenario``.
 
     The scenario's hardware spec supplies the wafer count and the number of
     pipeline microbatches; the solver spec supplies scheme, engine, and the
     TATP cap. ``plan_cache`` shares one memoised ``analyze_model`` across
-    evaluations (pure memoisation; results are identical with or without it).
+    evaluations, and ``wafer`` (a healthy chip of the scenario's geometry)
+    shares one topology's routing memos; both are pure memoisation, so
+    results are identical with or without them.
     """
     solver = scenario.solver
+    if wafer is None:
+        wafer = WaferScaleChip(scenario.hardware.resolve_config())
     return _search_multiwafer(
         solver.resolved_scheme(),
         solver.engine,
@@ -100,7 +106,7 @@ def run_multiwafer_scenario(
         num_microbatches=scenario.hardware.num_microbatches,
         max_tatp=solver.max_tatp,
         plan_cache=plan_cache,
-        wafer_config=scenario.hardware.resolve_config(),
+        wafer=wafer,
     )
 
 
@@ -113,7 +119,7 @@ def _search_multiwafer(
     num_microbatches: int = 16,
     max_tatp: int = 32,
     plan_cache: Optional[PlanCache] = None,
-    wafer_config=None,
+    wafer: Optional[WaferScaleChip] = None,
 ) -> MultiWaferResult:
     """Evaluate one scheme + mapping engine on a multi-wafer system.
 
@@ -129,8 +135,8 @@ def _search_multiwafer(
         raise ValueError("num_wafers must be >= 1")
     config = config or SimulatorConfig()
     plan_cache = plan_cache if plan_cache is not None else PlanCache()
-    system = MultiWaferSystem(num_wafers, wafer_config=wafer_config)
-    wafer = system.wafers[0]
+    system = MultiWaferSystem(num_wafers, wafer=wafer)
+    wafer = system.wafer
     simulator = WaferSimulator(wafer, config)
     dies_per_wafer = wafer.config.num_dies
 

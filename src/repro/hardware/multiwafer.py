@@ -5,6 +5,11 @@ wafers, and a 504B GPT-3 variant onto 6 wafers. Wafers are connected by ample
 inter-wafer links (~9 TB/s per the Dojo-style numbers cited in the paper) and
 pipeline parallelism is used across wafers while intra-wafer parallelism uses
 the strategies explored by the solver.
+
+The wafers of a chain are identical, so a :class:`MultiWaferSystem` holds one
+:class:`~repro.hardware.wafer.WaferScaleChip` for all of them; a caller can
+pass in a chip it already has, whose topology then keeps routing memos warm
+across systems and single-wafer evaluations alike.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.hardware.config import WaferConfig, default_wafer_config
 from repro.hardware.wafer import WaferScaleChip
 
 
@@ -42,21 +46,21 @@ class MultiWaferSystem:
 
     Args:
         num_wafers: number of wafers in the system.
-        wafer_config: configuration shared by every wafer.
+        wafer: the chip every wafer of the chain is (its configuration is
+            shared by every wafer); a healthy default wafer when omitted.
     """
 
     def __init__(
         self,
         num_wafers: int,
-        wafer_config: Optional[WaferConfig] = None,
+        wafer: Optional[WaferScaleChip] = None,
     ) -> None:
         if num_wafers <= 0:
             raise ValueError(f"num_wafers must be positive, got {num_wafers}")
         self.num_wafers = num_wafers
-        self.wafer_config = wafer_config or default_wafer_config()
-        self.wafers: List[WaferScaleChip] = [
-            WaferScaleChip(self.wafer_config) for _ in range(num_wafers)
-        ]
+        self.wafer = wafer if wafer is not None else WaferScaleChip()
+        self.wafer_config = self.wafer.config
+        self.wafers: List[WaferScaleChip] = [self.wafer] * num_wafers
         self.links: List[InterWaferLink] = [
             InterWaferLink(
                 src_wafer=index,

@@ -22,8 +22,10 @@ The base class owns everything that follows from the link set alone:
 * near-square partitioning into die groups,
 * the routing memo: a fabric's links and health are frozen at
   construction, so every family memoises the route paths, ring orderings,
-  and ring hop factors the mapping layer asks for
-  (:mod:`repro.mapping.routing`, :mod:`repro.mapping.collectives`).
+  ring hop factors, and whole-task link incidences the mapping layer asks
+  for (:mod:`repro.mapping.routing`, :mod:`repro.mapping.collectives`);
+  links are numbered in canonical order (:attr:`Topology.link_ids`) so an
+  incidence can be an integer array.
 
 Families implement :meth:`Topology._link_specs` (and usually override
 :meth:`hop_distance`/:meth:`collective_hop_factor` with cheaper analytic
@@ -129,6 +131,10 @@ class Topology:
             self._failed_links.add((src, dst))
             self._failed_links.add((dst, src))
         self._links = self._build_links()
+        #: Index of each healthy link in canonical order, and the inverse.
+        self.link_keys: List[Tuple[int, int]] = list(self._links)
+        self.link_ids: Dict[Tuple[int, int], int] = {
+            key: index for index, key in enumerate(self.link_keys)}
         self._adjacency = self._build_adjacency()
         self._hop_memo: Dict[int, Dict[int, int]] = {}
         self._cost_memo: Dict[int, Dict[int, float]] = {}
@@ -136,10 +142,12 @@ class Topology:
         # state never change after construction, so these are pure
         # functions of their keys: route paths by (src, dst, prefer_yx),
         # ring orderings by die group, ring hop factors by (ordering,
-        # closed).
+        # closed), and task link incidences by (collective shape, die
+        # groups, prefer_yx, reorder_groups).
         self.path_memo: Dict[Tuple[int, int, bool], Tuple[Link, ...]] = {}
         self.ring_memo: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], bool]] = {}
         self.ring_hop_memo: Dict[Tuple[Tuple[int, ...], bool], int] = {}
+        self.incidence_memo: Dict[Tuple, object] = {}
 
     # Construction helpers ---------------------------------------------------
 

@@ -3,9 +3,10 @@
 * :mod:`repro.mapping.routing` — flow objects and path computation on the mesh.
 * :mod:`repro.mapping.collectives` — expanding a communication task over a
   concrete die group into link-level flows (ring collectives, P2P chains,
-  TATP neighbour streams).
-* :mod:`repro.mapping.contention` — link-load accounting and bottleneck
-  identification.
+  TATP neighbour streams), memoised per topology as the task's link
+  incidence.
+* :mod:`repro.mapping.contention` — link-load accounting (from flows, or as
+  arrays from link incidences) and bottleneck identification.
 * :mod:`repro.mapping.engines` — the three mapping engines of the evaluation:
   SMap (fixed-order sequential mapper), GMap (Gemini-style mapper with
   variable ordering but no contention awareness), and TCME (the paper's

@@ -9,24 +9,129 @@ concrete die groups:
   :meth:`Topology.contiguous_ring`), every flow is one hop; otherwise the
   flows follow multi-hop routes and the hop factor records the tail-latency
   penalty.
+* **P2P** — a single flow between the two members.
+* **TATP streams** — bidirectional neighbour flows along the group's chain
+  ordering (Algorithm 1 only ever sends one hop along the chain).
 
 Hop factors are measured with :meth:`Topology.hop_cost` — the fabric's
 weighted hop model — so a chain step crossing, say, a vertical TSV or a
 chiplet backbone wire is charged its latency factor. On the default mesh
 ``hop_cost`` equals the Manhattan hop distance, keeping the seed behaviour
 bit-identical.
-* **P2P** — a single flow between the two members.
-* **TATP streams** — bidirectional neighbour flows along the group's chain
-  ordering (Algorithm 1 only ever sends one hop along the chain).
+
+Routes depend on a task's collective shape (the four ring collectives share
+one), its die groups and the routing options, never on its bytes. So
+:func:`expand_task` memoises one :class:`TaskIncidence` per such key on the
+topology: the routes, the hop factor, and the distinct links the routes
+traverse (first-touch order) with their multiplicities, from which
+:func:`~repro.mapping.contention.incidence_link_loads` accumulates link loads
+as arrays. The flows it returns are a :class:`TaskFlows` view that builds
+:class:`~repro.mapping.routing.Flow` objects only when iterated.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
-from repro.hardware.topologies import Topology
+import numpy as np
+
+from repro.hardware.topologies import Link, Topology
 from repro.mapping.routing import Flow, route_flow
 from repro.parallelism.comm import CollectiveType, CommTask
+
+#: One routed flow of an incidence: (src, dst, path).
+Route = Tuple[int, int, Tuple[Link, ...]]
+
+
+@dataclass(frozen=True)
+class TaskIncidence:
+    """What a task shape over its die groups puts on the fabric.
+
+    Attributes:
+        routes: ``(src, dst, path)`` of every flow, in expansion order.
+        hop_factor: worst hop factor over the groups (0 without flows).
+        links: ids (:attr:`Topology.link_ids`) of the distinct links the
+            routes traverse, in first-touch order.
+        counts: how many times the routes traverse each of ``links``.
+        layers: read-only arrays ``links[counts > k]`` for every
+            ``k < max(counts)``: the links that receive a task's bytes a
+            ``k + 1``-th time.
+    """
+
+    routes: Tuple[Route, ...]
+    hop_factor: int
+    links: Tuple[int, ...]
+    counts: Tuple[int, ...]
+    layers: Tuple[np.ndarray, ...]
+
+    @classmethod
+    def from_flows(cls, flows: Sequence[Flow], hop_factor: int,
+                   topology: Topology) -> "TaskIncidence":
+        """The incidence of routed ``flows`` on ``topology``."""
+        touches: Dict[int, int] = {}
+        for flow in flows:
+            for link in flow.path:
+                index = topology.link_ids[(link.src, link.dst)]
+                touches[index] = touches.get(index, 0) + 1
+        links = np.array(list(touches), dtype=np.intp)
+        counts = np.array(list(touches.values()), dtype=np.intp)
+        layers = tuple(links[counts > k]
+                       for k in range(int(counts.max(initial=0))))
+        for layer in layers:
+            layer.flags.writeable = False
+        return cls(
+            routes=tuple((flow.src, flow.dst, tuple(flow.path))
+                         for flow in flows),
+            hop_factor=hop_factor,
+            links=tuple(touches),
+            counts=tuple(touches.values()),
+            layers=layers,
+        )
+
+
+class TaskFlows(Sequence[Flow]):
+    """The flows of one task, built from its memoised incidence on access.
+
+    ``len()`` is free; every access builds fresh :class:`Flow` objects with
+    their own path lists, so callers may mutate them.
+    """
+
+    __slots__ = ("task", "incidence")
+
+    def __init__(self, task: CommTask, incidence: TaskIncidence) -> None:
+        self.task = task
+        self.incidence = incidence
+
+    def __len__(self) -> int:
+        return len(self.incidence.routes)
+
+    def __getitem__(self, index: Union[int, slice]):
+        if isinstance(index, slice):
+            return [self._flow(route) for route in self.incidence.routes[index]]
+        return self._flow(self.incidence.routes[index])
+
+    def __iter__(self) -> Iterator[Flow]:
+        return map(self._flow, self.incidence.routes)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (TaskFlows, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def _flow(self, route: Route) -> Flow:
+        src, dst, path = route
+        task = self.task
+        return Flow(
+            src=src,
+            dst=dst,
+            num_bytes=task.bytes_per_device,
+            count=task.count,
+            task_label=task.label,
+            dimension=task.dimension,
+            path=list(path),
+            critical=not task.overlappable,
+        )
 
 
 def order_group_for_ring(
@@ -89,7 +194,7 @@ def expand_task(
     topology: Topology,
     prefer_yx: bool = False,
     reorder_groups: bool = True,
-) -> Tuple[List[Flow], int]:
+) -> Tuple[Sequence[Flow], int]:
     """Expand ``task`` over its die groups into routed flows.
 
     Args:
@@ -104,12 +209,38 @@ def expand_task(
             do; the naive SMap keeps the logical order it was given).
 
     Returns:
-        ``(flows, hop_factor)`` where ``hop_factor`` is the worst physical hop
-        distance any logical step of the task incurs across all groups (1 for
-        perfectly contiguous mappings; >1 signals tail latency).
+        ``(flows, hop_factor)`` where ``flows`` is a :class:`TaskFlows` view
+        (``[]`` for a trivial task) and ``hop_factor`` is the worst physical
+        hop distance any logical step of the task incurs across all groups
+        (1 for perfectly contiguous mappings; >1 signals tail latency). The
+        routes are memoised on ``topology`` per (collective shape, groups,
+        ``prefer_yx``, ``reorder_groups``).
     """
     if task.is_trivial:
         return [], 0
+    key = (_SHAPES.get(task.kind, "ring"), tuple(map(tuple, groups)),
+           prefer_yx, reorder_groups)
+    incidence = topology.incidence_memo.get(key)
+    if incidence is None:
+        flows, hop_factor = _expand_groups(
+            task, groups, topology, prefer_yx, reorder_groups)
+        incidence = TaskIncidence.from_flows(flows, hop_factor, topology)
+        topology.incidence_memo[key] = incidence
+    return TaskFlows(task, incidence), incidence.hop_factor
+
+
+#: Collective shape of the memo key; every other kind routes as a ring.
+_SHAPES = {CollectiveType.P2P: "p2p", CollectiveType.STREAM: "stream"}
+
+
+def _expand_groups(
+    task: CommTask,
+    groups: Sequence[Sequence[int]],
+    topology: Topology,
+    prefer_yx: bool,
+    reorder_groups: bool,
+) -> Tuple[List[Flow], int]:
+    """Route ``task`` over every group: the flows and the worst hop factor."""
     flows: List[Flow] = []
     worst_hop = 0
     for group in groups:

@@ -4,15 +4,31 @@ The contention model the simulator uses is load-based: every flow deposits its
 per-step bytes on each link of its path; the busiest link bounds how fast the
 communication phase can drain. The traffic-conscious optimizer's goal is to
 minimise that maximum link load (Fig. 11's ``MaxLoadLink``).
+
+Loads are built two ways that give bit-identical maps:
+
+* :meth:`LinkLoadMap.from_flows` walks flow objects link by link. It is the
+  reference, and it prices the flows TCME's optimizer rewrote.
+* :func:`incidence_link_loads` accumulates each task's memoised link
+  incidence (:class:`~repro.mapping.collectives.TaskIncidence`) into arrays.
+  It replays the reference's additions per link in the same order, and
+  emits the keys in the same first-touch order, which fixes the summation
+  order of :meth:`LinkLoadMap.total_bytes` and :meth:`LinkLoadMap.mean_load`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.hardware.topologies import Link, MeshTopology
 from repro.mapping.routing import Flow
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.mapping.collectives import TaskFlows
 
 LinkKey = Tuple[int, int]
 
@@ -89,6 +105,50 @@ class LinkLoadMap:
         if total_capacity <= 0:
             return 0.0
         return min(1.0, self.total_bytes() / total_capacity)
+
+
+def incidence_link_loads(
+    task_flows: Iterable["TaskFlows"], link_keys: Sequence[LinkKey]
+) -> Tuple[LinkLoadMap, LinkLoadMap]:
+    """All and critical-only link loads of tasks, from their incidences.
+
+    Args:
+        task_flows: each task's expanded flows, in task order.
+        link_keys: ``(src, dst)`` of every link id (:attr:`Topology.link_keys`).
+
+    Returns:
+        ``(loads, critical_loads)``, equal (values and key order) to
+        :meth:`LinkLoadMap.from_flows` over the tasks' flows without and with
+        ``critical_only``.
+    """
+    loads = np.zeros(len(link_keys))
+    critical_loads = np.zeros(len(link_keys))
+    touched: List[Sequence[int]] = []
+    critical_touched: List[Sequence[int]] = []
+    for flows in task_flows:
+        task, incidence = flows.task, flows.incidence
+        traversal_bytes = task.bytes_per_device * task.count  # a flow's total
+        targets = [loads]
+        touched.append(incidence.links)
+        if not task.overlappable:
+            targets.append(critical_loads)
+            critical_touched.append(incidence.links)
+        # A link traversed m times receives the bytes m times in a row, as
+        # the reference adds them flow by flow; ``+= m * bytes`` would round
+        # differently.
+        for target in targets:
+            for layer in incidence.layers:
+                target[layer] += traversal_bytes
+    return (_first_touch_map(loads, touched, link_keys),
+            _first_touch_map(critical_loads, critical_touched, link_keys))
+
+
+def _first_touch_map(loads: np.ndarray, touched: List[Sequence[int]],
+                     link_keys: Sequence[LinkKey]) -> LinkLoadMap:
+    """The loads of every touched link, keyed in first-touch order."""
+    order = list(dict.fromkeys(chain.from_iterable(touched)))
+    return LinkLoadMap(loads=dict(zip([link_keys[i] for i in order],
+                                      loads[order].tolist())))
 
 
 def flows_through(flows: Sequence[Flow], link: LinkKey) -> List[Flow]:

@@ -9,6 +9,14 @@ and a :class:`~repro.hardware.wafer.WaferScaleChip` and decides
 producing a :class:`MappingResult` with routed flows, per-task hop factors,
 and link-load statistics the simulator turns into time.
 
+Mapping is array-native: each task's routes come from the link incidence
+memoised on the topology (:func:`~repro.mapping.collectives.expand_task`),
+and link loads are accumulated from those incidences
+(:func:`~repro.mapping.contention.incidence_link_loads`). ``Flow`` objects are
+built only where something reads them: TCME builds the winning layout's
+flows for its optimizer, and :attr:`MappingResult.flows` /
+:attr:`TaskRouting.flows` build them on access.
+
 The three engines reproduce the evaluation's mapper axis:
 
 * **SMap** — fixed dimension nesting order and naive row-major die ordering;
@@ -25,13 +33,13 @@ The three engines reproduce the evaluation's mapper axis:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.hardware.topologies import MeshTopology
+from repro.hardware.topologies import MeshTopology, Topology
 from repro.hardware.wafer import WaferScaleChip
 from repro.mapping.collectives import expand_task
-from repro.mapping.contention import LinkLoadMap
+from repro.mapping.contention import LinkLoadMap, incidence_link_loads
 from repro.mapping.optimizer import OptimizationReport, TrafficOptimizer
 from repro.mapping.routing import Flow
 from repro.parallelism.comm import CommTask
@@ -48,7 +56,9 @@ class TaskRouting:
 
     task: CommTask
     hop_factor: int
-    flows: List[Flow] = field(default_factory=list)
+    #: The task's flows; a lazy :class:`~repro.mapping.collectives.TaskFlows`
+    #: view when the task was expanded.
+    flows: Sequence[Flow] = field(default_factory=list)
 
     @property
     def total_bytes(self) -> float:
@@ -66,10 +76,20 @@ class MappingResult:
     dimension_order: Tuple[str, ...]
     groups: Dict[str, List[List[int]]]
     task_routings: List[TaskRouting]
-    flows: List[Flow]
     link_loads: LinkLoadMap
     critical_link_loads: LinkLoadMap
     optimization: Optional[OptimizationReport] = None
+    #: TCME's flows as its optimizer rewrote them (``None`` for the others).
+    optimized_flows: Optional[List[Flow]] = None
+
+    @property
+    def flows(self) -> List[Flow]:
+        """Every routed flow: the optimizer's rewrite when there is one,
+        else each task's flows in task order (built on access)."""
+        if self.optimized_flows is not None:
+            return self.optimized_flows
+        return [flow for routing in self.task_routings
+                for flow in routing.flows]
 
     def hop_factor_for(self, task: CommTask) -> int:
         """Worst physical hops per logical step of ``task`` (>= 1)."""
@@ -112,12 +132,7 @@ class MappingEngine:
         """Map ``plan`` onto ``wafer`` and route its communication."""
         dies = self._die_ordering(wafer, plan)
         order = self._dimension_order(plan, wafer)
-        result = self._map_with(plan, wafer, dies, order)
-        flows, optimization = self._post_process(result.flows, wafer.topology)
-        if flows is not result.flows:
-            result = self._rebuild_with_flows(result, flows)
-        result.optimization = optimization
-        return result
+        return self._map_with(plan, wafer, dies, order)
 
     def _map_with(
         self,
@@ -130,7 +145,11 @@ class MappingEngine:
         intra_spec = plan.spec.without_pipeline()
         stage_dies = list(dies)[: intra_spec.intra_stage_degree]
         groups = build_parallel_groups(intra_spec, stage_dies, order=order)
-        task_routings, flows = self._route_tasks(plan, groups, wafer.topology)
+        topology = wafer.topology
+        task_routings = self._route_tasks(plan, groups, topology)
+        link_loads, critical_link_loads = incidence_link_loads(
+            (routing.flows for routing in task_routings if routing.flows),
+            topology.link_keys)
         return MappingResult(
             engine=self.name,
             plan=plan,
@@ -138,28 +157,8 @@ class MappingEngine:
             dimension_order=tuple(order),
             groups=groups,
             task_routings=task_routings,
-            flows=flows,
-            link_loads=LinkLoadMap.from_flows(flows),
-            critical_link_loads=LinkLoadMap.from_flows(flows, critical_only=True),
-            optimization=None,
-        )
-
-    @staticmethod
-    def _rebuild_with_flows(
-        result: MappingResult, flows: List[Flow]
-    ) -> MappingResult:
-        """Return a copy of ``result`` with rewritten (e.g. rerouted) flows."""
-        return MappingResult(
-            engine=result.engine,
-            plan=result.plan,
-            dies=result.dies,
-            dimension_order=result.dimension_order,
-            groups=result.groups,
-            task_routings=result.task_routings,
-            flows=flows,
-            link_loads=LinkLoadMap.from_flows(flows),
-            critical_link_loads=LinkLoadMap.from_flows(flows, critical_only=True),
-            optimization=result.optimization,
+            link_loads=link_loads,
+            critical_link_loads=critical_link_loads,
         )
 
     # Hooks the engines specialise ------------------------------------------------
@@ -174,22 +173,15 @@ class MappingEngine:
         """Nesting order of parallel dimensions (outermost first)."""
         return DEFAULT_DIMENSION_ORDER
 
-    def _post_process(
-        self, flows: List[Flow], topology: MeshTopology
-    ) -> Tuple[List[Flow], Optional[OptimizationReport]]:
-        """Optionally rewrite the routed flows (TCME's optimizer)."""
-        return flows, None
-
     # Shared helpers ----------------------------------------------------------------
 
     def _route_tasks(
         self,
         plan: ExecutionPlan,
         groups: Dict[str, List[List[int]]],
-        topology: MeshTopology,
-    ) -> Tuple[List[TaskRouting], List[Flow]]:
+        topology: Topology,
+    ) -> List[TaskRouting]:
         routings: List[TaskRouting] = []
-        all_flows: List[Flow] = []
         for task in plan.all_tasks:
             task_groups = self._groups_for_task(task, groups, plan)
             flows, hop_factor = expand_task(
@@ -197,8 +189,7 @@ class MappingEngine:
                 reorder_groups=self.reorder_groups)
             routings.append(TaskRouting(task=task, hop_factor=hop_factor,
                                         flows=flows))
-            all_flows.extend(flows)
-        return routings, all_flows
+        return routings
 
     @staticmethod
     def _groups_for_task(
@@ -296,6 +287,8 @@ class TCMEEngine(MappingEngine):
     orderings crossed with traffic-sorted dimension nestings), keeps the one
     with the lowest tail-latency hop factor and bottleneck link load, and then
     runs the five-phase traffic-conscious optimizer on the winner's flows.
+    Layouts are ranked from their array link loads; only the winner's flows
+    are built, and its loads are re-priced from the optimizer's flows.
     """
 
     name = "tcme"
@@ -317,9 +310,14 @@ class TCMEEngine(MappingEngine):
         optimizer = TrafficOptimizer(wafer.topology,
                                      max_iterations=self.max_iterations)
         flows, report = optimizer.optimize(best.flows)
-        best = self._rebuild_with_flows(best, flows)
-        best.optimization = report
-        return best
+        return replace(
+            best,
+            link_loads=LinkLoadMap.from_flows(flows),
+            critical_link_loads=LinkLoadMap.from_flows(flows,
+                                                       critical_only=True),
+            optimization=report,
+            optimized_flows=flows,
+        )
 
     def _candidate_layouts(
         self, plan: ExecutionPlan, wafer: WaferScaleChip

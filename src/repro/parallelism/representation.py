@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.parallelism.spec import ParallelSpec
 from repro.parallelism.tatp import bidirectional_schedule
 
@@ -116,26 +118,19 @@ def build_parallel_groups(
         raise ValueError(
             f"spec {spec.label()} needs {total} dies, got {len(dies)}")
 
-    # index_of[die position] -> per-dimension coordinates, innermost fastest.
+    # Position p has coordinate (p // stride) % degree along each dimension,
+    # innermost fastest: the die list is a C-order grid over the degrees.
+    # A dimension's groups share every other coordinate: viewed as
+    # (outer, degree, inner), each (outer, inner) pair is one group, in
+    # position order.
+    grid = np.asarray(dies)
     groups: Dict[str, List[List[int]]] = {name: [] for name, _ in degrees}
-    strides: Dict[str, int] = {}
-    stride = 1
-    for name, degree in reversed(degrees):
-        strides[name] = stride
-        stride *= degree
-
+    inner = total
     for name, degree in degrees:
-        if degree == 1:
-            continue
-        group_map: Dict[Tuple, List[int]] = {}
-        for position, die in enumerate(dies):
-            key = []
-            for other_name, other_degree in degrees:
-                if other_name == name or other_degree == 1:
-                    continue
-                key.append((position // strides[other_name]) % other_degree)
-            group_map.setdefault(tuple(key), []).append(die)
-        groups[name] = list(group_map.values())
+        inner //= degree
+        if degree > 1:
+            groups[name] = grid.reshape(-1, degree, inner).swapaxes(
+                1, 2).reshape(-1, degree).tolist()
     return groups
 
 

@@ -513,6 +513,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
+    import signal
 
     from repro.server.faults import FaultInjector, FaultSpecError
     from repro.server.http import PlanServer
@@ -545,6 +546,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               f"(jobs={args.jobs}, store={store_note}"
               f"{chaos_note})",
               flush=True)
+        # SIGTERM (``kill``) stops the server the way Ctrl-C does: both
+        # cancel this task. A second SIGTERM takes the default action.
+        loop = asyncio.get_running_loop()
+        task = asyncio.current_task()
+
+        def _terminate() -> None:
+            loop.remove_signal_handler(signal.SIGTERM)
+            task.cancel()
+
+        loop.add_signal_handler(signal.SIGTERM, _terminate)
         try:
             await server.serve_forever()
         except asyncio.CancelledError:
@@ -556,7 +567,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         asyncio.run(_serve())
     except KeyboardInterrupt:
-        print("plan server stopped", file=sys.stderr)
+        pass
     except ValueError as error:  # bad scheduler knobs (deadline, max-queue)
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -564,6 +575,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"error: cannot serve on {args.host}:{args.port}: {error}",
               file=sys.stderr)
         return 2
+    print("plan server stopped", file=sys.stderr)
     return 0
 
 

@@ -121,6 +121,45 @@ class TestDispatch:
         warm = service.evaluate(scenario)
         assert cold == warm
 
+    def test_shared_wafer_leaks_no_state(self):
+        # Single- and multi-wafer scenarios of one geometry map on one
+        # chip (a multi-wafer system's wafers are all that chip), so their
+        # routing memos interleave; no payload may depend on what ran first.
+        workload = WorkloadSpec(model="gpt3-6.7b", num_layers=8,
+                                batch_size=32, seq_length=1024)
+
+        def multi(num_wafers, scheme, engine):
+            return Scenario(
+                workload=workload,
+                hardware=HardwareSpec(num_wafers=num_wafers,
+                                      num_microbatches=8),
+                solver=SolverSpec(scheme=scheme, engine=engine))
+
+        scenarios = [
+            multi(2, "temp", "tcme"),
+            Scenario(workload=workload,
+                     solver=SolverSpec(scheme="temp", engine="tcme")),
+            multi(4, "fsdp", "smap"),
+            Scenario(workload=workload,
+                     solver=SolverSpec(scheme="mesp", engine="gmap")),
+            multi(6, "mesp", "gmap"),
+            Scenario(workload=workload,
+                     solver=SolverSpec(fixed_spec={"dp": 4, "tatp": 8})),
+            multi(2, "megatron1", "gmap"),
+            Scenario(workload=workload,
+                     solver=SolverSpec(scheme="fsdp", engine="smap")),
+        ]
+        service = PlanService()
+        memo = service.wafer_for(HardwareSpec()).topology.incidence_memo
+        for scenario in scenarios:
+            shared = service.evaluate(scenario).to_dict()
+            assert shared == PlanService().evaluate(scenario).to_dict()
+            assert service.stats()["wafers_cached"] == 1
+            # The first scenario, a multi-wafer search, mapped on the chip.
+            assert memo
+        assert {scenario.hardware.num_wafers for scenario in scenarios} \
+            == {1, 2, 4, 6}
+
 
 class TestPlanResult:
     def test_to_dict_is_json_safe_and_validates(self):

@@ -9,7 +9,8 @@ topology zoo and pins the structural contracts the mapping layer leans on:
   consecutive (and wrap-around) pair fabric-adjacent;
 * the routing memo every topology carries is invisible: a topology that
   has answered a query answers it again exactly like a freshly built twin,
-  even after the caller mutated the lists it got back;
+  even after the caller mutated the lists it got back (task link
+  incidences included);
 * ``HardwareSpec.topology`` survives document round-trips losslessly;
 * ``cache_key()`` distinguishes scenarios iff the topology name/params
   differ.
@@ -19,13 +20,19 @@ The suite stays pure topology/document work — no plan evaluation.
 
 import dataclasses
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api.scenario import HardwareSpec, Scenario
 from repro.hardware.topologies import build_topology, topology_names
-from repro.mapping.collectives import order_group_for_ring, ring_hop_factor
+from repro.mapping.collectives import (
+    expand_task,
+    order_group_for_ring,
+    ring_hop_factor,
+)
 from repro.mapping.routing import route_flow
+from repro.parallelism.comm import CollectiveType, CommTask
 
 FAST = settings(max_examples=50, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -159,6 +166,12 @@ def memo_queries(draw):
         "src": draw(dies),
         "dst": draw(dies),
         "group": draw(st.lists(dies, min_size=1, max_size=6, unique=True)),
+        "groups": draw(st.lists(st.lists(dies, min_size=1, max_size=6,
+                                         unique=True),
+                                min_size=1, max_size=3)),
+        "kind": draw(st.sampled_from(list(CollectiveType))),
+        "prefer_yx": draw(st.booleans()),
+        "reorder_groups": draw(st.booleans()),
     }
 
 
@@ -193,6 +206,41 @@ class TestRoutingMemo:
         for closed in (False, True):
             assert ring_hop_factor(warm, expected[0], closed) \
                 == ring_hop_factor(fresh, expected[0], closed)
+
+    @FAST
+    @given(query=memo_queries())
+    def test_memoised_incidence_matches_a_fresh_twin(self, query):
+        warm, fresh = query["build"](), query["build"]()
+        task = CommTask(query["kind"], group_size=2, bytes_per_device=3.0,
+                        count=2.0, label="task", dimension="tp")
+
+        def expand(topology):
+            return expand_task(task, query["groups"], topology,
+                               prefer_yx=query["prefer_yx"],
+                               reorder_groups=query["reorder_groups"])
+
+        # Fill the warm memo, then scribble over everything handed back:
+        # every flow's path, and the incidence's layer arrays (read-only).
+        flows, _ = expand(warm)
+        for flow in flows:
+            flow.path.append(None)
+            flow.path.reverse()
+        incidence = flows.incidence
+        for layer in incidence.layers:
+            with pytest.raises(ValueError):
+                layer[0] = -1
+
+        (warm_flows, warm_hops), (fresh_flows, fresh_hops) = \
+            expand(warm), expand(fresh)
+        assert warm_flows.incidence is incidence
+        assert warm_hops == fresh_hops
+        assert list(warm_flows) == list(fresh_flows)
+        fresh_incidence = fresh_flows.incidence
+        assert incidence.routes == fresh_incidence.routes
+        assert incidence.links == fresh_incidence.links
+        assert incidence.counts == fresh_incidence.counts
+        assert [layer.tolist() for layer in incidence.layers] \
+            == [layer.tolist() for layer in fresh_incidence.layers]
 
 
 def topology_specs() -> st.SearchStrategy:
