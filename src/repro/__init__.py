@@ -6,7 +6,8 @@ Public API overview
 
 Hardware substrate
     :class:`repro.hardware.WaferScaleChip`, :class:`repro.hardware.WaferConfig`,
-    :class:`repro.hardware.MultiWaferSystem`, :class:`repro.hardware.GPUCluster`,
+    :class:`repro.hardware.MultiWaferSystem`,
+    :class:`repro.hardware.GPUClusterConfig` (the Fig. 15 comparator),
     :class:`repro.hardware.FaultModel`.
 
 Workloads

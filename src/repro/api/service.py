@@ -5,7 +5,10 @@ paths: it owns the shared :class:`~repro.costmodel.tables.PlanCache`, caches
 resolved wafers per hardware spec, and dispatches a
 :class:`~repro.api.scenario.Scenario` to the single-wafer search, the
 pinned-spec simulation, the multi-wafer (pipelined) search, the
-fault-tolerance evaluation, or the GPU comparator cluster.
+fault-tolerance evaluation, or the GPU comparator cluster. It hands each
+wafer search its plan cache, cached chip and simulator config, and every
+search, the GPU comparator included, picks its answer with
+:func:`~repro.solver.search_space.select_fastest`.
 
 ``evaluate`` returns a :class:`PlanResult` — a flat, JSON-serializable record
 with one stable schema across all paths (fields a path does not produce hold
@@ -33,7 +36,7 @@ from repro.core.framework import (
 )
 from repro.core.multiwafer import MultiWaferResult, run_multiwafer_scenario
 from repro.costmodel.tables import PlanCache
-from repro.hardware.gpu_cluster import GPUCluster
+from repro.hardware.config import GPUClusterConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import span, tracing_enabled
 from repro.hardware.wafer import WaferScaleChip
@@ -45,6 +48,7 @@ from repro.solver.dlws import (
     SolverResult,
 )
 from repro.solver.genetic import GeneticConfig
+from repro.solver.search_space import plan_for, select_fastest
 
 _GB = 1024 ** 3
 
@@ -399,20 +403,16 @@ class PlanService:
         hardware = scenario.hardware
         if hardware.platform == "gpu_cluster":
             return self._evaluate_gpu(scenario)
-        if hardware.num_wafers > 1:
-            return run_multiwafer_scenario(
-                scenario, plan_cache=self.plan_cache,
-                wafer=self.wafer_for(hardware))
         if hardware.has_fault_study:
             return self._evaluate_faults(scenario)
-        wafer = self.wafer_for(hardware)
-        config = hardware.resolve_simulator()
-        if scenario.solver.fixed_spec is not None:
-            return simulate_fixed_spec(
-                scenario, plan_cache=self.plan_cache, wafer=wafer,
-                config=config)
-        return run_baseline_scenario(
-            scenario, plan_cache=self.plan_cache, wafer=wafer, config=config)
+        if hardware.num_wafers > 1:
+            search = run_multiwafer_scenario
+        elif scenario.solver.fixed_spec is not None:
+            search = simulate_fixed_spec
+        else:
+            search = run_baseline_scenario
+        return search(scenario, self.plan_cache, self.wafer_for(hardware),
+                      hardware.resolve_simulator())
 
     def solve(self, scenario: Scenario) -> SolverOutcome:
         """Run the dual-level solver on ``scenario`` (flat outcome)."""
@@ -443,6 +443,7 @@ class PlanService:
             scheme=solver_spec.resolved_scheme(),
             max_tatp=solver_spec.max_tatp,
             pipeline_degrees=solver_spec.pipeline_degrees,
+            max_candidates=solver_spec.max_candidates,
         )
 
     # Dispatch targets -------------------------------------------------------------
@@ -465,39 +466,34 @@ class PlanService:
         )
 
     def _evaluate_gpu(self, scenario: Scenario) -> PlanResult:
-        """GPU comparator path: best non-OOM configuration on the cluster."""
+        """GPU comparator path: the fastest configuration that fits.
+
+        Candidates and selection follow the wafer search: each candidate
+        runs its checkpointed plan when only that fits in device memory,
+        and only candidates that fit are simulated. The cluster reports no
+        OOM configuration, so when none fits the step time is infinite.
+        """
         model = scenario.workload.resolve()
         solver = scenario.solver
         scheme = solver.resolved_scheme()
-        cluster = GPUCluster()
+        cluster = GPUClusterConfig()
         simulator = GPUClusterSimulator(
             cluster, scenario.hardware.resolve_simulator())
-        num_devices = cluster.num_devices
+        capacity = cluster.device.memory_capacity
         specs = candidate_specs(
-            scheme, num_devices, max_tp=scheme_max_tp(scheme, model),
+            scheme, cluster.num_devices, max_tp=scheme_max_tp(scheme, model),
             max_tatp=solver.max_tatp)
-        best_time = float("inf")
-        best_throughput = 0.0
-        for spec in specs:
-            plan = self.plan_cache.analyze(model, spec,
-                                           num_devices=num_devices)
-            report = simulator.simulate(plan)
-            if report.oom:
-                checkpointed = self.plan_cache.analyze(
-                    model, spec, num_devices=num_devices,
-                    activation_checkpointing=True)
-                report = simulator.simulate(checkpointed)
-                if report.oom:
-                    continue
-            if report.step_time < best_time:
-                best_time = report.step_time
-                best_throughput = report.throughput
+        _, report, oom = select_fastest(
+            ((spec, plan_for(self.plan_cache, model, spec, cluster.num_devices,
+                             capacity, allow_checkpointing=True))
+             for spec in specs),
+            capacity, simulator.simulate)
         return PlanResult.from_gpu(
             model_name=model.name,
             scheme=solver.scheme,
             engine=solver.engine,
-            step_time=best_time,
-            throughput=best_throughput,
+            step_time=float("inf") if oom else report.step_time,
+            throughput=0.0 if oom else report.throughput,
             candidates_evaluated=len(specs),
         )
 

@@ -10,7 +10,9 @@ plus the inter-stage activation transfers, where ``stage_time`` is the
 single-wafer (or sub-wafer) simulation of one pipeline stage's share of the
 layers. TEMP's advantage on multi-wafer systems comes from needing a *lower*
 pipeline degree (TATP covers more parallelism inside a wafer), which shrinks
-the bubble term.
+the bubble term. :func:`run_multiwafer_scenario` keeps the fastest pipelined
+configuration with :func:`~repro.solver.search_space.select_fastest`, the
+selection routine of every search.
 """
 
 from __future__ import annotations
@@ -82,61 +84,32 @@ def pipeline_degrees_for(
 
 def run_multiwafer_scenario(
     scenario: "Scenario",
-    plan_cache: Optional[PlanCache] = None,
-    wafer: Optional[WaferScaleChip] = None,
+    plan_cache: PlanCache,
+    wafer: WaferScaleChip,
+    config: Optional[SimulatorConfig],
 ) -> MultiWaferResult:
     """Run the multi-wafer (pipelined) search described by ``scenario``.
 
     The scenario's hardware spec supplies the wafer count and the number of
     pipeline microbatches; the solver spec supplies scheme, engine, and the
-    TATP cap. ``plan_cache`` shares one memoised ``analyze_model`` across
-    evaluations, and ``wafer`` (a healthy chip of the scenario's geometry)
-    shares one topology's routing memos; both are pure memoisation, so
-    results are identical with or without them.
-    """
-    solver = scenario.solver
-    if wafer is None:
-        wafer = WaferScaleChip(scenario.hardware.resolve_config())
-    return _search_multiwafer(
-        solver.resolved_scheme(),
-        solver.engine,
-        scenario.workload.resolve(),
-        scenario.hardware.num_wafers,
-        config=scenario.hardware.resolve_simulator(),
-        num_microbatches=scenario.hardware.num_microbatches,
-        max_tatp=solver.max_tatp,
-        plan_cache=plan_cache,
-        wafer=wafer,
-    )
-
-
-def _search_multiwafer(
-    scheme: BaselineScheme,
-    engine: str,
-    model: ModelConfig,
-    num_wafers: int,
-    config: Optional[SimulatorConfig] = None,
-    num_microbatches: int = 16,
-    max_tatp: int = 32,
-    plan_cache: Optional[PlanCache] = None,
-    wafer: Optional[WaferScaleChip] = None,
-) -> MultiWaferResult:
-    """Evaluate one scheme + mapping engine on a multi-wafer system.
+    TATP cap. ``wafer`` is a healthy chip of the scenario's geometry, which
+    every wafer of the system shares, and ``config`` its simulator knobs
+    (``None`` for the defaults). ``plan_cache`` memoises ``analyze_model``.
 
     The candidates of every admissible pipeline degree are pruned together,
-    and the single-wafer search's rules pick the result: the fastest
-    configuration that fits in memory wins, and only configurations that fit
-    are mapped and simulated. When none fits, the result is flagged OOM and
-    is the configuration with the least memory pressure; when pruning leaves
-    no candidate at all, the one with the smallest memory footprint is
-    simulated and reported as the OOM result.
+    and :func:`~repro.solver.search_space.select_fastest` picks the result:
+    the fastest configuration that fits in memory wins, and only
+    configurations that fit are mapped and simulated. When none fits, the
+    result is flagged OOM and is the configuration with the least memory
+    pressure; when pruning leaves no candidate at all, the one with the
+    smallest memory footprint is simulated and reported as the OOM result.
     """
-    if num_wafers < 1:
-        raise ValueError("num_wafers must be >= 1")
-    config = config or SimulatorConfig()
-    plan_cache = plan_cache if plan_cache is not None else PlanCache()
+    solver = scenario.solver
+    scheme = solver.resolved_scheme()
+    model = scenario.workload.resolve()
+    num_wafers = scenario.hardware.num_wafers
+    num_microbatches = scenario.hardware.num_microbatches
     system = MultiWaferSystem(num_wafers, wafer=wafer)
-    wafer = system.wafer
     simulator = WaferSimulator(wafer, config)
     dies_per_wafer = wafer.config.num_dies
 
@@ -146,7 +119,7 @@ def _search_multiwafer(
     all_specs = candidate_specs(
         scheme, system.total_dies,
         max_tp=min(32, model.num_heads),
-        max_tatp=max_tatp,
+        max_tatp=solver.max_tatp,
         pipeline_degrees=degrees,
     )
     specs = prune_specs(all_specs, model, wafer.config, memory_margin=2.0,
@@ -161,9 +134,9 @@ def _search_multiwafer(
         ((spec, plan_cache.analyze(model, spec, num_devices=spec.total_degree,
                                    num_microbatches=num_microbatches))
          for spec in specs),
-        wafer.config.die,
-        lambda plan: _evaluate_plan(scheme, engine, plan, system, simulator,
-                                    num_microbatches))
+        wafer.config.die.hbm.capacity,
+        lambda plan: _evaluate_plan(scheme, solver.engine, plan, system,
+                                    simulator, num_microbatches))
     if best is None:
         raise ValueError(f"no feasible configuration found for {model.name} "
                          f"on {num_wafers} wafers")

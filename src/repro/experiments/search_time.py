@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.api.scenario import Scenario, SolverSpec, WorkloadSpec
-from repro.core.framework import downsample_specs
 from repro.costmodel.tables import CostTables
 from repro.hardware.config import default_wafer_config
 from repro.hardware.wafer import WaferScaleChip
@@ -24,7 +23,7 @@ from repro.simulation.config import SimulatorConfig
 from repro.solver.dp import optimize_segments
 from repro.solver.exhaustive import ExhaustiveSolver
 from repro.solver.genetic import GeneticConfig, GeneticRefiner
-from repro.solver.search_space import SearchSpace
+from repro.solver.search_space import SearchSpace, downsample_specs
 from repro.workloads.models import get_model
 from repro.workloads.transformer import representative_layer_graph
 

@@ -3,7 +3,9 @@
 This subpackage models the physical substrate the TEMP framework targets:
 
 * :mod:`repro.hardware.config` — dataclasses mirroring Table I of the paper
-  (die area, SRAM/HBM capacity, D2D bandwidth/latency/energy, compute power).
+  (die area, SRAM/HBM capacity, D2D bandwidth/latency/energy, compute power),
+  plus :class:`GPUClusterConfig`, the switch-based A100-class cluster of the
+  Fig. 15 comparison (timed by :mod:`repro.simulation.gpu`).
 * :mod:`repro.hardware.topologies` — the topology zoo: registered
   interconnect fabric families (the paper's 2D mesh by default, plus torus,
   stacked 3D mesh, hierarchical chiplet, express-channel mesh) sharing one
@@ -13,8 +15,6 @@ This subpackage models the physical substrate the TEMP framework targets:
   ties a configuration to a topology and exposes per-die resources.
 * :mod:`repro.hardware.multiwafer` — multi-wafer systems connected by
   inter-wafer links (used by the Fig. 19 scalability study).
-* :mod:`repro.hardware.gpu_cluster` — a switch-based GPU cluster comparator
-  (A100-class) used by the Fig. 15 comparison.
 * :mod:`repro.hardware.faults` — link/core fault injection used by the
   fault-tolerance study (Fig. 20).
 """
@@ -39,7 +39,6 @@ from repro.hardware.topologies import (
 )
 from repro.hardware.wafer import Die, WaferScaleChip
 from repro.hardware.multiwafer import MultiWaferSystem
-from repro.hardware.gpu_cluster import GPUCluster
 from repro.hardware.faults import FaultModel, FaultType
 
 __all__ = [
@@ -60,7 +59,6 @@ __all__ = [
     "Die",
     "WaferScaleChip",
     "MultiWaferSystem",
-    "GPUCluster",
     "FaultModel",
     "FaultType",
 ]

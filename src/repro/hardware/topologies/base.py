@@ -21,10 +21,12 @@ The base class owns everything that follows from the link set alone:
   Hamiltonian search) and ring hop penalties,
 * near-square partitioning into die groups,
 * the routing memo: a fabric's links and health are frozen at
-  construction, so every family memoises the route paths, ring orderings,
-  ring hop factors, and whole-task link incidences the mapping layer asks
-  for (:mod:`repro.mapping.routing`, :mod:`repro.mapping.collectives`);
-  links are numbered in canonical order (:attr:`Topology.link_ids`) so an
+  construction, so every family memoises the route paths (keyed by
+  ``(src, dst)``), ring orderings, ring hop factors, and whole-task link
+  incidences (keyed by collective shape, die groups and
+  ``reorder_groups``) the mapping layer asks for
+  (:mod:`repro.mapping.routing`, :mod:`repro.mapping.collectives`); links
+  are numbered in canonical order (:attr:`Topology.link_ids`) so an
   incidence can be an integer array.
 
 Families implement :meth:`Topology._link_specs` (and usually override
@@ -140,11 +142,11 @@ class Topology:
         self._cost_memo: Dict[int, Dict[int, float]] = {}
         # Routing memo, filled by the mapping layer. The link set and health
         # state never change after construction, so these are pure
-        # functions of their keys: route paths by (src, dst, prefer_yx),
-        # ring orderings by die group, ring hop factors by (ordering,
-        # closed), and task link incidences by (collective shape, die
-        # groups, prefer_yx, reorder_groups).
-        self.path_memo: Dict[Tuple[int, int, bool], Tuple[Link, ...]] = {}
+        # functions of their keys: route paths by (src, dst), ring
+        # orderings by die group, ring hop factors by (ordering, closed),
+        # and task link incidences by (collective shape, die groups,
+        # reorder_groups).
+        self.path_memo: Dict[Tuple[int, int], Tuple[Link, ...]] = {}
         self.ring_memo: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], bool]] = {}
         self.ring_hop_memo: Dict[Tuple[Tuple[int, ...], bool], int] = {}
         self.incidence_memo: Dict[Tuple, object] = {}

@@ -20,10 +20,11 @@ chiplet backbone wire is charged its latency factor. On the default mesh
 bit-identical.
 
 Routes depend on a task's collective shape (the four ring collectives share
-one), its die groups and the routing options, never on its bytes. So
-:func:`expand_task` memoises one :class:`TaskIncidence` per such key on the
-topology: the routes, the hop factor, and the distinct links the routes
-traverse (first-touch order) with their multiplicities, from which
+one), its die groups and whether the groups are reordered, never on its
+bytes. So :func:`expand_task` memoises one :class:`TaskIncidence` per
+``(shape, groups, reorder_groups)`` key on the topology: the routes, the hop
+factor, and the distinct links the routes traverse (first-touch order) with
+their multiplicities, from which
 :func:`~repro.mapping.contention.incidence_link_loads` accumulates link loads
 as arrays. The flows it returns are a :class:`TaskFlows` view that builds
 :class:`~repro.mapping.routing.Flow` objects only when iterated.
@@ -192,7 +193,6 @@ def expand_task(
     task: CommTask,
     groups: Sequence[Sequence[int]],
     topology: Topology,
-    prefer_yx: bool = False,
     reorder_groups: bool = True,
 ) -> Tuple[Sequence[Flow], int]:
     """Expand ``task`` over its die groups into routed flows.
@@ -202,8 +202,6 @@ def expand_task(
         groups: the concrete die groups realising the task (one entry per
             parallel group of the task's dimension).
         topology: the wafer fabric used for routing.
-        prefer_yx: route with YX instead of XY dimension order (used by the
-            optimizer to spread traffic).
         reorder_groups: whether to reorder each group into a physical ring /
             nearest-neighbour chain before expanding (topology-aware mappers
             do; the naive SMap keeps the logical order it was given).
@@ -214,16 +212,16 @@ def expand_task(
         hop distance any logical step of the task incurs across all groups
         (1 for perfectly contiguous mappings; >1 signals tail latency). The
         routes are memoised on ``topology`` per (collective shape, groups,
-        ``prefer_yx``, ``reorder_groups``).
+        ``reorder_groups``).
     """
     if task.is_trivial:
         return [], 0
     key = (_SHAPES.get(task.kind, "ring"), tuple(map(tuple, groups)),
-           prefer_yx, reorder_groups)
+           reorder_groups)
     incidence = topology.incidence_memo.get(key)
     if incidence is None:
         flows, hop_factor = _expand_groups(
-            task, groups, topology, prefer_yx, reorder_groups)
+            task, groups, topology, reorder_groups)
         incidence = TaskIncidence.from_flows(flows, hop_factor, topology)
         topology.incidence_memo[key] = incidence
     return TaskFlows(task, incidence), incidence.hop_factor
@@ -237,7 +235,6 @@ def _expand_groups(
     task: CommTask,
     groups: Sequence[Sequence[int]],
     topology: Topology,
-    prefer_yx: bool,
     reorder_groups: bool,
 ) -> Tuple[List[Flow], int]:
     """Route ``task`` over every group: the flows and the worst hop factor."""
@@ -248,13 +245,13 @@ def _expand_groups(
         if len(members) <= 1:
             continue
         if task.kind is CollectiveType.P2P:
-            group_flows, hops = _expand_p2p(task, members, topology, prefer_yx)
+            group_flows, hops = _expand_p2p(task, members, topology)
         elif task.kind is CollectiveType.STREAM:
             group_flows, hops = _expand_stream(
-                task, members, topology, prefer_yx, reorder_groups)
+                task, members, topology, reorder_groups)
         else:
             group_flows, hops = _expand_ring_collective(
-                task, members, topology, prefer_yx, reorder_groups)
+                task, members, topology, reorder_groups)
         flows.extend(group_flows)
         worst_hop = max(worst_hop, hops)
     return flows, worst_hop
@@ -264,7 +261,6 @@ def _expand_ring_collective(
     task: CommTask,
     members: Sequence[int],
     topology: Topology,
-    prefer_yx: bool,
     reorder_groups: bool = True,
 ) -> Tuple[List[Flow], int]:
     if reorder_groups:
@@ -282,7 +278,6 @@ def _expand_ring_collective(
             task_label=task.label,
             dimension=task.dimension,
             critical=not task.overlappable,
-            prefer_yx=prefer_yx,
         ))
     return flows, max(hop_factor, 1)
 
@@ -291,7 +286,6 @@ def _expand_p2p(
     task: CommTask,
     members: Sequence[int],
     topology: Topology,
-    prefer_yx: bool,
 ) -> Tuple[List[Flow], int]:
     flows: List[Flow] = []
     worst = 1
@@ -303,7 +297,6 @@ def _expand_p2p(
             task_label=task.label,
             dimension=task.dimension,
             critical=not task.overlappable,
-            prefer_yx=prefer_yx,
         )
         flows.append(flow)
         worst = max(worst, max(flow.hops, 1))
@@ -314,7 +307,6 @@ def _expand_stream(
     task: CommTask,
     members: Sequence[int],
     topology: Topology,
-    prefer_yx: bool,
     reorder_groups: bool = True,
 ) -> Tuple[List[Flow], int]:
     """TATP streaming: bidirectional flows between chain neighbours."""
@@ -337,6 +329,5 @@ def _expand_stream(
                 task_label=task.label,
                 dimension=task.dimension,
                 critical=not task.overlappable,
-                prefer_yx=prefer_yx,
             ))
     return flows, max(hop_factor, 1)

@@ -77,23 +77,21 @@ def route_flow(
     task_label: str = "",
     dimension: str = "",
     critical: bool = True,
-    prefer_yx: bool = False,
 ) -> Flow:
-    """Create a flow following the fabric's canonical (XY or YX) route.
+    """Create a flow following the fabric's canonical (XY) route.
 
     On mesh-like fabrics the canonical routes are dimension-ordered; other
     families route by deterministic BFS. Falls back to a BFS shortest path
     when the canonical route is blocked by failed links. Paths are memoised
-    on the topology; the flow gets its own copy.
+    on the topology by ``(src, dst)``; the flow gets its own copy.
     """
     path: List[Link] = []
     if src != dst:
-        key = (src, dst, prefer_yx)
+        key = (src, dst)
         cached = topology.path_memo.get(key)
         if cached is None:
             try:
-                found = (topology.yx_route(src, dst) if prefer_yx
-                         else topology.xy_route(src, dst))
+                found = topology.xy_route(src, dst)
             except KeyError:
                 found = topology.shortest_path(src, dst)
                 if found is None:

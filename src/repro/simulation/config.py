@@ -33,21 +33,15 @@ class SimulatorConfig:
         link_ramp_bytes: transfer size at which a D2D link reaches half of its
             peak bandwidth; effective bandwidth is
             ``peak * size / (size + ramp)``.
-        dram_bytes_per_flop: HBM traffic per executed FLOP beyond the
-            weight/activation working set (captures operand re-fetch for
-            operators that do not fit in SRAM).
         overlap_efficiency: fraction of overlappable communication that can
             actually hide under computation (scheduling is never perfect).
-        pipeline_microbatches: default number of microbatches for PP runs.
     """
 
     base_mfu: float = 0.75
     kernel_overhead: float = 1.5 * US
     operators_per_layer: int = 26
     link_ramp_bytes: float = 32.0 * MB
-    dram_bytes_per_flop: float = 0.0
     overlap_efficiency: float = 0.92
-    pipeline_microbatches: int = 8
 
     def __post_init__(self) -> None:
         if not 0.0 < self.base_mfu <= 1.0:
@@ -59,5 +53,3 @@ class SimulatorConfig:
         if not 0.0 < self.overlap_efficiency <= 1.0:
             raise ValueError(
                 f"overlap_efficiency must be in (0, 1], got {self.overlap_efficiency}")
-        if self.pipeline_microbatches < 1:
-            raise ValueError("pipeline_microbatches must be >= 1")

@@ -5,7 +5,8 @@ interconnect is switch-based: any logical ring is physically realisable, so
 there are no hop factors or mesh contention, and the collective times follow
 the standard ring formulas over NVLink (intra-node) or InfiniBand
 (inter-node). Compute uses the A100 peak with the same MFU assumption as the
-wafer so the comparison isolates the interconnect and parallelism effects.
+wafer so the comparison isolates the interconnect and parallelism effects,
+and OOM is the wafer's fit test against the device memory.
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.hardware.gpu_cluster import GPUCluster
+from repro.hardware.config import GPUClusterConfig
 from repro.parallelism.comm import CollectiveType, CommTask
 from repro.parallelism.strategies import ExecutionPlan
 from repro.simulation.config import SimulatorConfig
+from repro.simulation.memory import fits_in_memory
 from repro.workloads.training import MemoryFootprint
 
 
@@ -43,15 +45,15 @@ class GPUClusterSimulator:
 
     def __init__(
         self,
-        cluster: Optional[GPUCluster] = None,
+        cluster: Optional[GPUClusterConfig] = None,
         config: Optional[SimulatorConfig] = None,
     ) -> None:
-        self.cluster = cluster or GPUCluster()
+        self.cluster = cluster or GPUClusterConfig()
         self.config = config or SimulatorConfig()
 
     def simulate(self, plan: ExecutionPlan) -> GPUSimulationReport:
         """Simulate one training step of ``plan`` on the cluster."""
-        device = self.cluster.config.device
+        device = self.cluster.device
         sustained = device.peak_flops * self.config.base_mfu
         compute_time = plan.flops_per_device / sustained
 
@@ -64,7 +66,7 @@ class GPUClusterSimulator:
 
         step_time = compute_time + comm_time + exposed
         memory = plan.memory
-        oom = memory.total > device.memory_capacity
+        oom = not fits_in_memory(memory, device.memory_capacity)
         throughput = plan.model.tokens_per_batch / step_time if step_time > 0 else 0.0
         return GPUSimulationReport(
             model_name=plan.model.name,
@@ -82,14 +84,13 @@ class GPUClusterSimulator:
         if task.is_trivial:
             return 0.0
         group = task.group_size
-        per_node = self.cluster.config.gpus_per_node
-        cross_node = group > per_node
-        if cross_node:
-            bandwidth = self.cluster.config.internode_bandwidth
-            latency = self.cluster.config.internode_latency
+        cluster = self.cluster
+        if group > cluster.gpus_per_node:
+            bandwidth = cluster.internode_bandwidth
+            latency = cluster.internode_latency
         else:
-            bandwidth = self.cluster.config.device.nvlink_bandwidth
-            latency = self.cluster.config.device.nvlink_latency
+            bandwidth = cluster.device.nvlink_bandwidth
+            latency = cluster.device.nvlink_latency
         if task.kind is CollectiveType.ALL_REDUCE:
             steps = 2 * (group - 1)
         elif task.kind in (CollectiveType.ALL_GATHER, CollectiveType.REDUCE_SCATTER,

@@ -17,27 +17,20 @@ from repro.parallelism.strategies import ExecutionPlan
 from repro.workloads.training import MemoryFootprint
 
 
-def fits_in_memory(
-    footprint: MemoryFootprint, die: ComputeDieConfig, slack: float = 1.0
-) -> bool:
-    """Whether a per-die footprint fits in the die's HBM capacity.
+def fits_in_memory(footprint: MemoryFootprint, capacity: float) -> bool:
+    """Whether a per-device footprint fits in ``capacity`` bytes of memory.
 
-    Args:
-        footprint: per-die memory footprint.
-        die: die configuration (HBM capacity).
-        slack: fraction of the capacity that may be used (1.0 = all of it);
-            frameworks usually keep a small reserve for workspace buffers.
+    The one fit test of every platform: the wafer passes its die's HBM
+    capacity, the GPU cluster its device memory.
     """
-    if not 0.0 < slack <= 1.0:
-        raise ValueError(f"slack must be in (0, 1], got {slack}")
-    return footprint.total <= die.hbm.capacity * slack
+    return footprint.total <= capacity
 
 
-def memory_pressure(footprint: MemoryFootprint, die: ComputeDieConfig) -> float:
-    """Ratio of the footprint to the HBM capacity (>1 means OOM)."""
-    if die.hbm.capacity <= 0:
-        raise ValueError("die HBM capacity must be positive")
-    return footprint.total / die.hbm.capacity
+def memory_pressure(footprint: MemoryFootprint, capacity: float) -> float:
+    """Ratio of the footprint to ``capacity`` bytes (>1 means OOM)."""
+    if capacity <= 0:
+        raise ValueError("memory capacity must be positive")
+    return footprint.total / capacity
 
 
 def dram_traffic_bytes(plan: ExecutionPlan) -> float:

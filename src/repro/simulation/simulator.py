@@ -85,31 +85,10 @@ class WaferSimulator:
         self.config = config or SimulatorConfig()
 
     def simulate(
-        self,
-        plan: ExecutionPlan,
-        mapping: Optional[MappingResult] = None,
-        engine: str = "tcme",
+        self, plan: ExecutionPlan, engine: str = "tcme"
     ) -> SimulationReport:
-        """Simulate one training step of ``plan``.
-
-        Args:
-            plan: the execution plan produced by the strategy analysis.
-            mapping: an existing mapping result; when omitted the named
-                ``engine`` is run first.
-            engine: mapping engine name used when ``mapping`` is None.
-
-        Returns:
-            The :class:`SimulationReport` of the step.
-        """
-        if mapping is None:
-            mapping = get_engine(engine).map(plan, self.wafer)
-        return self._simulate_mapped(plan, mapping)
-
-    # Internals --------------------------------------------------------------------
-
-    def _simulate_mapped(
-        self, plan: ExecutionPlan, mapping: MappingResult
-    ) -> SimulationReport:
+        """Simulate one training step of ``plan``, mapped by ``engine``."""
+        mapping = get_engine(engine).map(plan, self.wafer)
         wafer_config = self.wafer.config
         die = wafer_config.die
         spec = plan.spec
@@ -168,8 +147,8 @@ class WaferSimulator:
 
         # Memory --------------------------------------------------------------------------
         footprint = plan.memory
-        oom = not fits_in_memory(footprint, die)
-        pressure = memory_pressure(footprint, die)
+        oom = not fits_in_memory(footprint, die.hbm.capacity)
+        pressure = memory_pressure(footprint, die.hbm.capacity)
 
         # Throughput and utilisation ---------------------------------------------------------
         tokens = plan.model.tokens_per_batch
@@ -210,6 +189,8 @@ class WaferSimulator:
             tatp_hop_factor=mapping.tatp_hop_factor,
             contention_factor=contention,
         )
+
+    # Internals --------------------------------------------------------------------
 
     def _slowest_die_flops(self, mapping: MappingResult) -> float:
         """Peak FLOPS of the slowest die in the mapping (fault derating)."""

@@ -4,7 +4,8 @@ The solver finds the best hybrid parallel configuration for a model on a
 wafer. It combines:
 
 * :mod:`repro.solver.search_space` — enumeration and pruning of candidate
-  :class:`~repro.parallelism.spec.ParallelSpec` configurations,
+  :class:`~repro.parallelism.spec.ParallelSpec` configurations, and the
+  selection routine every search shares (``select_fastest``),
 * :mod:`repro.solver.dp` — the first level: graph partitioning at
   residual-free boundaries followed by a dynamic program that assigns a spec
   to each operator chain segment,

@@ -2,7 +2,8 @@
 
 DLWS orchestrates the full search for one model on one wafer:
 
-1. enumerate and prune candidate configurations (:mod:`repro.solver.search_space`),
+1. enumerate and prune candidate configurations, evenly subsampled to an
+   optional cap (:mod:`repro.solver.search_space`),
 2. build the representative-layer compute graph and cut it at residual-free
    boundaries,
 3. run the dynamic program to get a strong per-operator assignment,
@@ -29,10 +30,15 @@ from repro.parallelism.baselines import BaselineScheme
 from repro.parallelism.spec import ParallelSpec
 from repro.parallelism.strategies import ExecutionPlan
 from repro.simulation.config import SimulatorConfig
+from repro.simulation.memory import fits_in_memory
 from repro.simulation.simulator import SimulationReport, WaferSimulator
 from repro.solver.dp import optimize_segments
 from repro.solver.genetic import GeneticConfig, GeneticRefiner
-from repro.solver.search_space import SearchSpace, select_fastest
+from repro.solver.search_space import (
+    SearchSpace,
+    downsample_specs,
+    select_fastest,
+)
 from repro.workloads.models import ModelConfig
 from repro.workloads.transformer import representative_layer_graph
 
@@ -84,8 +90,14 @@ class DualLevelWaferSolver:
         scheme: BaselineScheme = BaselineScheme.TEMP,
         max_tatp: int = 32,
         pipeline_degrees: Sequence[int] = (1,),
+        max_candidates: Optional[int] = None,
     ) -> SolverResult:
-        """Find the best configuration of ``model`` on this solver's wafer."""
+        """Find the best configuration of ``model`` on this solver's wafer.
+
+        ``max_candidates`` caps the pruned candidates both levels and the
+        finalist ranking consider (evenly subsampled, endpoints kept), as
+        in the single-wafer search.
+        """
         start = time.perf_counter()
         num_devices = self.wafer.num_dies
         # One plan cache per solve: pruning, finalist ranking, and finalist
@@ -103,6 +115,8 @@ class DualLevelWaferSolver:
                 self.wafer.config, plan_cache=plan_cache)
             if not candidates:
                 candidates = space.candidates()
+            if max_candidates is not None:
+                candidates = downsample_specs(candidates, max_candidates)
 
         # One set of vectorized cost tables feeds both solver levels. The
         # fabric's analytic hop model is 1 on the default mesh, higher on
@@ -137,7 +151,7 @@ class DualLevelWaferSolver:
                 ((spec, plan_cache.analyze(model, spec,
                                            num_devices=num_devices))
                  for spec in finalists),
-                self.wafer.config.die,
+                self.wafer.config.die.hbm.capacity,
                 partial(self.simulator.simulate, engine=self.mapping_engine))
 
         elapsed = time.perf_counter() - start
@@ -166,7 +180,7 @@ class DualLevelWaferSolver:
         capacity = self.wafer.config.die.hbm.capacity
         for spec in candidates:
             plan = plan_cache.analyze(model, spec, num_devices=self.wafer.num_dies)
-            fits = plan.memory.total <= capacity
+            fits = fits_in_memory(plan.memory, capacity)
             score = self._fast_score(plan)
             scored.append((not fits, score, spec))
         scored.sort(key=lambda item: (item[0], item[1]))

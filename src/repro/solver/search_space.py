@@ -9,9 +9,15 @@ manageable with structural pruning:
 * the TATP degree is capped (the paper's sweet-spot analysis bounds useful
   degrees at around 32),
 * configurations whose estimated per-die memory footprint already exceeds the
-  HBM capacity by a wide margin are dropped before simulation.
-Every search then keeps the fastest survivor that fits
-(:func:`select_fastest`).
+  HBM capacity by a wide margin are dropped before simulation,
+* an optional cap evenly subsamples the survivors (:func:`downsample_specs`).
+
+Every search of :class:`~repro.api.service.PlanService` (the single-wafer,
+pinned-spec, multi-wafer and dual-level solver paths on the wafer, and the
+GPU comparator) then makes its choice with :func:`select_fastest`, the
+fastest candidate that fits. The single-wafer, pinned-spec and GPU paths
+run each candidate's plan as :func:`plan_for` picks it: checkpointed when
+only that fits.
 """
 
 from __future__ import annotations
@@ -20,11 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.costmodel.tables import PlanCache
-from repro.hardware.config import (
-    ComputeDieConfig,
-    WaferConfig,
-    default_wafer_config,
-)
+from repro.hardware.config import WaferConfig, default_wafer_config
 from repro.parallelism.baselines import BaselineScheme, candidate_specs
 from repro.parallelism.spec import ParallelSpec
 from repro.parallelism.strategies import ExecutionPlan
@@ -126,29 +128,67 @@ def prune_specs(
     return survivors
 
 
+def downsample_specs(specs: List[ParallelSpec], limit: int) -> List[ParallelSpec]:
+    """Evenly subsample a candidate list while keeping both endpoints."""
+    if limit >= len(specs):
+        return specs
+    if limit == 1:
+        return [specs[0]]
+    # Spread limit indices over [0, len-1] inclusive; the stride is >= 1
+    # (limit < len), so the rounded indices are strictly increasing and the
+    # last one lands exactly on len(specs) - 1.
+    stride = (len(specs) - 1) / (limit - 1)
+    return [specs[min(round(index * stride), len(specs) - 1)]
+            for index in range(limit)]
+
+
+def plan_for(
+    plan_cache: PlanCache,
+    model: ModelConfig,
+    spec: ParallelSpec,
+    num_devices: int,
+    capacity: float,
+    allow_checkpointing: bool,
+) -> ExecutionPlan:
+    """The plan that runs for ``spec``: checkpointed when only that fits.
+
+    ``capacity`` is the per-device memory in bytes. Without a fit either
+    way the plain plan is returned, so the caller reports it as OOM.
+    """
+    plan = plan_cache.analyze(model, spec, num_devices=num_devices)
+    if allow_checkpointing and not fits_in_memory(plan.memory, capacity):
+        checkpointed = plan_cache.analyze(
+            model, spec, num_devices=num_devices,
+            activation_checkpointing=True)
+        if fits_in_memory(checkpointed.memory, capacity):
+            return checkpointed
+    return plan
+
+
 def select_fastest(
     candidates: Iterable[Tuple[ParallelSpec, ExecutionPlan]],
-    die: ComputeDieConfig,
+    capacity: float,
     evaluate: Callable[[ExecutionPlan], Result],
 ) -> Tuple[Optional[ParallelSpec], Optional[Result], bool]:
-    """The fastest of ``(spec, plan)`` candidates that fits in ``die``'s HBM.
+    """The fastest of ``(spec, plan)`` candidates that fits in ``capacity``.
 
-    The plan's memory alone decides OOM (the simulator's own test), so
-    ``evaluate`` (mapping plus simulation) runs once per candidate that fits
-    and never on one that does not, unless none fits: then only the one with
-    the least memory pressure is evaluated and reported as OOM. On either
-    key a tie keeps the earlier candidate. Returns ``(spec, result, oom)``,
-    or ``(None, None, True)`` without candidates.
+    ``capacity`` is the per-device memory in bytes, and the plan's memory
+    alone decides OOM (the simulators' own test), so ``evaluate`` (mapping
+    plus simulation) runs once per candidate that fits and never on one
+    that does not, unless none fits: then only the one with the least
+    memory pressure is evaluated and reported as OOM. On either key a tie
+    keeps the earlier candidate. Returns ``(spec, result, oom)``, or
+    ``(None, None, True)`` without candidates.
     """
     best: Optional[Tuple[ParallelSpec, Result]] = None
     fallback: Optional[Tuple[float, ParallelSpec, ExecutionPlan]] = None
     for spec, plan in candidates:
-        if fits_in_memory(plan.memory, die):
+        if fits_in_memory(plan.memory, capacity):
             result = evaluate(plan)
             if best is None or result.step_time < best[1].step_time:
                 best = (spec, result)
             continue
-        pressure = memory_pressure(plan.memory, die)
+        pressure = memory_pressure(plan.memory, capacity)
         if fallback is None or pressure < fallback[0]:
             fallback = (pressure, spec, plan)
     if best is not None:

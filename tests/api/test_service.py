@@ -12,8 +12,14 @@ from repro.api.scenario import (
     WorkloadSpec,
 )
 from repro.api.service import PlanResult, PlanService, validate_result_payload
+from repro.core.framework import scheme_max_tp
+from repro.costmodel.tables import PlanCache
+from repro.hardware.config import GPUClusterConfig
+from repro.parallelism.baselines import candidate_specs
+from repro.simulation.gpu import GPUClusterSimulator
 from repro.solver import dlws
 from repro.solver.genetic import GeneticConfig, GeneticRefiner
+from repro.workloads.models import TABLE_II_MODELS
 
 
 def _scenario(model="gpt3-6.7b", **solver_kwargs) -> Scenario:
@@ -161,6 +167,76 @@ class TestDispatch:
             == {1, 2, 4, 6}
 
 
+def _gpu_reference(scenario: Scenario, plan_cache: PlanCache):
+    """The GPU comparator as a loop over every candidate, and its fit count.
+
+    Each candidate's plain plan is simulated; an OOM one is simulated again
+    checkpointed and skipped if that is OOM too; the strictly fastest
+    candidate is kept. Returns the expected payload and how many candidates
+    fit with the plan that runs.
+    """
+    model = scenario.workload.resolve()
+    solver = scenario.solver
+    scheme = solver.resolved_scheme()
+    num_devices = GPUClusterConfig().num_devices
+    simulator = GPUClusterSimulator()
+    specs = candidate_specs(scheme, num_devices,
+                            max_tp=scheme_max_tp(scheme, model),
+                            max_tatp=solver.max_tatp)
+    best_time, best_throughput, fitting = float("inf"), 0.0, 0
+    for spec in specs:
+        report = simulator.simulate(plan_cache.analyze(
+            model, spec, num_devices=num_devices))
+        if report.oom:
+            report = simulator.simulate(plan_cache.analyze(
+                model, spec, num_devices=num_devices,
+                activation_checkpointing=True))
+            if report.oom:
+                continue
+        fitting += 1
+        if report.step_time < best_time:
+            best_time, best_throughput = report.step_time, report.throughput
+    expected = PlanResult.from_gpu(
+        model_name=model.name, scheme=solver.scheme, engine=solver.engine,
+        step_time=best_time, throughput=best_throughput,
+        candidates_evaluated=len(specs))
+    return expected, fitting
+
+
+class TestGPUComparator:
+    def test_selects_like_every_other_search(self, monkeypatch):
+        # Every Table II model x scheme x sequence length, on the cluster;
+        # the long sequences leave some scenarios with no candidate that
+        # fits, even checkpointed.
+        scenarios = [
+            Scenario(workload=WorkloadSpec(model=model, seq_length=seq_length),
+                     hardware=HardwareSpec(platform="gpu_cluster"),
+                     solver=SolverSpec(scheme=scheme, engine="cluster"))
+            for model in TABLE_II_MODELS
+            for scheme in ("mesp", "megatron1", "fsdp", "temp")
+            for seq_length in (1024, 4096, 16384)]
+        plan_cache = PlanCache()
+        references = [_gpu_reference(scenario, plan_cache)
+                      for scenario in scenarios]
+        none_fit = sum(1 for _, fitting in references if fitting == 0)
+        assert 0 < none_fit < len(scenarios)
+
+        calls = []
+        simulate = GPUClusterSimulator.simulate
+
+        def counted(self, plan):
+            calls.append(plan.spec)
+            return simulate(self, plan)
+
+        monkeypatch.setattr(GPUClusterSimulator, "simulate", counted)
+        service = PlanService()
+        for scenario, (expected, _) in zip(scenarios, references):
+            assert service.evaluate(scenario).to_dict() == expected.to_dict()
+        # Only what can be reported is simulated: each candidate that fits
+        # once, and one candidate of a scenario where none fits.
+        assert len(calls) == sum(fitting or 1 for _, fitting in references)
+
+
 class TestPlanResult:
     def test_to_dict_is_json_safe_and_validates(self):
         result = PlanService().evaluate(_scenario(max_candidates=4))
@@ -203,6 +279,14 @@ class TestSolve:
         assert outcome.finalists_simulated >= 1
         assert outcome.evaluations > 0
         assert validate_result_payload.__name__  # smoke: module linkage
+
+    def test_max_candidates_caps_the_candidates(self):
+        # gpt3-6.7b prunes to more than 10 candidates; the cap subsamples
+        # them the way the single-wafer search does.
+        outcome = PlanService().solve(_scenario(ga_generations=4,
+                                                max_candidates=10))
+        assert outcome.candidates_considered == 10
+        assert not outcome.oom
 
     def test_seed_reaches_the_genetic_refinement(self, monkeypatch):
         configs = []

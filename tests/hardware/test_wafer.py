@@ -1,10 +1,9 @@
-"""Tests for the wafer system object, faults, multi-wafer, and GPU cluster."""
+"""Tests for the wafer system object, faults, and multi-wafer systems."""
 
 import pytest
 
 from repro.hardware.config import GB, TB
 from repro.hardware.faults import FaultModel, FaultType, classify_faults
-from repro.hardware.gpu_cluster import GPUCluster
 from repro.hardware.multiwafer import MultiWaferSystem
 from repro.hardware.topologies import Link
 from repro.hardware.wafer import WaferScaleChip
@@ -155,33 +154,3 @@ class TestMultiWaferSystem:
         summary = MultiWaferSystem(3).describe()
         assert summary["num_wafers"] == 3
         assert summary["total_dies"] == 96
-
-
-class TestGPUCluster:
-    def test_node_assignment(self):
-        cluster = GPUCluster()
-        assert cluster.node_of(0) == 0
-        assert cluster.node_of(8) == 1
-        assert cluster.same_node(0, 7)
-        assert not cluster.same_node(7, 8)
-
-    def test_intra_node_is_faster_than_inter_node(self):
-        cluster = GPUCluster()
-        intra = cluster.transfer_time(0, 1, 1 * GB)
-        inter = cluster.transfer_time(0, 8, 1 * GB)
-        assert intra < inter
-
-    def test_allreduce_scales_with_group(self):
-        cluster = GPUCluster()
-        small = cluster.ring_allreduce_time(8, 1 * GB)
-        large = cluster.ring_allreduce_time(32, 1 * GB)
-        assert small < large
-
-    def test_trivial_collectives_are_free(self):
-        cluster = GPUCluster()
-        assert cluster.ring_allreduce_time(1, 1 * GB) == 0.0
-        assert cluster.allgather_time(1, 1 * GB) == 0.0
-
-    def test_out_of_range_device(self):
-        with pytest.raises(ValueError):
-            GPUCluster().node_of(99)

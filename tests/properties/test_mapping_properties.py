@@ -140,7 +140,7 @@ def reference_mapping(engine, plan, topology, dies, order):
             continue
         tasks.append(_expand_groups(
             task, engine._groups_for_task(task, groups, plan), topology,
-            False, engine.reorder_groups))
+            engine.reorder_groups))
     flows = [flow for task_flows, _ in tasks for flow in task_flows]
     loads = LinkLoadMap.from_flows(flows)
     critical = LinkLoadMap.from_flows(flows, critical_only=True)

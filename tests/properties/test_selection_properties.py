@@ -21,8 +21,7 @@ from repro.solver.search_space import select_fastest
 FAST = settings(max_examples=200, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
-DIE = default_wafer_config().die
-CAPACITY = DIE.hbm.capacity
+CAPACITY = default_wafer_config().die.hbm.capacity
 
 #: Footprints as shares of the capacity: repeated values force ties in
 #: memory pressure, and 1.0 sits exactly on the capacity (which fits).
@@ -51,8 +50,8 @@ def _plan(plan_id: int, share: float, step_time: float) -> SimpleNamespace:
 
 def _evaluate(plan) -> Result:
     return Result(plan.plan_id, plan.step_time,
-                  not fits_in_memory(plan.memory, DIE),
-                  memory_pressure(plan.memory, DIE))
+                  not fits_in_memory(plan.memory, CAPACITY),
+                  memory_pressure(plan.memory, CAPACITY))
 
 
 def _evaluate_everything(candidates):
@@ -88,11 +87,11 @@ def test_lazy_selection_matches_evaluating_everything(candidates):
         evaluated.append(plan.plan_id)
         return _evaluate(plan)
 
-    chosen = select_fastest(candidates, DIE, evaluate)
+    chosen = select_fastest(candidates, CAPACITY, evaluate)
     assert chosen == _evaluate_everything(candidates)
 
     fitting = [plan.plan_id for _, plan in candidates
-               if fits_in_memory(plan.memory, DIE)]
+               if fits_in_memory(plan.memory, CAPACITY)]
     spec, result, oom = chosen
     if fitting:
         # Every candidate that fits is evaluated once, nothing else is.

@@ -170,7 +170,6 @@ def memo_queries(draw):
                                          unique=True),
                                 min_size=1, max_size=3)),
         "kind": draw(st.sampled_from(list(CollectiveType))),
-        "prefer_yx": draw(st.booleans()),
         "reorder_groups": draw(st.booleans()),
     }
 
@@ -184,23 +183,21 @@ class TestRoutingMemo:
 
         # Answer every query once on the warm topology, filling its memo,
         # and scribble over every list handed back.
-        for prefer_yx in (True, False):
-            flow = route_flow(warm, src, dst, 1.0, prefer_yx=prefer_yx)
-            flow.path.append(None)
-            flow.path.reverse()
+        flow = route_flow(warm, src, dst, 1.0)
+        flow.path.append(None)
+        flow.path.reverse()
         ordering, _ = order_group_for_ring(warm, group)
         for closed in (True, False):
             ring_hop_factor(warm, ordering, closed)
         ordering.append(-1)
         ordering.reverse()
         if src != dst:
-            assert (src, dst, True) in warm.path_memo
+            assert (src, dst) in warm.path_memo
         if len(group) > 1:
             assert tuple(group) in warm.ring_memo
 
-        for prefer_yx in (False, True):
-            assert route_flow(warm, src, dst, 1.0, prefer_yx=prefer_yx).path \
-                == route_flow(fresh, src, dst, 1.0, prefer_yx=prefer_yx).path
+        assert route_flow(warm, src, dst, 1.0).path \
+            == route_flow(fresh, src, dst, 1.0).path
         expected = order_group_for_ring(fresh, group)
         assert order_group_for_ring(warm, group) == expected
         for closed in (False, True):
@@ -216,7 +213,6 @@ class TestRoutingMemo:
 
         def expand(topology):
             return expand_task(task, query["groups"], topology,
-                               prefer_yx=query["prefer_yx"],
                                reorder_groups=query["reorder_groups"])
 
         # Fill the warm memo, then scribble over everything handed back:

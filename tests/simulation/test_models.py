@@ -37,8 +37,6 @@ class TestSimulatorConfig:
             SimulatorConfig(overlap_efficiency=1.5)
         with pytest.raises(ValueError):
             SimulatorConfig(kernel_overhead=-1)
-        with pytest.raises(ValueError):
-            SimulatorConfig(pipeline_microbatches=0)
 
 
 class TestComputeModel:
@@ -122,17 +120,17 @@ class TestMemoryModel:
         die = ComputeDieConfig()
         small = MemoryFootprint(1e9, 1e9, 1e9, 1e9)
         huge = MemoryFootprint(1e12, 0, 0, 0)
-        assert fits_in_memory(small, die)
-        assert not fits_in_memory(huge, die)
-
-    def test_slack_validation(self):
-        with pytest.raises(ValueError):
-            fits_in_memory(MemoryFootprint(0, 0, 0, 0), ComputeDieConfig(), slack=0)
+        assert fits_in_memory(small, die.hbm.capacity)
+        assert not fits_in_memory(huge, die.hbm.capacity)
 
     def test_memory_pressure_ratio(self):
         die = ComputeDieConfig()
         footprint = MemoryFootprint(die.hbm.capacity / 2, 0, 0, 0)
-        assert memory_pressure(footprint, die) == pytest.approx(0.5)
+        assert memory_pressure(footprint, die.hbm.capacity) == pytest.approx(0.5)
+
+    def test_memory_pressure_rejects_non_positive_capacity(self):
+        with pytest.raises(ValueError):
+            memory_pressure(MemoryFootprint(0, 0, 0, 0), 0.0)
 
     def test_dram_traffic_positive_and_scales_with_model(self, gpt3_6b, llama70b):
         small = dram_traffic_bytes(analyze_model(gpt3_6b, ParallelSpec(tatp=32),

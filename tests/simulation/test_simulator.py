@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.hardware.gpu_cluster import GPUCluster
+from repro.hardware.config import GB, GPUClusterConfig, GPUDeviceConfig
 from repro.hardware.wafer import WaferScaleChip
+from repro.parallelism.comm import CollectiveType, CommTask
 from repro.parallelism.spec import ParallelSpec
 from repro.parallelism.strategies import analyze_model
 from repro.simulation.gpu import GPUClusterSimulator
@@ -99,7 +100,7 @@ class TestWaferSimulator:
 
 class TestGPUClusterSimulator:
     def test_report_consistency(self, gpt3_6b):
-        simulator = GPUClusterSimulator(GPUCluster())
+        simulator = GPUClusterSimulator()
         plan = analyze_model(gpt3_6b, ParallelSpec(dp=4, tp=8, sp_within_tp=True),
                              num_devices=32)
         report = simulator.simulate(plan)
@@ -108,13 +109,42 @@ class TestGPUClusterSimulator:
         assert report.throughput > 0
 
     def test_gpu_cluster_detects_oom(self, llama70b):
-        simulator = GPUClusterSimulator(GPUCluster())
+        simulator = GPUClusterSimulator()
         plan = analyze_model(llama70b, ParallelSpec(dp=32), num_devices=32)
         assert simulator.simulate(plan).oom
 
     def test_cross_node_collectives_cost_more(self, gpt3_6b):
-        simulator = GPUClusterSimulator(GPUCluster())
+        simulator = GPUClusterSimulator()
         inside = analyze_model(gpt3_6b, ParallelSpec(dp=4, tp=8), num_devices=32)
         across = analyze_model(gpt3_6b, ParallelSpec(dp=2, tp=16), num_devices=32)
         assert (simulator.simulate(across).comm_time
                 > simulator.simulate(inside).comm_time)
+
+    def test_group_spanning_nodes_uses_internode_link(self):
+        # The same 8-rank all-reduce leaves NVLink once a node holds 4 GPUs.
+        task = CommTask(CollectiveType.ALL_REDUCE, 8, 1 * GB)
+        one_node = GPUClusterSimulator(GPUClusterConfig(num_nodes=4, gpus_per_node=8))
+        two_nodes = GPUClusterSimulator(GPUClusterConfig(num_nodes=8, gpus_per_node=4))
+        assert two_nodes._task_time(task) > one_node._task_time(task)
+
+    def test_allreduce_scales_with_group(self):
+        simulator = GPUClusterSimulator()
+        small = simulator._task_time(CommTask(CollectiveType.ALL_REDUCE, 8, 1 * GB))
+        large = simulator._task_time(CommTask(CollectiveType.ALL_REDUCE, 32, 1 * GB))
+        assert small < large
+
+    def test_trivial_collectives_are_free(self):
+        simulator = GPUClusterSimulator()
+        for kind in (CollectiveType.ALL_REDUCE, CollectiveType.ALL_GATHER):
+            assert simulator._task_time(CommTask(kind, 1, 1 * GB)) == 0.0
+            assert simulator._task_time(CommTask(kind, 8, 0.0)) == 0.0
+
+    def test_oom_is_the_fit_test_against_device_memory(self, gpt3_6b):
+        plan = analyze_model(gpt3_6b, ParallelSpec(dp=4, tp=8), num_devices=32)
+
+        def oom_at(capacity):
+            cluster = GPUClusterConfig(device=GPUDeviceConfig(memory_capacity=capacity))
+            return GPUClusterSimulator(cluster).simulate(plan).oom
+
+        assert not oom_at(plan.memory.total)
+        assert oom_at(plan.memory.total - 1)
