@@ -46,9 +46,11 @@ Plan server (cached, concurrent Scenario serving)
 Framework (the evaluation paths ``PlanService`` dispatches to)
     :func:`repro.core.framework.run_baseline_scenario`,
     :func:`repro.core.framework.simulate_fixed_spec`,
-    :func:`repro.core.multiwafer.run_multiwafer_scenario`,
-    :func:`repro.core.evaluate_with_faults`. TEMP itself, and its +TATP /
-    +TCME ablations, are :meth:`repro.api.SolverSpec.for_framework`.
+    :func:`repro.core.multiwafer.run_multiwafer_scenario` and
+    :func:`repro.core.fault_tolerance.run_fault_scenario`. All four take
+    ``(scenario, plan_cache, wafer, config)`` and build the scenario's
+    :class:`repro.api.result.PlanResult` themselves. TEMP itself, and its
+    +TATP / +TCME ablations, are :meth:`repro.api.SolverSpec.for_framework`.
 """
 
 from repro.api.scenario import (

@@ -15,9 +15,10 @@ and the plan server — speaks this request/response shape. Scenario
 :class:`~repro.api.portfolio.Portfolio` and swept through the plan server's
 portfolio engine (``repro sweep``).
 
-The service classes are imported lazily (PEP 562): the scenario tree has no
-dependency on :mod:`repro.core`, so core modules may import
-``repro.api.scenario`` without a cycle.
+The service classes are imported lazily (PEP 562): the scenario tree and the
+result record (:mod:`repro.api.result`) have no dependency on
+:mod:`repro.core`, so core modules may import ``repro.api.scenario`` and
+``repro.api.result`` without a cycle.
 """
 
 from repro.api.portfolio import (  # noqa: F401

@@ -5,17 +5,21 @@ paths: it owns the shared :class:`~repro.costmodel.tables.PlanCache`, caches
 resolved wafers per hardware spec, and dispatches a
 :class:`~repro.api.scenario.Scenario` to the single-wafer search, the
 pinned-spec simulation, the multi-wafer (pipelined) search, the
-fault-tolerance evaluation, or the GPU comparator cluster. It hands each
-wafer search its plan cache, cached chip and simulator config, and every
-search, the GPU comparator included, picks its answer with
+fault-tolerance study, or the GPU comparator cluster.
+
+The four wafer paths share one signature, ``(scenario, plan_cache, wafer,
+config) -> PlanResult``: ``evaluate`` picks one and hands it the service's
+plan cache, the cached chip of the scenario's hardware and its simulator
+config, and the path builds its own :class:`~repro.api.result.PlanResult`
+with :meth:`~repro.api.result.PlanResult.from_report`. Every search, the GPU
+comparator included, picks its answer with
 :func:`~repro.solver.search_space.select_fastest`.
 
-``evaluate`` returns a :class:`PlanResult` — a flat, JSON-serializable record
-with one stable schema across all paths (fields a path does not produce hold
-zeros / ``None``). ``evaluate_raw`` returns the underlying rich result object
-(:class:`~repro.core.framework.BaselineResult`,
-:class:`~repro.core.multiwafer.MultiWaferResult`, ...) for callers that need
-simulation reports or :class:`~repro.parallelism.spec.ParallelSpec` objects.
+``evaluate`` returns that record — flat, JSON-serializable, with one stable
+schema across all paths (fields a path does not produce hold zeros /
+``None``); ``solve`` returns the dual-level solver's flat
+:class:`SolverOutcome`. :class:`PlanResult` and :data:`RESULT_KINDS` live in
+:mod:`repro.api.result` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -24,17 +28,17 @@ import json
 import math
 import time
 from dataclasses import dataclass, fields, replace
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
+from repro.api.result import RESULT_KINDS, PlanResult, serializable_fields
 from repro.api.scenario import SCHEMA_VERSION, HardwareSpec, Scenario, ScenarioError
-from repro.core.fault_tolerance import FaultToleranceResult, evaluate_with_faults
+from repro.core.fault_tolerance import run_fault_scenario
 from repro.core.framework import (
-    BaselineResult,
     run_baseline_scenario,
     scheme_max_tp,
     simulate_fixed_spec,
 )
-from repro.core.multiwafer import MultiWaferResult, run_multiwafer_scenario
+from repro.core.multiwafer import run_multiwafer_scenario
 from repro.costmodel.tables import PlanCache
 from repro.hardware.config import GPUClusterConfig
 from repro.obs.metrics import MetricsRegistry
@@ -49,209 +53,6 @@ from repro.solver.dlws import (
 )
 from repro.solver.genetic import GeneticConfig
 from repro.solver.search_space import plan_for, select_fastest
-
-_GB = 1024 ** 3
-
-#: Result kinds a :class:`PlanResult` can carry.
-RESULT_KINDS = ("single_wafer", "fixed_spec", "multi_wafer", "fault",
-                "gpu_cluster")
-
-
-def _serializable_fields(result) -> Dict[str, object]:
-    """A result dataclass as a plain dict; non-finite floats become ``None``.
-
-    Single home of the strict-JSON serialisation rule shared by
-    :meth:`PlanResult.to_dict` and :meth:`SolverOutcome.to_dict`.
-    """
-    payload: Dict[str, object] = {}
-    for result_field in fields(result):
-        value = getattr(result, result_field.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            value = None
-        payload[result_field.name] = value
-    return payload
-
-
-@dataclass(frozen=True)
-class PlanResult:
-    """Flat, serializable outcome of ``PlanService.evaluate``.
-
-    Times are seconds, memory is GiB, throughput is tokens/second, power is
-    watts, energy is joules per training step. ``step_time`` may be
-    ``inf`` when no configuration produced a report; :meth:`to_dict`
-    serialises non-finite floats as ``None`` (strict JSON).
-    """
-
-    kind: str
-    model: str
-    scheme: str
-    engine: str
-    spec: Optional[str]
-    oom: bool
-    step_time: float
-    compute_time: float
-    comm_time: float
-    bubble_time: float
-    memory_gb: float
-    throughput: float
-    compute_utilization: float
-    bandwidth_utilization: float
-    compute_watts: float
-    dram_watts: float
-    comm_watts: float
-    total_watts: float
-    energy_per_step: float
-    power_efficiency: float
-    candidates_evaluated: int  # configurations considered, mapped or not
-    num_wafers: int = 1
-    pp_degree: int = 0
-    relative_throughput: Optional[float] = None
-    schema_version: int = SCHEMA_VERSION
-
-    # Per-request stage timings, attached by PlanService.evaluate when
-    # tracing is enabled. Deliberately an un-annotated class attribute —
-    # NOT a dataclass field — so to_dict() payloads, the exact-field-set
-    # schema check, and cross-path bit-identity are untouched.
-    telemetry = None
-
-    @property
-    def label(self) -> str:
-        """Readable system label like "mesp+gmap"."""
-        return f"{self.scheme}+{self.engine}"
-
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-JSON dict (non-finite floats become ``None``)."""
-        return _serializable_fields(self)
-
-    # Builders --------------------------------------------------------------------
-
-    @classmethod
-    def from_baseline(cls, result: BaselineResult,
-                      kind: str = "single_wafer") -> "PlanResult":
-        """Wrap a single-wafer (or fixed-spec) search result."""
-        report = result.report
-        power = report.power if report else None
-        step_time = report.step_time if report else float("inf")
-        return cls(
-            kind=kind,
-            model=result.model.name,
-            scheme=result.scheme.value,
-            engine=result.engine,
-            spec=result.best_spec.label() if result.best_spec else None,
-            oom=result.oom,
-            step_time=step_time,
-            compute_time=report.compute_time if report else 0.0,
-            comm_time=report.total_comm_time if report else 0.0,
-            bubble_time=report.bubble_time if report else 0.0,
-            memory_gb=report.memory.total / _GB if report else 0.0,
-            throughput=report.throughput if report else 0.0,
-            compute_utilization=report.compute_utilization if report else 0.0,
-            bandwidth_utilization=(
-                report.bandwidth_utilization if report else 0.0),
-            compute_watts=power.compute if power else 0.0,
-            dram_watts=power.dram if power else 0.0,
-            comm_watts=power.communication if power else 0.0,
-            total_watts=power.total if power else 0.0,
-            energy_per_step=(
-                power.total * step_time
-                if power and math.isfinite(step_time) else 0.0),
-            power_efficiency=report.power_efficiency if report else 0.0,
-            candidates_evaluated=result.candidates_evaluated,
-            pp_degree=result.best_spec.pp if result.best_spec else 0,
-        )
-
-    @classmethod
-    def from_multiwafer(cls, result: MultiWaferResult) -> "PlanResult":
-        """Wrap a multi-wafer (pipelined) search result."""
-        report = result.report
-        power = report.power if report else None
-        return cls(
-            kind="multi_wafer",
-            model=result.model.name,
-            scheme=result.scheme.value,
-            engine=result.engine,
-            spec=result.best_spec.label() if result.best_spec else None,
-            oom=result.oom,
-            step_time=result.step_time,
-            compute_time=result.compute_time,
-            comm_time=result.comm_time,
-            bubble_time=result.bubble_time,
-            memory_gb=report.memory.total / _GB if report else 0.0,
-            throughput=result.throughput,
-            compute_utilization=report.compute_utilization if report else 0.0,
-            bandwidth_utilization=(
-                report.bandwidth_utilization if report else 0.0),
-            compute_watts=power.compute if power else 0.0,
-            dram_watts=power.dram if power else 0.0,
-            comm_watts=power.communication if power else 0.0,
-            total_watts=power.total if power else 0.0,
-            energy_per_step=(
-                power.total * result.step_time if power else 0.0),
-            power_efficiency=report.power_efficiency if report else 0.0,
-            candidates_evaluated=1,
-            num_wafers=result.num_wafers,
-            pp_degree=result.best_spec.pp if result.best_spec else 0,
-        )
-
-    @classmethod
-    def from_fault(cls, result: FaultToleranceResult, engine: str,
-                   scheme: str) -> "PlanResult":
-        """Wrap a fault-tolerance evaluation."""
-        report = result.report
-        power = report.power
-        return cls(
-            kind="fault",
-            model=result.model.name,
-            scheme=scheme,
-            engine=engine,
-            spec=result.spec.label(),
-            oom=report.oom,
-            step_time=report.step_time,
-            compute_time=report.compute_time,
-            comm_time=report.total_comm_time,
-            bubble_time=report.bubble_time,
-            memory_gb=report.memory.total / _GB,
-            throughput=result.faulty_throughput,
-            compute_utilization=report.compute_utilization,
-            bandwidth_utilization=report.bandwidth_utilization,
-            compute_watts=power.compute,
-            dram_watts=power.dram,
-            comm_watts=power.communication,
-            total_watts=power.total,
-            energy_per_step=power.total * report.step_time,
-            power_efficiency=report.power_efficiency,
-            candidates_evaluated=1,
-            relative_throughput=result.relative_throughput,
-        )
-
-    @classmethod
-    def from_gpu(cls, model_name: str, scheme: str, engine: str,
-                 step_time: float, throughput: float,
-                 candidates_evaluated: int) -> "PlanResult":
-        """Wrap a GPU-cluster comparator evaluation."""
-        return cls(
-            kind="gpu_cluster",
-            model=model_name,
-            scheme=scheme,
-            engine=engine,
-            spec=None,
-            oom=not math.isfinite(step_time),
-            step_time=step_time,
-            compute_time=0.0,
-            comm_time=0.0,
-            bubble_time=0.0,
-            memory_gb=0.0,
-            throughput=throughput,
-            compute_utilization=0.0,
-            bandwidth_utilization=0.0,
-            compute_watts=0.0,
-            dram_watts=0.0,
-            comm_watts=0.0,
-            total_watts=0.0,
-            energy_per_step=0.0,
-            power_efficiency=0.0,
-            candidates_evaluated=candidates_evaluated,
-        )
 
 
 @dataclass(frozen=True)
@@ -275,7 +76,7 @@ class SolverOutcome:
 
     def to_dict(self) -> Dict[str, object]:
         """Plain-JSON dict (non-finite floats become ``None``)."""
-        return _serializable_fields(self)
+        return serializable_fields(self)
 
     @classmethod
     def from_result(cls, result: SolverResult) -> "SolverOutcome":
@@ -296,11 +97,6 @@ class SolverOutcome:
             plan_cache_hits=result.plan_cache_hits,
             plan_cache_misses=result.plan_cache_misses,
         )
-
-
-#: Union of rich result types ``evaluate_raw`` can return.
-RawResult = Union[BaselineResult, MultiWaferResult, FaultToleranceResult,
-                  PlanResult]
 
 
 class PlanService:
@@ -342,9 +138,10 @@ class PlanService:
         """A healthy wafer for ``hardware``, built once per geometry + fabric.
 
         The key holds every field :meth:`HardwareSpec.resolve_config` and
-        the fabric read, so one chip serves the single-wafer, pinned-spec,
-        solver and multi-wafer paths alike (a multi-wafer system's wafers
-        are all this chip). Its topology memoises the routes it answers, so
+        the fabric read, so one chip serves every wafer path alike: the
+        single-wafer, pinned-spec, solver and multi-wafer paths (a
+        multi-wafer system's wafers are all this chip) and the healthy run
+        of a fault study. Its topology memoises the routes it answers, so
         every scenario evaluated on the same hardware reuses them.
         """
         topology = (json.dumps(hardware.topology, sort_keys=True)
@@ -371,20 +168,23 @@ class PlanService:
         start = time.perf_counter()
         with span("service.evaluate",
                   model=scenario.workload.model) as evaluate_span:
-            raw = self.evaluate_raw(scenario)
-            if isinstance(raw, PlanResult):
-                result = raw
-            elif isinstance(raw, MultiWaferResult):
-                result = PlanResult.from_multiwafer(raw)
-            elif isinstance(raw, FaultToleranceResult):
-                result = PlanResult.from_fault(
-                    raw, engine=scenario.solver.engine,
-                    scheme=scenario.solver.scheme)
+            hardware = scenario.hardware
+            if hardware.platform == "gpu_cluster":
+                result = self._evaluate_gpu(scenario)
             else:
-                kind = ("fixed_spec"
-                        if scenario.solver.fixed_spec is not None
-                        else "single_wafer")
-                result = PlanResult.from_baseline(raw, kind=kind)
+                # The wafer paths are read from the module globals at call
+                # time, so a wrapper patched onto this module sees them.
+                if hardware.has_fault_study:
+                    path = run_fault_scenario
+                elif hardware.num_wafers > 1:
+                    path = run_multiwafer_scenario
+                elif scenario.solver.fixed_spec is not None:
+                    path = simulate_fixed_spec
+                else:
+                    path = run_baseline_scenario
+                result = path(scenario, self.plan_cache,
+                              self.wafer_for(hardware),
+                              hardware.resolve_simulator())
         elapsed = time.perf_counter() - start
         self._evaluations.inc()
         self._evaluate_hist.observe(elapsed)
@@ -398,72 +198,33 @@ class PlanService:
             })
         return result
 
-    def evaluate_raw(self, scenario: Scenario) -> RawResult:
-        """Evaluate ``scenario`` and return the path's rich result object."""
-        hardware = scenario.hardware
-        if hardware.platform == "gpu_cluster":
-            return self._evaluate_gpu(scenario)
-        if hardware.has_fault_study:
-            return self._evaluate_faults(scenario)
-        if hardware.num_wafers > 1:
-            search = run_multiwafer_scenario
-        elif scenario.solver.fixed_spec is not None:
-            search = simulate_fixed_spec
-        else:
-            search = run_baseline_scenario
-        return search(scenario, self.plan_cache, self.wafer_for(hardware),
-                      hardware.resolve_simulator())
-
     def solve(self, scenario: Scenario) -> SolverOutcome:
         """Run the dual-level solver on ``scenario`` (flat outcome)."""
-        return SolverOutcome.from_result(self.solve_raw(scenario))
-
-    def solve_raw(self, scenario: Scenario) -> SolverResult:
-        """Run the dual-level solver and return the rich result."""
         if scenario.hardware.platform != "wafer":
             raise ScenarioError(
                 "the dual-level solver only runs on the wafer platform")
-        with span("service.solve", model=scenario.workload.model):
-            return self._solve_raw(scenario)
-
-    def _solve_raw(self, scenario: Scenario) -> SolverResult:
         solver_spec = scenario.solver
         genetic_config = (
             DEFAULT_GENETIC_CONFIG if solver_spec.ga_generations is None
             else GeneticConfig(generations=solver_spec.ga_generations))
-        solver = DualLevelWaferSolver(
-            wafer=self.wafer_for(scenario.hardware),
-            config=scenario.hardware.resolve_simulator(),
-            genetic_config=replace(genetic_config, seed=solver_spec.seed),
-            num_finalists=solver_spec.num_finalists,
-            mapping_engine=solver_spec.engine,
-        )
-        return solver.solve(
-            scenario.workload.resolve(),
-            scheme=solver_spec.resolved_scheme(),
-            max_tatp=solver_spec.max_tatp,
-            pipeline_degrees=solver_spec.pipeline_degrees,
-            max_candidates=solver_spec.max_candidates,
-        )
+        with span("service.solve", model=scenario.workload.model):
+            solver = DualLevelWaferSolver(
+                wafer=self.wafer_for(scenario.hardware),
+                config=scenario.hardware.resolve_simulator(),
+                genetic_config=replace(genetic_config, seed=solver_spec.seed),
+                num_finalists=solver_spec.num_finalists,
+                mapping_engine=solver_spec.engine,
+            )
+            result = solver.solve(
+                scenario.workload.resolve(),
+                scheme=solver_spec.resolved_scheme(),
+                max_tatp=solver_spec.max_tatp,
+                pipeline_degrees=solver_spec.pipeline_degrees,
+                max_candidates=solver_spec.max_candidates,
+            )
+        return SolverOutcome.from_result(result)
 
-    # Dispatch targets -------------------------------------------------------------
-
-    def _evaluate_faults(self, scenario: Scenario) -> FaultToleranceResult:
-        """Fault-tolerance path: pinned spec on a healthy vs faulty wafer."""
-        solver = scenario.solver
-        if solver.fixed_spec is None:
-            raise ScenarioError(
-                "fault-tolerance scenarios need solver.fixed_spec (the "
-                "configuration to stress) — the fault path does not search")
-        fault_model = scenario.hardware.resolve_fault_model(seed=solver.seed)
-        return evaluate_with_faults(
-            scenario.workload.resolve(),
-            solver.resolve_fixed_spec(),
-            fault_model,
-            config=scenario.hardware.resolve_simulator(),
-            engine=solver.engine,
-            wafer_config=scenario.hardware.resolve_config(),
-        )
+    # The GPU comparator ------------------------------------------------------------
 
     def _evaluate_gpu(self, scenario: Scenario) -> PlanResult:
         """GPU comparator path: the fastest configuration that fits.

@@ -14,19 +14,27 @@ The paper's three-step flow:
    becomes too fragmented for contiguous rings, TATP's hop factors and
    contention grow, producing the throughput cliff the paper reports near a
    35% link-fault rate.
+
+:func:`run_fault_scenario` is the fault study's wafer path, with the same
+``(scenario, plan_cache, wafer, config)`` signature as the other three: it
+runs the scenario's pinned configuration on the service's healthy chip and
+on a faulty chip built from the same config, and returns the faulty run's
+:class:`~repro.api.result.PlanResult` with its throughput relative to the
+healthy one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from dataclasses import replace
+from typing import Optional
 
-from repro.hardware.faults import FaultModel, FaultType, classify_faults
+from repro.api.result import PlanResult
+from repro.api.scenario import Scenario, ScenarioError
+from repro.costmodel.tables import PlanCache
 from repro.hardware.wafer import WaferScaleChip
-from repro.parallelism.spec import ParallelSpec
-from repro.parallelism.strategies import analyze_model
 from repro.simulation.config import SimulatorConfig
 from repro.simulation.simulator import SimulationReport, WaferSimulator
+from repro.solver.search_space import plan_for
 from repro.workloads.models import ModelConfig
 
 #: Fraction of the compute lost to imbalance that adaptive re-partitioning
@@ -34,99 +42,61 @@ from repro.workloads.models import ModelConfig
 REBALANCE_EFFICIENCY = 0.9
 
 
-@dataclass
-class FaultToleranceResult:
-    """Outcome of evaluating a configuration under injected faults."""
+def run_fault_scenario(
+    scenario: Scenario,
+    plan_cache: PlanCache,
+    wafer: WaferScaleChip,
+    config: Optional[SimulatorConfig],
+) -> PlanResult:
+    """Run the scenario's pinned configuration on a healthy and a faulty chip.
 
-    model: ModelConfig
-    spec: ParallelSpec
-    fault_counts: Dict[FaultType, int]
-    healthy_throughput: float
-    faulty_throughput: float
-    report: SimulationReport
-    rerouted: bool
-    rebalanced: bool
-
-    @property
-    def relative_throughput(self) -> float:
-        """Throughput under faults normalised to the healthy wafer."""
-        if self.healthy_throughput <= 0:
-            return 0.0
-        return self.faulty_throughput / self.healthy_throughput
-
-
-def evaluate_with_faults(
-    model: ModelConfig,
-    spec: ParallelSpec,
-    fault_model: FaultModel,
-    config: Optional[SimulatorConfig] = None,
-    engine: str = "tcme",
-    rebalance: bool = True,
-    wafer_config=None,
-) -> FaultToleranceResult:
-    """Simulate ``spec`` on a healthy and a faulty wafer and compare.
-
-    Args:
-        model: the model being trained.
-        spec: the parallel configuration (it must fit the healthy die count).
-        fault_model: injected faults.
-        config: simulator knobs.
-        engine: mapping engine to use.
-        rebalance: apply step 2 (adaptive re-partitioning) so core faults are
-            absorbed by re-balancing instead of gating on the slowest die.
-        wafer_config: geometry of the wafer the faults are injected into
-            (Table I 4x8 by default); both the healthy and the faulty wafer
-            are built from it.
+    ``wafer`` is the healthy chip of the scenario's geometry and ``config``
+    its simulator knobs (``None`` for the defaults); the faulty chip is
+    built from the same config with the faults the hardware spec samples at
+    the solver's seed. The plan is chosen like the pinned-spec path's: with
+    activation checkpointing when only that fits, unless the scenario
+    disables ``allow_checkpoint_fallback``. Core faults are absorbed by
+    adaptive re-partitioning (step 2); when the mesh fragments so far that
+    the configuration cannot run at all, the throughput is 0 and the
+    healthy run's report stands in for the faulty one.
     """
-    config = config or SimulatorConfig()
-    healthy_wafer = WaferScaleChip(wafer_config)
-    faulty_wafer = WaferScaleChip(wafer_config, fault_model=fault_model)
+    solver = scenario.solver
+    if solver.fixed_spec is None:
+        raise ScenarioError(
+            "fault-tolerance scenarios need solver.fixed_spec (the "
+            "configuration to stress) — the fault path does not search")
+    spec = solver.resolve_fixed_spec()
+    model = scenario.workload.resolve()
+    plan = plan_for(plan_cache, model, spec, spec.total_degree,
+                    wafer.config.die.hbm.capacity,
+                    allow_checkpointing=solver.allow_checkpoint_fallback)
+    fault_model = scenario.hardware.resolve_fault_model(seed=solver.seed)
+    faulty_wafer = WaferScaleChip(wafer.config, fault_model=fault_model)
 
-    healthy_report = _simulate(model, spec, healthy_wafer, config, engine)
+    healthy_report = WaferSimulator(wafer, config).simulate(
+        plan, engine=solver.engine)
     try:
-        faulty_report = _simulate(model, spec, faulty_wafer, config, engine)
-        faulty_throughput = faulty_report.throughput
+        report = WaferSimulator(faulty_wafer, config).simulate(
+            plan, engine=solver.engine)
+        throughput = report.throughput
     except (ValueError, KeyError):
         # The mesh has fragmented: some dies can no longer reach each other, so
         # the configuration cannot run at all — the throughput cliff.
-        faulty_report = healthy_report
-        faulty_throughput = 0.0
+        report, throughput = healthy_report, 0.0
+    if fault_model.core_faults and throughput > 0:
+        throughput = _rebalanced_throughput(model, faulty_wafer, report)
 
-    rebalanced = False
-    if rebalance and fault_model.core_faults and faulty_throughput > 0:
-        faulty_throughput = _rebalanced_throughput(
-            model, spec, faulty_wafer, healthy_report, faulty_report)
-        rebalanced = True
-
-    return FaultToleranceResult(
-        model=model,
-        spec=spec,
-        fault_counts=classify_faults(fault_model),
-        healthy_throughput=healthy_report.throughput,
-        faulty_throughput=faulty_throughput,
-        report=faulty_report,
-        rerouted=bool(fault_model.failed_links),
-        rebalanced=rebalanced,
-    )
-
-
-def _simulate(
-    model: ModelConfig,
-    spec: ParallelSpec,
-    wafer: WaferScaleChip,
-    config: SimulatorConfig,
-    engine: str,
-) -> SimulationReport:
-    simulator = WaferSimulator(wafer, config)
-    plan = analyze_model(model, spec, num_devices=spec.total_degree)
-    return simulator.simulate(plan, engine=engine)
+    relative = (throughput / healthy_report.throughput
+                if healthy_report.throughput > 0 else 0.0)
+    return PlanResult.from_report(
+        "fault", scenario, model.name, spec,
+        replace(report, throughput=throughput), report.oom, 1,
+        relative_throughput=relative)
 
 
 def _rebalanced_throughput(
     model: ModelConfig,
-    spec: ParallelSpec,
     wafer: WaferScaleChip,
-    healthy_report: SimulationReport,
     faulty_report: SimulationReport,
 ) -> float:
     """Step 2: adaptive tensor partitioning re-balances core-fault losses.

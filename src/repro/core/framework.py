@@ -1,33 +1,35 @@
-"""The single-wafer baseline search behind the Scenario API.
+"""The single-wafer search and the pinned-spec simulation.
 
-:func:`run_baseline_scenario` is the engine room behind
-:meth:`repro.api.PlanService.evaluate`: it consumes a
-:class:`~repro.api.scenario.Scenario`, enumerates the scheme's candidate
+:func:`run_baseline_scenario` and :func:`simulate_fixed_spec` are two of the
+four wafer paths :meth:`repro.api.PlanService.evaluate` picks from; like the
+multi-wafer and fault paths they take ``(scenario, plan_cache, wafer,
+config)`` and return the scenario's
+:class:`~repro.api.result.PlanResult`, built with
+:meth:`~repro.api.result.PlanResult.from_report`.
+:func:`run_baseline_scenario` enumerates the scheme's candidate
 configurations, maps and simulates those that fit in memory with the
 requested engine, and keeps the fastest (reporting the OOM if none fits).
-Both functions choose each candidate's plan with
+:func:`simulate_fixed_spec` is the no-search variant for scenarios that pin
+one :class:`ParallelSpec`. Both choose each candidate's plan with
 :func:`~repro.solver.search_space.plan_for` and the result with
 :func:`~repro.solver.search_space.select_fastest`, like every other search.
 The TEMP framework itself is the ``temp`` scheme with the TCME engine
 (:meth:`~repro.api.scenario.SolverSpec.for_framework`, which also expresses
 the +TATP/+TCME ablation switches).
-:func:`simulate_fixed_spec` is the no-search variant for scenarios that pin
-one :class:`ParallelSpec`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Optional
 
+from repro.api.result import PlanResult
 from repro.costmodel.tables import PlanCache
 from repro.hardware.wafer import WaferScaleChip
 from repro.obs.tracing import span
 from repro.parallelism.baselines import BaselineScheme, candidate_specs
-from repro.parallelism.spec import ParallelSpec
 from repro.simulation.config import SimulatorConfig
-from repro.simulation.simulator import SimulationReport, WaferSimulator
+from repro.simulation.simulator import WaferSimulator
 from repro.solver.search_space import (
     downsample_specs,
     plan_for,
@@ -38,24 +40,6 @@ from repro.workloads.models import ModelConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.api.scenario import Scenario
-
-
-@dataclass
-class BaselineResult:
-    """Best configuration found for one (scheme, mapping engine) pair."""
-
-    scheme: BaselineScheme
-    engine: str
-    model: ModelConfig
-    best_spec: Optional[ParallelSpec]
-    report: Optional[SimulationReport]
-    oom: bool
-    candidates_evaluated: int  # configurations considered, mapped or not
-
-    @property
-    def label(self) -> str:
-        """Readable label like "mesp+gmap" used in figures."""
-        return f"{self.scheme.value}+{self.engine}"
 
 
 def scheme_max_tp(scheme: BaselineScheme, model: ModelConfig) -> int:
@@ -75,7 +59,7 @@ def run_baseline_scenario(
     plan_cache: PlanCache,
     wafer: WaferScaleChip,
     config: Optional[SimulatorConfig],
-) -> BaselineResult:
+) -> PlanResult:
     """Run the single-wafer baseline search described by ``scenario``.
 
     Every candidate configuration of the scheme is analysed; the fastest
@@ -129,9 +113,8 @@ def run_baseline_scenario(
              for spec in specs),
             capacity,
             partial(simulator.simulate, engine=solver.engine))
-    return BaselineResult(
-        scheme=scheme, engine=solver.engine, model=model, best_spec=best_spec,
-        report=report, oom=oom, candidates_evaluated=len(specs))
+    return PlanResult.from_report("single_wafer", scenario, model.name,
+                                  best_spec, report, oom, len(specs))
 
 
 def simulate_fixed_spec(
@@ -139,7 +122,7 @@ def simulate_fixed_spec(
     plan_cache: PlanCache,
     wafer: WaferScaleChip,
     config: Optional[SimulatorConfig],
-) -> BaselineResult:
+) -> PlanResult:
     """Evaluate the one pinned configuration of a fixed-spec scenario.
 
     No search happens: the solver spec's ``fixed_spec`` is analysed and
@@ -157,12 +140,5 @@ def simulate_fixed_spec(
         _, report, oom = select_fastest(
             [(spec, plan)], capacity,
             partial(simulator.simulate, engine=solver.engine))
-    return BaselineResult(
-        scheme=solver.resolved_scheme(),
-        engine=solver.engine,
-        model=model,
-        best_spec=spec,
-        report=report,
-        oom=oom,
-        candidates_evaluated=1,
-    )
+    return PlanResult.from_report("fixed_spec", scenario, model.name, spec,
+                                  report, oom, 1)

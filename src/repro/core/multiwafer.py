@@ -12,53 +12,31 @@ layers. TEMP's advantage on multi-wafer systems comes from needing a *lower*
 pipeline degree (TATP covers more parallelism inside a wafer), which shrinks
 the bubble term. :func:`run_multiwafer_scenario` keeps the fastest pipelined
 configuration with :func:`~repro.solver.search_space.select_fastest`, the
-selection routine of every search.
+selection routine of every search. A pipelined configuration's report is
+its stage simulation with the step time, the throughput and
+:attr:`~repro.simulation.simulator.SimulationReport.cross_wafer_time`
+replaced, and the path builds its :class:`~repro.api.result.PlanResult`
+from it with :meth:`~repro.api.result.PlanResult.from_report`, like the
+other wafer paths.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from dataclasses import replace
+from typing import TYPE_CHECKING, List, Optional
 
+from repro.api.result import PlanResult
 from repro.costmodel.tables import PlanCache
 from repro.hardware.multiwafer import MultiWaferSystem
 from repro.hardware.wafer import WaferScaleChip
 from repro.parallelism.baselines import BaselineScheme, candidate_specs
-from repro.parallelism.spec import ParallelSpec
 from repro.parallelism.strategies import ExecutionPlan
 from repro.simulation.config import SimulatorConfig
 from repro.simulation.simulator import SimulationReport, WaferSimulator
-from repro.solver.search_space import prune_specs, select_fastest
-from repro.workloads.models import ModelConfig
+from repro.solver.search_space import downsample_specs, prune_specs, select_fastest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.api.scenario import Scenario
-
-
-@dataclass
-class MultiWaferResult:
-    """Best pipelined configuration of a scheme on a multi-wafer system."""
-
-    scheme: BaselineScheme
-    engine: str
-    model: ModelConfig
-    num_wafers: int
-    best_spec: Optional[ParallelSpec]
-    step_time: float
-    compute_time: float
-    comm_time: float
-    bubble_time: float
-    throughput: float
-    oom: bool
-    report: Optional[SimulationReport] = None
-
-    def breakdown(self) -> Dict[str, float]:
-        """Latency breakdown matching Fig. 19's bars."""
-        return {
-            "compute": self.compute_time,
-            "communication": self.comm_time,
-            "bubble": self.bubble_time,
-        }
 
 
 def pipeline_degrees_for(
@@ -87,17 +65,19 @@ def run_multiwafer_scenario(
     plan_cache: PlanCache,
     wafer: WaferScaleChip,
     config: Optional[SimulatorConfig],
-) -> MultiWaferResult:
+) -> PlanResult:
     """Run the multi-wafer (pipelined) search described by ``scenario``.
 
     The scenario's hardware spec supplies the wafer count and the number of
-    pipeline microbatches; the solver spec supplies scheme, engine, and the
-    TATP cap. ``wafer`` is a healthy chip of the scenario's geometry, which
-    every wafer of the system shares, and ``config`` its simulator knobs
-    (``None`` for the defaults). ``plan_cache`` memoises ``analyze_model``.
+    pipeline microbatches; the solver spec supplies scheme, engine, the
+    TATP cap and the ``max_candidates`` cap. ``wafer`` is a healthy chip of
+    the scenario's geometry, which every wafer of the system shares, and
+    ``config`` its simulator knobs (``None`` for the defaults).
+    ``plan_cache`` memoises ``analyze_model``.
 
-    The candidates of every admissible pipeline degree are pruned together,
-    and :func:`~repro.solver.search_space.select_fastest` picks the result:
+    The candidates of every admissible pipeline degree are pruned together
+    and capped like the single-wafer search's, and
+    :func:`~repro.solver.search_space.select_fastest` picks the result:
     the fastest configuration that fits in memory wins, and only
     configurations that fit are mapped and simulated. When none fits, the
     result is flagged OOM and is the configuration with the least memory
@@ -129,28 +109,30 @@ def run_multiwafer_scenario(
         # report the least-infeasible one as the OOM result.
         specs = [min(all_specs,
                      key=lambda s: plan_cache.analyze(model, s).memory.total)]
+    if solver.max_candidates is not None:
+        specs = downsample_specs(specs, solver.max_candidates)
 
-    _, best, _ = select_fastest(
+    best_spec, report, oom = select_fastest(
         ((spec, plan_cache.analyze(model, spec, num_devices=spec.total_degree,
                                    num_microbatches=num_microbatches))
          for spec in specs),
         wafer.config.die.hbm.capacity,
-        lambda plan: _evaluate_plan(scheme, solver.engine, plan, system,
-                                    simulator, num_microbatches))
-    if best is None:
+        lambda plan: _pipelined_report(plan, solver.engine, system, simulator,
+                                       num_microbatches))
+    if report is None:
         raise ValueError(f"no feasible configuration found for {model.name} "
                          f"on {num_wafers} wafers")
-    return best
+    return PlanResult.from_report("multi_wafer", scenario, model.name,
+                                  best_spec, report, oom, len(specs))
 
 
-def _evaluate_plan(
-    scheme: BaselineScheme,
-    engine: str,
+def _pipelined_report(
     plan: ExecutionPlan,
+    engine: str,
     system: MultiWaferSystem,
     simulator: WaferSimulator,
     num_microbatches: int,
-) -> MultiWaferResult:
+) -> SimulationReport:
     """Simulate one pipelined configuration on the multi-wafer system."""
     model, spec = plan.model, plan.spec
     report = simulator.simulate(plan, engine=engine)
@@ -170,17 +152,5 @@ def _evaluate_plan(
 
     step_time = report.step_time + cross_wafer_time
     throughput = model.tokens_per_batch / step_time if step_time > 0 else 0.0
-    return MultiWaferResult(
-        scheme=scheme,
-        engine=engine,
-        model=model,
-        num_wafers=system.num_wafers,
-        best_spec=spec,
-        step_time=step_time,
-        compute_time=report.compute_time,
-        comm_time=report.total_comm_time + cross_wafer_time,
-        bubble_time=report.bubble_time,
-        throughput=throughput,
-        oom=report.oom,
-        report=report,
-    )
+    return replace(report, step_time=step_time, throughput=throughput,
+                   cross_wafer_time=cross_wafer_time)

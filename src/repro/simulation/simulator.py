@@ -30,6 +30,10 @@ class SimulationReport:
 
     Times are in seconds, memory in bytes, throughput in tokens/second, power
     in watts, and power efficiency in tokens/second/watt.
+
+    ``cross_wafer_time`` is the inter-wafer activation transfer time of a
+    pipelined multi-wafer run (:mod:`repro.core.multiwafer`), already
+    included in ``step_time``; a single-wafer simulation leaves it 0.
     """
 
     model_name: str
@@ -52,11 +56,13 @@ class SimulationReport:
     comm_time_by_dimension: Dict[str, float] = field(default_factory=dict)
     tatp_hop_factor: int = 1
     contention_factor: float = 1.0
+    cross_wafer_time: float = 0.0
 
     @property
     def total_comm_time(self) -> float:
-        """Critical plus exposed communication time."""
-        return self.critical_comm_time + self.exposed_comm_time
+        """Critical plus exposed communication time, plus cross-wafer time."""
+        return (self.critical_comm_time + self.exposed_comm_time
+                + self.cross_wafer_time)
 
     def breakdown(self) -> Dict[str, float]:
         """Step-time breakdown used by the latency figures."""

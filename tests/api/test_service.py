@@ -1,6 +1,7 @@
 """PlanService dispatch and the PlanResult schema."""
 
 import math
+import re
 
 import pytest
 
@@ -93,15 +94,28 @@ class TestDispatch:
         assert result.relative_throughput == pytest.approx(1.0)
 
     def test_multi_wafer_path_honours_geometry(self, service):
-        raw = service.evaluate_raw(Scenario(
+        result = service.evaluate(Scenario(
             workload=WorkloadSpec(model="gpt3-6.7b", batch_size=8,
                                   seq_length=512, num_layers=2),
             hardware=HardwareSpec(rows=2, cols=2, num_wafers=2,
                                   num_microbatches=4),
             solver=SolverSpec(scheme="mesp", engine="gmap")))
         # Two 4-die wafers: the winning spec fills 8 devices, not 64.
-        assert raw.num_wafers == 2
-        assert raw.best_spec.total_degree == 8
+        assert result.num_wafers == 2
+        # The product of the label's degrees (a TP-coupled sp adds none).
+        assert math.prod(
+            int(degree) for degree in re.findall(r"=(\d+)", result.spec)) == 8
+
+    def test_fault_path_maps_on_the_shared_chip(self):
+        # The healthy run of a fault study maps on the service's cached
+        # chip; only the faulty chip is built per scenario.
+        service = PlanService()
+        service.evaluate(Scenario(
+            workload=WorkloadSpec(model="gpt3-6.7b"),
+            hardware=HardwareSpec(link_fault_rate=0.2),
+            solver=SolverSpec(fixed_spec={"dp": 4, "tatp": 8})))
+        assert service.stats()["wafers_cached"] == 1
+        assert service.wafer_for(HardwareSpec()).topology.incidence_memo
 
     def test_inconsistent_hardware_combos_rejected(self):
         with pytest.raises(ScenarioError, match="multi-wafer"):
@@ -128,9 +142,10 @@ class TestDispatch:
         assert cold == warm
 
     def test_shared_wafer_leaks_no_state(self):
-        # Single- and multi-wafer scenarios of one geometry map on one
-        # chip (a multi-wafer system's wafers are all that chip), so their
-        # routing memos interleave; no payload may depend on what ran first.
+        # Single-wafer, multi-wafer and fault scenarios of one geometry map
+        # on one chip (a multi-wafer system's wafers are all that chip, and
+        # a fault study's healthy run uses it), so their routing memos
+        # interleave; no payload may depend on what ran first.
         workload = WorkloadSpec(model="gpt3-6.7b", num_layers=8,
                                 batch_size=32, seq_length=1024)
 
@@ -153,7 +168,13 @@ class TestDispatch:
                      solver=SolverSpec(fixed_spec={"dp": 4, "tatp": 8})),
             multi(2, "megatron1", "gmap"),
             Scenario(workload=workload,
+                     hardware=HardwareSpec(link_fault_rate=0.2),
+                     solver=SolverSpec(fixed_spec={"dp": 4, "tatp": 8})),
+            Scenario(workload=workload,
                      solver=SolverSpec(scheme="fsdp", engine="smap")),
+            Scenario(workload=workload,
+                     hardware=HardwareSpec(core_fault_rate=0.25),
+                     solver=SolverSpec(fixed_spec={"dp": 4, "tatp": 8})),
         ]
         service = PlanService()
         memo = service.wafer_for(HardwareSpec()).topology.incidence_memo

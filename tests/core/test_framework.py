@@ -1,9 +1,12 @@
 """Tests for the framework's search paths, metrics, and fault tolerance.
 
-The single-wafer, ablation, solver, and multi-wafer searches are driven the
-way every caller drives them: a :class:`~repro.api.scenario.Scenario`
+The single-wafer, ablation, solver, multi-wafer and fault paths are driven
+the way every caller drives them: a :class:`~repro.api.scenario.Scenario`
 evaluated by :class:`~repro.api.service.PlanService`.
 """
+
+import math
+import re
 
 import pytest
 
@@ -15,7 +18,6 @@ from repro.api.scenario import (
     WorkloadSpec,
 )
 from repro.api.service import PlanService, validate_result_payload
-from repro.core.fault_tolerance import evaluate_with_faults
 from repro.core.framework import downsample_specs
 from repro.core.metrics import (
     average_speedup,
@@ -25,9 +27,13 @@ from repro.core.metrics import (
     speedup,
 )
 from repro.core.multiwafer import pipeline_degrees_for
-from repro.hardware.faults import FaultModel
+from repro.hardware.wafer import WaferScaleChip
 from repro.parallelism.baselines import BaselineScheme
 from repro.parallelism.spec import ParallelSpec
+from repro.parallelism.strategies import analyze_model
+from repro.simulation.simulator import WaferSimulator
+
+_GB = 1024 ** 3
 
 
 @pytest.fixture(scope="module")
@@ -37,24 +43,38 @@ def service():
 
 def _baseline(service, scheme, engine, model):
     """The single-wafer search of ``scheme`` + ``engine`` on the default wafer."""
-    return service.evaluate_raw(Scenario(
+    return service.evaluate(Scenario(
         workload=WorkloadSpec(model=model),
         solver=SolverSpec(scheme=scheme.value, engine=engine)))
 
 
 def _framework(service, model, **switches):
     """The TEMP framework's search under its ablation ``switches``."""
-    return service.evaluate_raw(Scenario(
+    return service.evaluate(Scenario(
         workload=WorkloadSpec(model=model),
         solver=SolverSpec.for_framework(**switches)))
 
 
 def _multiwafer(service, solver):
     """gpt3-175b pipelined across two wafers with 8 microbatches."""
-    return service.evaluate_raw(Scenario(
+    return service.evaluate(Scenario(
         workload=WorkloadSpec(model="gpt3-175b"),
         hardware=HardwareSpec(num_wafers=2, num_microbatches=8),
         solver=solver))
+
+
+def _degree(label, name):
+    """One degree of a spec label like ``(dp=4,tp=8,sp=1,tatp=1)``.
+
+    Labels omit trivial cp, fsdp and pp degrees, so those read as 1.
+    """
+    match = re.search(rf"\b{name}=(\d+)", label)
+    return int(match.group(1)) if match else 1
+
+
+def _total_degree(label):
+    """The device count of a spec label (a TP-coupled sp adds none)."""
+    return math.prod(int(degree) for degree in re.findall(r"=(\d+)", label))
 
 
 class TestMetrics:
@@ -94,17 +114,18 @@ class TestBaselineSearch:
                                         BaselineScheme.FSDP])
     def test_every_scheme_produces_a_result(self, scheme, service):
         result = _baseline(service, scheme, "smap", "gpt3-6.7b")
-        assert result.report is not None
-        assert result.best_spec is not None
+        assert math.isfinite(result.step_time)
+        assert result.spec is not None
         assert result.candidates_evaluated > 0
         assert result.label.endswith("+smap")
 
     def test_best_spec_respects_scheme_space(self, service):
         mega = _baseline(service, BaselineScheme.MEGATRON1, "smap",
                          "gpt3-6.7b")
-        assert mega.best_spec.tatp == 1 and mega.best_spec.fsdp == 1
+        assert _degree(mega.spec, "tatp") == 1
+        assert _degree(mega.spec, "fsdp") == 1
         fsdp = _baseline(service, BaselineScheme.FSDP, "smap", "gpt3-6.7b")
-        assert fsdp.best_spec.tp == 1
+        assert _degree(fsdp.spec, "tp") == 1
 
     def test_megatron_oom_on_70b(self, service):
         result = _baseline(service, BaselineScheme.MEGATRON1, "smap",
@@ -120,7 +141,7 @@ class TestBaselineSearch:
         result = _baseline(service, BaselineScheme.MESP, "gmap",
                            "llama3-70b")
         assert not result.oom
-        assert result.report.memory.total <= wafer.config.die.hbm.capacity
+        assert result.memory_gb <= wafer.config.die.hbm.capacity / _GB
 
 
 class TestDownsample:
@@ -151,17 +172,17 @@ class TestTEMPFramework:
                 baseline = _baseline(service, scheme, engine, "llama3-70b")
                 if baseline.oom:
                     continue
-                assert temp.report.step_time <= baseline.report.step_time * 1.001
+                assert temp.step_time <= baseline.step_time * 1.001
 
     def test_temp_uses_tatp_on_large_models(self, service):
         result = _framework(service, "llama3-70b")
-        assert result.best_spec.tatp > 1
+        assert _degree(result.spec, "tatp") > 1
         assert not result.oom
 
     def test_temp_memory_not_above_best_baseline(self, service):
         temp = _framework(service, "llama3-70b")
         mesp = _baseline(service, BaselineScheme.MESP, "gmap", "llama3-70b")
-        assert temp.report.memory.total <= mesp.report.memory.total * 1.05
+        assert temp.memory_gb <= mesp.memory_gb * 1.05
 
     def test_ablation_switches_change_engine_and_space(self):
         base = SolverSpec.for_framework(enable_tatp=False, enable_tcme=False)
@@ -176,15 +197,15 @@ class TestTEMPFramework:
         with_tatp = _framework(service, "llama3-70b", enable_tatp=True,
                                enable_tcme=False)
         full = _framework(service, "llama3-70b")
-        assert with_tatp.report.throughput >= base.report.throughput * 0.999
-        assert full.report.throughput >= with_tatp.report.throughput * 0.999
+        assert with_tatp.throughput >= base.throughput * 0.999
+        assert full.throughput >= with_tatp.throughput * 0.999
 
     def test_solver_path_agrees_with_enumeration(self, service):
-        solver_result = service.solve_raw(Scenario(
+        outcome = service.solve(Scenario(
             workload=WorkloadSpec(model="gpt3-6.7b"),
             solver=SolverSpec.for_framework()))
-        assert not solver_result.best_report.oom
-        assert solver_result.best_spec.total_degree == 32
+        assert not outcome.oom
+        assert _total_degree(outcome.spec) == 32
 
 
 class TestMultiWafer:
@@ -200,10 +221,6 @@ class TestMultiWafer:
         assert not temp.oom
         assert temp.step_time <= mesp.step_time * 1.001
         assert temp.throughput >= mesp.throughput * 0.999
-
-    def test_breakdown_keys(self, service):
-        result = _multiwafer(service, SolverSpec.for_framework())
-        assert set(result.breakdown()) == {"compute", "communication", "bubble"}
 
     def test_invalid_wafer_count(self):
         with pytest.raises(ScenarioError):  # a ValueError
@@ -235,34 +252,77 @@ class TestMultiWafer:
         assert payload["spec"] == "(dp=1,tp=1,sp=1,tatp=32,pp=2)"
         assert payload["memory_gb"] == pytest.approx(31.68, abs=0.01)
 
+    def test_max_candidates_caps_the_candidates(self, service):
+        # The cap subsamples the pruned candidates the way the single-wafer
+        # search does, and candidates_evaluated counts what is considered.
+        def evaluate(**solver):
+            return service.evaluate(Scenario(
+                workload=WorkloadSpec(model="gpt3-175b"),
+                hardware=HardwareSpec(num_wafers=2),
+                solver=SolverSpec(**solver)))
+
+        assert evaluate().candidates_evaluated > 3
+        capped = evaluate(max_candidates=3)
+        assert capped.candidates_evaluated == 3
+        assert capped.kind == "multi_wafer"
+
 
 class TestFaultTolerance:
-    def test_no_faults_means_no_loss(self, gpt3_6b):
-        result = evaluate_with_faults(gpt3_6b, ParallelSpec(dp=4, tatp=8),
-                                      FaultModel())
-        assert result.relative_throughput == pytest.approx(1.0)
-        assert not result.rerouted and not result.rebalanced
+    """The fault path on gpt3-6.7b pinned to (DP=4, TATP=8)."""
 
-    def test_core_faults_degrade_gracefully(self, gpt3_6b):
-        faults = FaultModel.sample_core_faults(32, 0.25, seed=3)
-        result = evaluate_with_faults(gpt3_6b, ParallelSpec(dp=4, tatp=8), faults)
-        assert result.rebalanced
+    @staticmethod
+    def _faulty(service, seed, engine="tcme", **rates):
+        return service.evaluate(Scenario(
+            workload=WorkloadSpec(model="gpt3-6.7b"),
+            hardware=HardwareSpec(**rates),
+            solver=SolverSpec(seed=seed, engine=engine,
+                              fixed_spec={"dp": 4, "tatp": 8})))
+
+    def test_no_faults_means_no_loss(self, service):
+        result = self._faulty(service, 0, core_fault_rate=0.0)
+        assert result.kind == "fault"
+        assert result.relative_throughput == pytest.approx(1.0)
+
+    def test_core_faults_degrade_gracefully(self, service):
+        result = self._faulty(service, 3, core_fault_rate=0.25)
         assert 0.6 < result.relative_throughput < 1.0
 
-    def test_rebalancing_recovers_throughput(self, gpt3_6b):
-        faults = FaultModel.sample_core_faults(32, 0.25, seed=3)
-        spec = ParallelSpec(dp=4, tatp=8)
-        with_rebalance = evaluate_with_faults(gpt3_6b, spec, faults, rebalance=True)
-        without = evaluate_with_faults(gpt3_6b, spec, faults, rebalance=False)
-        assert with_rebalance.faulty_throughput >= without.faulty_throughput
+    def test_rebalancing_recovers_throughput(self, service, gpt3_6b):
+        hardware = HardwareSpec(core_fault_rate=0.25)
+        result = self._faulty(service, 3, core_fault_rate=0.25)
+        # The same faulty chip without re-balancing: the slowest die gates
+        # the step.
+        faulty = WaferScaleChip(
+            hardware.resolve_config(),
+            fault_model=hardware.resolve_fault_model(seed=3))
+        plan = analyze_model(gpt3_6b, ParallelSpec(dp=4, tatp=8),
+                             num_devices=32)
+        unbalanced = WaferSimulator(faulty).simulate(plan, engine="tcme")
+        assert result.throughput > unbalanced.throughput
 
-    def test_moderate_link_faults_survive(self, gpt3_6b):
-        faults = FaultModel.sample_link_faults(4, 8, 0.15, seed=2)
-        result = evaluate_with_faults(gpt3_6b, ParallelSpec(dp=4, tatp=8), faults)
-        assert result.rerouted
+    def test_moderate_link_faults_survive(self, service):
+        result = self._faulty(service, 2, link_fault_rate=0.15)
         assert result.relative_throughput > 0.5
 
-    def test_extreme_link_faults_hit_cliff(self, gpt3_6b):
-        faults = FaultModel.sample_link_faults(4, 8, 0.6, seed=2)
-        result = evaluate_with_faults(gpt3_6b, ParallelSpec(dp=4, tatp=8), faults)
+    def test_extreme_link_faults_hit_cliff(self, service):
+        result = self._faulty(service, 2, link_fault_rate=0.6)
         assert result.relative_throughput < 0.5
+
+    def test_checkpoint_fallback_matches_the_pinned_spec_path(self, service):
+        # llama3-70b at (DP=4, TP=8) fits the die only with activation
+        # checkpointing: a fault study at rate 0 runs the plan the
+        # pinned-spec path runs, and neither runs it without the fallback.
+        fields = ("spec", "oom", "memory_gb", "step_time")
+        for fallback in (True, False):
+            solver = SolverSpec(fixed_spec={"dp": 4, "tp": 8},
+                                allow_checkpoint_fallback=fallback)
+            workload = WorkloadSpec(model="llama3-70b")
+            fault = service.evaluate(Scenario(
+                workload=workload, hardware=HardwareSpec(core_fault_rate=0.0),
+                solver=solver)).to_dict()
+            pinned = service.evaluate(Scenario(
+                workload=workload, solver=solver)).to_dict()
+            assert {key: fault[key] for key in fields} \
+                == {key: pinned[key] for key in fields}
+            assert fault["oom"] is not fallback
+            assert fault["relative_throughput"] == pytest.approx(1.0)
