@@ -367,6 +367,17 @@ class Scenario:
             raise ScenarioError(
                 f"scenario schema_version {self.schema_version!r} is not "
                 f"supported; this build speaks version {SCHEMA_VERSION}")
+        # Only the single-wafer paths evaluate a pinned spec; reject the
+        # combinations whose dispatch target would drop it.
+        if self.solver.fixed_spec is not None:
+            if self.hardware.platform == "gpu_cluster":
+                raise ScenarioError(
+                    "the gpu_cluster comparator searches its own "
+                    "configurations; drop solver.fixed_spec")
+            if self.hardware.num_wafers > 1:
+                raise ScenarioError(
+                    "the multi-wafer path searches its own configurations; "
+                    "drop solver.fixed_spec or set num_wafers=1")
 
     # Serialization ---------------------------------------------------------------
 

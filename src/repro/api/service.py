@@ -104,7 +104,7 @@ class PlanService:
 
     One service instance owns one :class:`PlanCache`, so every scenario it
     evaluates shares memoised ``analyze_model`` results — the same sharing
-    the sweep orchestrator gives each worker. The cache is pure memoisation:
+    each scheduler lane worker has. The cache is pure memoisation:
     results are bit-identical with a private or a shared service.
     """
 
@@ -200,17 +200,31 @@ class PlanService:
 
     def solve(self, scenario: Scenario) -> SolverOutcome:
         """Run the dual-level solver on ``scenario`` (flat outcome)."""
-        if scenario.hardware.platform != "wafer":
+        hardware = scenario.hardware
+        if hardware.platform != "wafer":
             raise ScenarioError(
                 "the dual-level solver only runs on the wafer platform")
+        # The solver searches one healthy wafer: reject the knobs it would
+        # silently drop.
+        if hardware.num_wafers > 1:
+            raise ScenarioError(
+                "the dual-level solver plans one wafer; set num_wafers=1")
+        if hardware.has_fault_study:
+            raise ScenarioError(
+                "the dual-level solver plans a healthy wafer; drop the fault "
+                "rates")
+        if scenario.solver.fixed_spec is not None:
+            raise ScenarioError(
+                "the dual-level solver searches the configuration; drop "
+                "solver.fixed_spec")
         solver_spec = scenario.solver
         genetic_config = (
             DEFAULT_GENETIC_CONFIG if solver_spec.ga_generations is None
             else GeneticConfig(generations=solver_spec.ga_generations))
         with span("service.solve", model=scenario.workload.model):
             solver = DualLevelWaferSolver(
-                wafer=self.wafer_for(scenario.hardware),
-                config=scenario.hardware.resolve_simulator(),
+                wafer=self.wafer_for(hardware),
+                config=hardware.resolve_simulator(),
                 genetic_config=replace(genetic_config, seed=solver_spec.seed),
                 num_finalists=solver_spec.num_finalists,
                 mapping_engine=solver_spec.engine,

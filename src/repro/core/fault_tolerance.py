@@ -66,6 +66,10 @@ def run_fault_scenario(
             "fault-tolerance scenarios need solver.fixed_spec (the "
             "configuration to stress) — the fault path does not search")
     spec = solver.resolve_fixed_spec()
+    if spec.total_degree > wafer.num_dies:
+        raise ScenarioError(
+            f"fixed_spec {spec.label()} spans {spec.total_degree} dies but "
+            f"the wafer has {wafer.num_dies} dies")
     model = scenario.workload.resolve()
     plan = plan_for(plan_cache, model, spec, spec.total_degree,
                     wafer.config.die.hbm.capacity,

@@ -21,9 +21,10 @@ the +TATP/+TCME ablation switches).
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.api.result import PlanResult
+from repro.api.scenario import Scenario, ScenarioError
 from repro.costmodel.tables import PlanCache
 from repro.hardware.wafer import WaferScaleChip
 from repro.obs.tracing import span
@@ -37,9 +38,6 @@ from repro.solver.search_space import (
     select_fastest,
 )
 from repro.workloads.models import ModelConfig
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.api.scenario import Scenario
 
 
 def scheme_max_tp(scheme: BaselineScheme, model: ModelConfig) -> int:
@@ -131,6 +129,10 @@ def simulate_fixed_spec(
     """
     solver = scenario.solver
     spec = solver.resolve_fixed_spec()
+    if spec.total_degree != wafer.num_dies:
+        raise ScenarioError(
+            f"fixed_spec {spec.label()} spans {spec.total_degree} dies; a "
+            f"pinned spec must span all {wafer.num_dies} dies of the wafer")
     model = scenario.workload.resolve()
     capacity = wafer.config.die.hbm.capacity
     simulator = WaferSimulator(wafer, config)

@@ -1,15 +1,17 @@
-"""Experiment registry, sweep orchestrator, and artifact pipeline.
+"""Experiment registry, figure runner, and artifact pipeline.
 
-The package turns the thirteen figure reproductions under
-:mod:`repro.experiments` into one uniform evaluation grid:
+The package turns the figure reproductions under :mod:`repro.experiments`
+into one uniform evaluation grid:
 
-* :mod:`repro.runner.registry` — every figure module registers its cell
-  runner together with its parameter grids and manifest row schema,
-* :mod:`repro.runner.orchestrator` — expands a grid into cells and executes
-  them serially or across worker processes (one shared
-  :class:`~repro.costmodel.tables.PlanCache` per worker),
+* :mod:`repro.runner.registry` — every figure module registers its
+  parameter grids and manifest row schema together with either a scenario
+  builder and row mapper (a Scenario figure) or a cell runner (a computed
+  figure),
+* :mod:`repro.runner.orchestrator` — runs figures on one plan scheduler:
+  Scenario figures are swept as portfolios over its ``jobs`` lanes,
+  computed figures run their cells in-process,
 * :mod:`repro.runner.manifest` — the ``results/<figure>.json`` artifact
-  format every runner emits, plus its validator,
+  format ``repro run`` and ``repro sweep`` emit, plus its validator,
 * :mod:`repro.runner.docs` — the generated ``EXPERIMENTS.md`` index,
 * :mod:`repro.runner.cli` — the ``python -m repro`` command line.
 """

@@ -4,7 +4,7 @@ Sub-commands::
 
     repro list                         # registered figures and grid sizes
     repro run fig19 --reduced          # one figure, reduced grid
-    repro run all --reduced --jobs 2   # full evaluation grid, 2 workers
+    repro run all --reduced --jobs 2   # full evaluation grid, 2 lanes
     repro plan '<json>'                # evaluate one Scenario (or '-': stdin)
     repro plan '[<json>, ...]'         # batch: array in, array out, one
                                        # shared PlanService across the batch
@@ -94,7 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--reduced", action="store_true",
                      help="use the fast reduced grids (CI fidelity)")
     run.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help="worker processes (default: 1, serial)")
+                     help="scheduler lanes of the Scenario figures' sweeps "
+                          "(default: %(default)s, in-process); computed "
+                          "figures run in-process")
     run.add_argument("--output-dir", default=DEFAULT_OUTPUT_DIR,
                      help="manifest directory (default: %(default)s)")
     run.add_argument("--no-write", action="store_true",
@@ -403,26 +405,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except KeyError as error:
         print(f"error: {error.args[0]}", file=sys.stderr)
         return 2
-    output_dir = None if args.no_write else args.output_dir
+    manifests = orchestrator.run_all(
+        figures, reduced=args.reduced, jobs=args.jobs,
+        output_dir=None if args.no_write else args.output_dir,
+        progress=print)
     failures: List[str] = []
-    # One pool (or serial context) for the whole run: worker plan caches
-    # stay warm across figures sharing evaluations (e.g. Figs. 13/14).
-    with orchestrator.sweep_resources(args.jobs, args.reduced) as (pool, ctx):
-        for figure, experiment in experiments.items():
-            print(f"{figure} ({experiment.paper}): {experiment.title}")
-            manifest = orchestrator.run_experiment(
-                figure, reduced=args.reduced, jobs=args.jobs,
-                output_dir=output_dir, progress=print, pool=pool,
-                context=ctx)
-            problems = manifest_module.validate_manifest(manifest, experiment)
-            total = manifest["timings"]["total_seconds"]
-            oom = sum(cell["oom_rows"] for cell in manifest["cells"])
-            print(f"  -> {len(manifest['rows'])} rows, {oom} OOM, "
-                  f"{total:.2f}s total")
-            if problems:
-                failures.append(figure)
-                for problem in problems:
-                    print(f"  !! {problem}", file=sys.stderr)
+    for figure, manifest in manifests.items():
+        problems = manifest_module.validate_manifest(manifest,
+                                                     experiments[figure])
+        if problems:
+            failures.append(figure)
+            for problem in problems:
+                print(f"  !! {figure}: {problem}", file=sys.stderr)
     if failures:
         print(f"FAILED figures: {', '.join(failures)}", file=sys.stderr)
         return 1

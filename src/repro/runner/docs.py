@@ -35,11 +35,12 @@ manifest per figure to `results/<figure>.json` (format documented in
 `README.md`).
 
 Figures marked with a portfolio are Scenario figures (a scenario builder
-plus a row mapper), so the portfolio sweep engine can run them too:
-`python -m repro sweep <figure> --reduced` expands the same grid through
-the plan scheduler (locally or against a `repro serve` instance via
-`--server HOST:PORT`) and emits a manifest row-identical to the
-orchestrator run. See README "Portfolio sweeps".
+plus a row mapper): `repro run` sweeps their grid as a portfolio through
+the plan scheduler, over `--jobs N` lanes. `python -m repro sweep <figure>
+--reduced` runs the same sweep on its own, locally or against a `repro
+serve` instance via `--server HOST:PORT`, and emits the same manifest. The
+other figures are computed in-process, cell by cell in grid order. See
+README "Portfolio sweeps".
 """
 
 

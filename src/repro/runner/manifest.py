@@ -8,7 +8,7 @@ One ``results/<figure>.json`` file per figure, written through
 ``figure`` / ``paper`` / ``title`` / ``module``
     identity of the experiment (mirrors the registry entry).
 ``reduced`` / ``jobs``
-    how the run was launched.
+    how the run was launched (``jobs`` is the number of scheduler lanes).
 ``grid``
     the parameter grid exactly as registered (dict of axes or explicit
     cell list).
@@ -16,25 +16,35 @@ One ``results/<figure>.json`` file per figure, written through
     ordered row columns; every row carries exactly these keys.
 ``cells``
     per-cell accounting: the cell params, wall-clock seconds, row count,
-    OOM row count, and the error message if the cell raised.
+    OOM row count, and the error message if the cell failed.
 ``rows``
     the figure's data, one flat list of ``{**cell_params, **row}`` dicts.
 ``timings``
     total / max / mean cell wall-clock seconds.
+``plan_cache`` (optional)
+    plan-cache counters (``hits``, ``misses``, ``entries``,
+    ``max_entries``) of the service(s) that evaluated the run.
+``sweep`` (optional)
+    how a portfolio sweep served its points: points, unique points, and
+    the count of each source (``evaluated``, ``store``, ...).
 
-All floats are finite (``inf``/``nan`` are serialised as ``null``) so the
-artifacts are strict JSON. :func:`validate_manifest` is the schema check CI
-runs on every artifact; it returns a list of human-readable problems.
+Every manifest is built by :func:`build_manifest`, for ``repro run`` and
+``repro sweep`` alike. All floats are finite (``inf``/``nan`` are
+serialised as ``null``) so the artifacts are strict JSON.
+:func:`validate_manifest` is the schema check CI runs on every artifact; it
+returns a list of human-readable problems.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.runner.registry import Experiment, expand_grid
+from repro import __version__
+from repro.runner.registry import Experiment, Grid
 
 #: Current manifest format version.
 MANIFEST_VERSION = 1
@@ -58,6 +68,78 @@ def finite(value):
     if isinstance(value, (list, tuple)):
         return [finite(item) for item in value]
     return value
+
+
+def cell_entry(params: Mapping[str, object], rows: List[Dict[str, object]],
+               wall_seconds: float,
+               error: Optional[str] = None) -> Dict[str, object]:
+    """The per-cell accounting entry of one cell and the rows it produced."""
+    return {
+        "params": dict(params),
+        "wall_seconds": round(wall_seconds, 6),
+        "num_rows": len(rows),
+        "oom_rows": sum(1 for row in rows if row.get("oom")),
+        "error": error,
+    }
+
+
+def experiment_identity(experiment: Experiment) -> Dict[str, str]:
+    """The identity keys of a registered figure's manifest."""
+    return {
+        "figure": experiment.figure,
+        "paper": experiment.paper,
+        "title": experiment.title,
+        "module": experiment.module,
+    }
+
+
+def build_manifest(
+    identity: Mapping[str, str],
+    grid: Grid,
+    schema: Sequence[str],
+    cells: List[Dict[str, object]],
+    rows: List[Dict[str, object]],
+    reduced: bool,
+    jobs: int,
+    total_seconds: float,
+    plan_cache: Optional[Dict[str, int]] = None,
+    sweep: Optional[Dict[str, object]] = None,
+) -> Dict[str, object]:
+    """One manifest document (see the module docstring for the keys).
+
+    Args:
+        identity: ``figure``/``paper``/``title``/``module``.
+        grid: the grid as registered; deep-copied, so the manifest never
+            aliases the registry.
+        cells: :func:`cell_entry` of every cell, in grid order.
+        rows: every cell's rows, in grid order.
+        plan_cache / sweep: optional sections, omitted when ``None``.
+    """
+    cell_seconds = [cell["wall_seconds"] for cell in cells]
+    manifest: Dict[str, object] = {
+        "version": MANIFEST_VERSION,
+        "repro_version": __version__,
+        **identity,
+        "reduced": reduced,
+        "jobs": jobs,
+        "grid": copy.deepcopy(grid),
+        "schema": list(schema),
+        "cells": cells,
+        "rows": rows,
+        "timings": {
+            "total_seconds": round(total_seconds, 6),
+            "max_cell_seconds": (round(max(cell_seconds), 6)
+                                 if cell_seconds else 0.0),
+            "mean_cell_seconds": (
+                round(sum(cell_seconds) / len(cell_seconds), 6)
+                if cell_seconds else 0.0),
+        },
+    }
+    if plan_cache is not None:
+        manifest["plan_cache"] = plan_cache
+    if sweep is not None:
+        manifest["sweep"] = sweep
+    return manifest
 
 
 def manifest_path(output_dir: str, figure: str) -> str:
@@ -148,14 +230,22 @@ def validate_manifest(
         if schema != list(experiment.schema):
             problems.append(
                 f"schema {schema} != registered {list(experiment.schema)}")
-        grid_cells = expand_grid(manifest["grid"])
-        if grid_cells != experiment.cells(manifest["reduced"]):
+        # Compared as JSON values: a written manifest has its grid's axes
+        # in sorted key order and its tuples as lists.
+        registered = experiment.grid(manifest["reduced"])
+        if _as_json(manifest["grid"]) != _as_json(registered):
             fidelity = "reduced" if manifest["reduced"] else "default"
             problems.append(
                 f"grid does not match the registered {fidelity} grid of "
                 f"{experiment.figure!r}")
-        if len(cells) != len(grid_cells):
+        expected_cells = len(experiment.cells(manifest["reduced"]))
+        if len(cells) != expected_cells:
             problems.append(
-                f"{len(cells)} cells but the grid expands to "
-                f"{len(grid_cells)}")
+                f"{len(cells)} cells but the registered grid expands to "
+                f"{expected_cells}")
     return problems
+
+
+def _as_json(value):
+    """``value`` as :func:`write_manifest` then :func:`read_manifest` see it."""
+    return json.loads(json.dumps(finite(value), allow_nan=False))

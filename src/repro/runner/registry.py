@@ -17,19 +17,19 @@ A *grid* is either
 A cell is computed in one of two ways:
 
 * a *Scenario figure* registers a ``scenario`` builder and a ``row``
-  mapper. Each cell evaluates ``scenario(**params)`` through the worker's
-  :class:`~repro.api.service.PlanService` and maps the result payload to
-  one row with ``row(params, payload)``. The same two callables make the
-  figure sweepable: :meth:`Experiment.portfolio` is the grid as a
-  :class:`~repro.api.portfolio.Portfolio` for ``repro sweep``.
+  mapper. :meth:`Experiment.portfolio` is its grid as a
+  :class:`~repro.api.portfolio.Portfolio`, one point per cell evaluating
+  ``scenario(**params)``; ``repro run`` and ``repro sweep`` both sweep it
+  through the plan scheduler and map each point's result payload to one
+  row with ``row(params, payload)``.
 * a *computed figure* decorates a *cell runner*
   ``cell(ctx, **params) -> list[dict]``: ``ctx`` is a
   :class:`repro.runner.context.RunContext` (shared plan service),
   ``params`` is one point of the grid, and the returned dicts are the
   cell's rows.
 
-Either way the orchestrator merges ``params`` into each row, and the merged
-keys must equal the registered ``schema``.
+Either way ``params`` are merged into each row, and the merged keys must
+equal the registered ``schema``.
 """
 
 from __future__ import annotations
@@ -65,16 +65,9 @@ class Experiment:
     runner: Optional[Callable] = None
 
     def cell(self, ctx, **params) -> List[Dict[str, object]]:
-        """The rows of one cell (before ``params`` are merged in).
-
-        A Scenario figure evaluates the cell's scenario on ``ctx.service``
-        and maps the payload to one row; a computed figure runs its cell
-        runner.
-        """
-        if self.row is None:
-            return self.runner(ctx, **params)
-        result = ctx.service.evaluate(self.scenario_for(**params))
-        return [self.row(params, result.to_dict())]
+        """The rows of one cell of a computed figure (before ``params`` are
+        merged in): its cell runner's output."""
+        return self.runner(ctx, **params)
 
     def scenario_for(self, **params) -> "object":
         """Build the figure's :class:`repro.api.Scenario` for one cell.

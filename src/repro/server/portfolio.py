@@ -10,17 +10,19 @@ in-flight dedup map, the warm worker lanes, and the cross-restart
 point gets its own :class:`PointOutcome` (duplicates share the payload of
 one evaluation).
 
-Three front ends drive it:
+Four front ends drive it:
 
 * :func:`run_portfolio_local` — ``repro sweep <name>`` without a server:
   spins up a private scheduler for the sweep's lifetime.
 * :class:`PortfolioManager` — ``POST /v1/portfolio`` on the HTTP server:
   one polled job per submitted portfolio, with incremental progress
   counters while the sweep runs.
+* :func:`repro.runner.orchestrator.run_all` — ``repro run``: one scheduler
+  for the whole run sweeps every Scenario figure's portfolio.
 * :func:`build_sweep_manifest` — turns the outcomes into a
-  ``results/<figure>.json`` manifest compatible with
-  :mod:`repro.runner.manifest` (validated by ``repro check`` and pinned
-  row-identical to the orchestrator path for figure portfolios).
+  ``results/<figure>.json`` manifest built by
+  :func:`repro.runner.manifest.build_manifest` (validated by ``repro
+  check``).
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import time
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Mapping, Optional
 
-from repro import __version__
 from repro.api.portfolio import Portfolio, PortfolioError, PortfolioPoint
 from repro.obs.tracing import span
 from repro.server.resilience import RetryPolicy
@@ -165,8 +166,7 @@ async def sweep_portfolio(
             payload=copy.deepcopy(result["payload"]),
             source="duplicate" if duplicate else result["source"],
             # A duplicate point cost nothing: its evaluation's wall time is
-            # accounted to the first point sharing the key, so manifest
-            # cell timings stay comparable to the orchestrator's.
+            # accounted to the first point sharing the key.
             wall_seconds=0.0 if duplicate else result["wall"],
             key=key,
         ))
@@ -235,16 +235,22 @@ def build_sweep_manifest(
     """The sweep's ``results/<figure>.json`` manifest document.
 
     For a figure's portfolio (``experiment`` given), the manifest borrows
-    the figure's identity and schema, its rows come from the figure's row
-    mapper, and they are pinned row-identical to ``repro run <figure>``;
-    otherwise the identity is the portfolio's own and the rows are params +
-    the :class:`PlanResult` fields.
+    the figure's identity, registered grid and schema, and its rows come
+    from the figure's row mapper: it is the manifest ``repro run
+    <figure>`` writes. Otherwise the identity is the portfolio's own, the
+    grid is the list of point params, and the rows are params + the
+    :class:`PlanResult` fields.
 
-    Error payloads become failed cells (``error`` set, no row) — the same
-    accounting :mod:`repro.runner.orchestrator` gives a raising cell, so
+    Error payloads become failed cells (``error`` set, no row), so
     :func:`repro.runner.manifest.validate_manifest` surfaces them.
     """
-    from repro.runner.manifest import MANIFEST_VERSION, finite
+    # Imported here: the runner is not needed to serve plans.
+    from repro.runner.manifest import (
+        build_manifest,
+        cell_entry,
+        experiment_identity,
+        finite,
+    )
 
     row_builder = experiment.row if experiment is not None else default_row
     cells: List[Dict[str, object]] = []
@@ -262,22 +268,13 @@ def build_sweep_manifest(
             cell_rows.append(finite({**outcome.params,
                                      **row_builder(outcome.params,
                                                    outcome.payload)}))
-        cells.append({
-            "params": dict(outcome.params),
-            "wall_seconds": round(outcome.wall_seconds, 6),
-            "num_rows": len(cell_rows),
-            "oom_rows": sum(1 for row in cell_rows if row.get("oom")),
-            "error": error,
-        })
+        cells.append(cell_entry(outcome.params, cell_rows,
+                                outcome.wall_seconds, error))
         rows.extend(cell_rows)
 
     if experiment is not None:
-        identity = {
-            "figure": experiment.figure,
-            "paper": experiment.paper,
-            "title": experiment.title,
-            "module": experiment.module,
-        }
+        identity = experiment_identity(experiment)
+        grid = experiment.grid(reduced)
         schema = list(experiment.schema)
     else:
         identity = {
@@ -286,36 +283,20 @@ def build_sweep_manifest(
             "title": portfolio.description or portfolio.describe(),
             "module": "repro.api.portfolio",
         }
+        grid = [dict(outcome.params) for outcome in outcomes]
         schema = _default_schema(portfolio)
 
-    cell_seconds = [cell["wall_seconds"] for cell in cells]
-    return {
-        "version": MANIFEST_VERSION,
-        "repro_version": __version__,
-        **identity,
-        "reduced": reduced,
-        "jobs": jobs,
-        "grid": [dict(outcome.params) for outcome in outcomes],
-        "schema": schema,
-        "cells": cells,
-        "rows": rows,
-        "timings": {
-            "total_seconds": round(total_seconds, 6),
-            "max_cell_seconds": (round(max(cell_seconds), 6)
-                                 if cell_seconds else 0.0),
-            "mean_cell_seconds": (
-                round(sum(cell_seconds) / len(cell_seconds), 6)
-                if cell_seconds else 0.0),
-        },
-        "sweep": {
+    return build_manifest(
+        identity, grid, schema, cells, rows, reduced=reduced, jobs=jobs,
+        total_seconds=total_seconds,
+        sweep={
             "portfolio": portfolio.name,
             "expansion": portfolio.expansion,
             "mode": mode,
             "points": len(outcomes),
             "unique": len({outcome.key for outcome in outcomes}),
             "sources": source_counts,
-        },
-    }
+        })
 
 
 # HTTP job management -------------------------------------------------------------

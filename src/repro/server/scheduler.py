@@ -158,8 +158,8 @@ def evaluate_doc(service: PlanService, doc: Mapping[str, object],
     return payload, telemetry
 
 
-#: Per-process service of pool workers (the PR 2 orchestrator pattern: one
-#: shared PlanCache per worker, warm across every request the worker runs).
+#: Per-process service of pool workers: one shared PlanCache per worker,
+#: warm across every request the worker runs.
 _WORKER_SERVICE: Optional[PlanService] = None
 
 #: Per-process chaos injector of pool workers (re-armed from the spec the

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import List, Optional, Sequence
 
+from repro.api.scenario import ScenarioError
 from repro.costmodel.tables import CostTables, PlanCache
 from repro.hardware.wafer import WaferScaleChip
 from repro.obs.tracing import span
@@ -115,6 +116,10 @@ class DualLevelWaferSolver:
                 self.wafer.config, plan_cache=plan_cache)
             if not candidates:
                 candidates = space.candidates()
+            if not candidates:
+                raise ScenarioError(
+                    f"no {scheme.value} configuration with pipeline degrees "
+                    f"{list(pipeline_degrees)} spans the {num_devices} dies")
             if max_candidates is not None:
                 candidates = downsample_specs(candidates, max_candidates)
 

@@ -45,7 +45,7 @@ class TestRoundTrip:
     def test_json_string_round_trip(self):
         scenario = Scenario(
             workload=WorkloadSpec(model="gpt3-6.7b", seq_length=4096),
-            hardware=HardwareSpec(rows=6, cols=8, num_wafers=2),
+            hardware=HardwareSpec(rows=6, cols=8),
             solver=SolverSpec(scheme="mesp", engine="gmap",
                               pipeline_degrees=(1, 2),
                               fixed_spec={"dp": 4, "tatp": 8}),

@@ -28,6 +28,14 @@ def _scenario(model="gpt3-6.7b", **solver_kwargs) -> Scenario:
                     solver=SolverSpec(**solver_kwargs))
 
 
+def _small_document(hardware=None, solver=None):
+    """A 2-layer gpt3-6.7b scenario document (batch 8, seq 512)."""
+    return {"schema_version": 1,
+            "workload": {"model": "gpt3-6.7b", "num_layers": 2,
+                         "batch_size": 8, "seq_length": 512},
+            "hardware": hardware or {}, "solver": solver or {}}
+
+
 class TestDispatch:
     @pytest.fixture(scope="class")
     def service(self):
@@ -333,3 +341,37 @@ class TestSolve:
                             hardware=HardwareSpec(platform="gpu_cluster"))
         with pytest.raises(ScenarioError, match="wafer platform"):
             PlanService().solve(scenario)
+
+    @pytest.mark.parametrize("hardware, solver, match", [
+        ({"num_wafers": 2}, {}, "num_wafers=1"),
+        ({"link_fault_rate": 0.3}, {}, "fault rates"),
+        ({}, {"fixed_spec": {"dp": 4, "tatp": 8}}, "fixed_spec"),
+        # No temp spec with pp=3 spans 32 dies.
+        ({}, {"pipeline_degrees": [3]}, "no temp configuration"),
+    ])
+    def test_solve_rejects_what_it_cannot_plan(self, hardware, solver,
+                                               match):
+        scenario = Scenario.from_dict(_small_document(hardware, solver))
+        with pytest.raises(ScenarioError, match=match):
+            PlanService().solve(scenario)
+
+
+class TestRejectedPinnedSpecs:
+    @pytest.mark.parametrize("hardware", [
+        {"num_wafers": 2}, {"platform": "gpu_cluster"}])
+    def test_pinned_spec_needs_a_single_wafer(self, hardware):
+        with pytest.raises(ScenarioError, match="fixed_spec"):
+            Scenario.from_dict(_small_document(
+                hardware, {"fixed_spec": {"dp": 4, "tatp": 8}}))
+
+    @pytest.mark.parametrize("hardware, fixed_spec", [
+        ({}, {"dp": 2}),
+        ({}, {"dp": 2, "tatp": 32}),
+        ({"link_fault_rate": 0.1}, {"dp": 2, "tatp": 32}),
+        ({"core_fault_rate": 0.1}, {"dp": 2, "tatp": 32}),
+    ])
+    def test_pinned_degree_must_fit_the_wafer(self, hardware, fixed_spec):
+        scenario = Scenario.from_dict(_small_document(
+            hardware, {"fixed_spec": fixed_spec}))
+        with pytest.raises(ScenarioError, match="32 dies"):
+            PlanService().evaluate(scenario)

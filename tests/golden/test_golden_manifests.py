@@ -1,9 +1,9 @@
 """Golden-manifest regression tests: reduced grids are pinned across time.
 
-The within-run parity contracts (serial vs parallel, served vs direct,
-sweep vs orchestrator) cannot catch a change that shifts *every* path at
-once — a cost-model edit, a solver reordering, a serialisation change.
-These tests pin the actual numbers: the checked-in goldens under
+The within-run parity contracts (one lane vs two, served vs direct,
+``repro sweep`` vs ``repro run``) cannot catch a change that shifts
+*every* path at once — a cost-model edit, a solver reordering, a
+serialisation change. These tests pin the actual numbers: the checked-in goldens under
 ``tests/golden/goldens/`` hold the full reduced-grid rows of every
 registered figure whose rows are deterministic, and
 ``repro run <figure> --reduced`` must reproduce them row-identically.

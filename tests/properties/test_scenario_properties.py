@@ -111,8 +111,8 @@ def hardwares() -> st.SearchStrategy:
     return st.one_of(single_wafer, multi_wafer, gpu_cluster, fabric)
 
 
-def solvers() -> st.SearchStrategy:
-    """Valid solver specs, with and without pinned parallel specs."""
+def solvers(pinned: bool = True) -> st.SearchStrategy:
+    """Valid solver specs, with pinned parallel specs only when ``pinned``."""
     fixed_specs = st.fixed_dictionaries(
         {},
         optional={
@@ -135,13 +135,16 @@ def solvers() -> st.SearchStrategy:
         num_finalists=st.integers(1, 16),
         ga_generations=st.none() | st.integers(1, 10),
         seed=st.integers(0, 2**31 - 1),
-        fixed_spec=st.none() | fixed_specs,
+        fixed_spec=st.none() | fixed_specs if pinned else st.none(),
     )
 
 
 def scenarios() -> st.SearchStrategy:
-    return st.builds(Scenario, workload=workloads(), hardware=hardwares(),
-                     solver=solvers())
+    # Only single-wafer hardware takes a pinned spec (Scenario validation).
+    return hardwares().flatmap(lambda hardware: st.builds(
+        Scenario, workload=workloads(), hardware=st.just(hardware),
+        solver=solvers(pinned=hardware.platform == "wafer"
+                       and hardware.num_wafers == 1)))
 
 
 def _reorder(value):

@@ -1,7 +1,11 @@
 """Orchestrator, manifest, docs, and CLI behaviour."""
 
 import json
+import os
 
+import pytest
+
+from repro.obs.tracing import configure_tracing, disable_tracing, read_trace
 from repro.runner import docs as docs_module
 from repro.runner.cli import main
 from repro.runner.manifest import (
@@ -16,18 +20,19 @@ from repro.runner.registry import get_experiment
 
 class TestParallelSerialParity:
     def test_two_workers_bit_identical_to_serial(self, tmp_path):
-        """Pins the shared-PlanCache injection contract: sharding cells
-        across workers (each with a private cache) must not change any row.
+        """Pins the shared-PlanCache contract: sweeping a Scenario figure
+        over two scheduler lanes (each worker with a private cache) must
+        not change any row.
         """
-        serial = run_experiment("fig09", reduced=True, jobs=1,
+        serial = run_experiment("fig20", reduced=True, jobs=1,
                                 output_dir=str(tmp_path / "serial"))
-        parallel = run_experiment("fig09", reduced=True, jobs=2,
+        parallel = run_experiment("fig20", reduced=True, jobs=2,
                                   output_dir=str(tmp_path / "parallel"))
         assert serial["rows"] == parallel["rows"]
         # Bit-identical through JSON serialisation as well.
-        on_disk_serial = read_manifest(str(tmp_path / "serial" / "fig09.json"))
+        on_disk_serial = read_manifest(str(tmp_path / "serial" / "fig20.json"))
         on_disk_parallel = read_manifest(
-            str(tmp_path / "parallel" / "fig09.json"))
+            str(tmp_path / "parallel" / "fig20.json"))
         assert (json.dumps(on_disk_serial["rows"], sort_keys=True)
                 == json.dumps(on_disk_parallel["rows"], sort_keys=True))
 
@@ -48,6 +53,39 @@ class TestParallelSerialParity:
         manifest = run_experiment("fig09", reduced=True, jobs=1)
         manifest["grid"]["degree"].append(999)
         assert 999 not in get_experiment("fig09").reduced_grid["degree"]
+
+    def test_later_figures_are_served_from_the_run_store(self):
+        """Fig. 14 evaluates Fig. 13's scenarios, so within one run every
+        fig14 point is a store hit, with the rows of a solo run."""
+        manifests = run_all(["fig13", "fig14"], reduced=True)
+        assert manifests["fig14"]["sweep"]["sources"] == {"store": 14}
+        solo = run_experiment("fig14", reduced=True)
+        assert solo["sweep"]["sources"] == {"evaluated": 14}
+        assert manifests["fig14"]["rows"] == solo["rows"]
+
+    @pytest.mark.slow  # spawns scheduler lane processes
+    def test_trace_relays_lane_worker_spans(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        configure_tracing(path=str(path))
+        try:
+            run_all(["fig09", "fig20"], reduced=True, jobs=2)
+        finally:
+            disable_tracing()
+        records = read_trace(str(path))
+        by_id = {record["span_id"]: record for record in records}
+        evaluates = [record for record in records
+                     if record["name"] == "service.evaluate"]
+        assert len(evaluates) == len(get_experiment("fig20").cells(True))
+        for record in evaluates:
+            assert record["pid"] != os.getpid()
+            worker = by_id[record["parent_id"]]
+            assert worker["name"] == "scheduler.evaluate"
+            assert by_id[worker["parent_id"]]["name"] == "scheduler.dispatch"
+        cells = [record for record in records
+                 if record["name"] == "runner.cell"]
+        assert [record["attrs"]["params"] for record in cells] == \
+            get_experiment("fig09").cells(True)
+        assert all(record["pid"] == os.getpid() for record in cells)
 
 
 class TestManifest:
@@ -110,6 +148,14 @@ class TestManifest:
         relabelled["reduced"] = False
         assert any("registered default grid" in problem
                    for problem in validate_manifest(relabelled, experiment))
+
+    def test_default_grid_validates_after_a_disk_round_trip(self, tmp_path):
+        # The written grid has its axes in sorted key order (fabric before
+        # model); the registered grid is model-major.
+        manifest = run_experiment("fabric_zoo")
+        path = write_manifest(manifest, str(tmp_path))
+        assert validate_manifest(read_manifest(path),
+                                 get_experiment("fabric_zoo")) == []
 
     def test_failing_cell_is_recorded_not_raised(self):
         from repro.runner.context import RunContext
@@ -188,44 +234,15 @@ class TestCLI:
 
 
 class TestCacheStatsAggregation:
-    def test_last_snapshot_per_pid_wins(self):
-        """Counters are cumulative per process: summing every snapshot would
-        double-count, so only each pid's final snapshot contributes.
-        """
-        from repro.runner.orchestrator import CellOutcome, aggregate_cache_stats
-
-        def outcome(pid, hits, misses, entries):
-            return CellOutcome(params={}, rows=[], wall_seconds=0.0,
-                               oom_rows=0, pid=pid,
-                               cache_stats={"hits": hits, "misses": misses,
-                                            "entries": entries})
-
-        stats = aggregate_cache_stats([
-            outcome(100, 1, 5, 5),    # superseded by the later pid-100 snapshot
-            outcome(200, 2, 3, 3),
-            outcome(100, 10, 6, 6),
-        ])
-        assert stats == {"processes": 2, "hits": 12, "misses": 9,
-                         "entries": 9, "hit_rate": round(12 / 21, 4)}
-
-    def test_no_snapshots_is_all_zero(self):
-        from repro.runner.orchestrator import CellOutcome, aggregate_cache_stats
-
-        stats = aggregate_cache_stats([
-            CellOutcome(params={}, rows=[], wall_seconds=0.0, oom_rows=0)])
-        assert stats == {"processes": 0, "hits": 0, "misses": 0,
-                         "entries": 0, "hit_rate": 0.0}
-
     def test_manifest_carries_fleet_wide_counters(self):
-        # fig13 derives execution plans, so its cells actually touch the
+        # fig13 derives execution plans, so its points actually touch the
         # plan cache (fig09 is a pure search-time figure and would not).
         serial = run_experiment("fig13", reduced=True, jobs=1)
         pooled = run_experiment("fig13", reduced=True, jobs=2)
         for manifest in (serial, pooled):
             cache = manifest["plan_cache"]
-            assert cache["processes"] >= 1
+            assert set(cache) == {"hits", "misses", "entries", "max_entries"}
             assert cache["hits"] + cache["misses"] > 0
-            assert 0.0 <= cache["hit_rate"] <= 1.0
-        # The pooled run aggregates every worker, not just the parent
-        # (which executes no cells and would report zeros).
+        # The pooled run aggregates every lane worker, not just the parent
+        # (which evaluates nothing and would report zeros).
         assert pooled["plan_cache"]["misses"] > 0

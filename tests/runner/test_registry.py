@@ -3,6 +3,7 @@
 import pytest
 
 import repro.experiments as experiments
+from repro.api.service import PlanService
 from repro.runner.context import RunContext
 from repro.runner.manifest import validate_manifest
 from repro.runner.orchestrator import execute_cell, run_experiment
@@ -107,11 +108,18 @@ class TestReducedGridsExecute:
     @pytest.mark.parametrize("figure", EXPECTED_FIGURES)
     def test_first_reduced_cell_matches_schema(self, figure):
         experiment = get_experiment(figure)
-        params = experiment.cells(reduced=True)[0]
-        outcome = execute_cell(experiment, params, RunContext(reduced=True))
-        assert outcome.error is None, outcome.error
-        assert outcome.rows, f"{figure} produced no rows"
-        for row in outcome.rows:
+        if experiment.row is None:
+            params = experiment.cells(reduced=True)[0]
+            outcome = execute_cell(experiment, params,
+                                   RunContext(reduced=True))
+            assert outcome.error is None, outcome.error
+            rows = outcome.rows
+        else:
+            point = experiment.portfolio(True).expand()[0]
+            payload = PlanService().evaluate(point.scenario).to_dict()
+            rows = [{**point.params, **experiment.row(point.params, payload)}]
+        assert rows, f"{figure} produced no rows"
+        for row in rows:
             assert set(row) == set(experiment.schema)
 
     @pytest.mark.parametrize("figure", ["fig09", "fig20"])

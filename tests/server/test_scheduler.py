@@ -13,6 +13,8 @@ import pytest
 
 from repro.api.scenario import SCHEMA_VERSION, Scenario
 from repro.api.service import PlanService
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracing import get_tracer
 from repro.server.scheduler import (
     PlanRequestError,
     PlanScheduler,
@@ -346,6 +348,30 @@ class TestStats:
         assert "scheduler.request_latency_seconds" in stats["timings"]
         assert stats["timings"]["scheduler.request_latency_seconds"][
             "count"] == 1
+
+    def test_pool_plan_cache_keeps_the_last_snapshot_per_pid(self):
+        """Worker counters are cumulative per process: summing every
+        snapshot would double-count, so only each pid's last one counts.
+        """
+        scheduler = PlanScheduler(jobs=2)
+
+        def absorb(pid, hits, misses, entries):
+            scheduler._absorb_telemetry(
+                {"pid": pid,
+                 "plan_cache": {"hits": hits, "misses": misses,
+                                "entries": entries, "max_entries": 100},
+                 "metrics": MetricsRegistry().snapshot(), "spans": []},
+                get_tracer())
+
+        absorb(100, 1, 5, 5)    # superseded by the later pid-100 snapshot
+        absorb(200, 2, 3, 3)
+        absorb(100, 10, 6, 6)
+        assert scheduler.stats()["plan_cache"] == {
+            "hits": 12, "misses": 9, "entries": 9, "max_entries": 200}
+
+    def test_pool_plan_cache_without_snapshots_is_all_zero(self):
+        assert PlanScheduler(jobs=2).stats()["plan_cache"] == {
+            "hits": 0, "misses": 0, "entries": 0, "max_entries": 0}
 
     def test_store_disabled_marker(self):
         async def scenario():
