@@ -1,4 +1,4 @@
-"""The one evaluation record of the Scenario API.
+"""The result records of the Scenario API.
 
 :class:`PlanResult` is what :meth:`repro.api.service.PlanService.evaluate`
 returns on every path: the record the paper reports for each system of
@@ -9,8 +9,10 @@ across all paths (fields a path does not produce hold zeros / ``None``).
 Every wafer path (:mod:`repro.core.framework`, :mod:`repro.core.multiwafer`,
 :mod:`repro.core.fault_tolerance`) builds its own record with
 :meth:`PlanResult.from_report`; the GPU comparator uses
-:meth:`PlanResult.from_gpu`. This module depends on the scenario tree only,
-so the core modules import it without importing the service.
+:meth:`PlanResult.from_gpu`. :class:`SolverOutcome` is what
+:meth:`repro.api.service.PlanService.solve` returns, built by the
+dual-level solver itself. This module depends on the scenario tree only,
+so the core and solver modules import it without importing the service.
 """
 
 from __future__ import annotations
@@ -36,8 +38,7 @@ def serializable_fields(result) -> Dict[str, object]:
     """A result dataclass as a plain dict; non-finite floats become ``None``.
 
     Single home of the strict-JSON serialisation rule shared by
-    :meth:`PlanResult.to_dict` and
-    :meth:`~repro.api.service.SolverOutcome.to_dict`.
+    :meth:`PlanResult.to_dict` and :meth:`SolverOutcome.to_dict`.
     """
     payload: Dict[str, object] = {}
     for result_field in fields(result):
@@ -180,3 +181,27 @@ class PlanResult:
             power_efficiency=0.0,
             candidates_evaluated=candidates_evaluated,
         )
+
+
+@dataclass(frozen=True)
+class SolverOutcome:
+    """Flat, serializable outcome of ``PlanService.solve``."""
+
+    model: str
+    spec: Optional[str]
+    oom: bool
+    step_time: float
+    throughput: float
+    candidates_considered: int
+    finalists_simulated: int  # finalists considered, mapped or not
+    dp_cost: float
+    ga_cost: float
+    evaluations: int
+    search_seconds: float
+    plan_cache_hits: int
+    plan_cache_misses: int
+    schema_version: int = SCHEMA_VERSION
+
+    def to_dict(self) -> Dict[str, object]:
+        """Plain-JSON dict (non-finite floats become ``None``)."""
+        return serializable_fields(self)

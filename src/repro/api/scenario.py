@@ -261,7 +261,9 @@ class SolverSpec:
         max_candidates: optional cap on simulated candidates (evenly
             downsampled, endpoints kept).
         num_finalists: finalists the dual-level solver simulates.
-        ga_generations: optional genetic-refinement generation override.
+        ga_generations: optional override of the dual-level solver's
+            genetic-refinement generation count (the rest of its default
+            refinement stays).
         seed: RNG seed for seeded sub-systems: fault sampling, cost-model
             training and the dual-level solver's genetic refinement.
         fixed_spec: when set, the search is skipped and exactly this

@@ -17,8 +17,9 @@ comparator included, picks its answer with
 
 ``evaluate`` returns that record — flat, JSON-serializable, with one stable
 schema across all paths (fields a path does not produce hold zeros /
-``None``); ``solve`` returns the dual-level solver's flat
-:class:`SolverOutcome`. :class:`PlanResult` and :data:`RESULT_KINDS` live in
+``None``); ``solve`` hands the scenario to the dual-level solver, which
+returns the flat :class:`SolverOutcome` it builds. :class:`PlanResult`,
+:class:`SolverOutcome` and :data:`RESULT_KINDS` live in
 :mod:`repro.api.result` and are re-exported here.
 """
 
@@ -27,11 +28,11 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields
 from typing import Dict, List, Optional, Tuple
 
-from repro.api.result import RESULT_KINDS, PlanResult, serializable_fields
-from repro.api.scenario import SCHEMA_VERSION, HardwareSpec, Scenario, ScenarioError
+from repro.api.result import RESULT_KINDS, PlanResult, SolverOutcome
+from repro.api.scenario import SCHEMA_VERSION, HardwareSpec, Scenario
 from repro.core.fault_tolerance import run_fault_scenario
 from repro.core.framework import (
     run_baseline_scenario,
@@ -46,57 +47,8 @@ from repro.obs.tracing import span, tracing_enabled
 from repro.hardware.wafer import WaferScaleChip
 from repro.parallelism.baselines import candidate_specs
 from repro.simulation.gpu import GPUClusterSimulator
-from repro.solver.dlws import (
-    DEFAULT_GENETIC_CONFIG,
-    DualLevelWaferSolver,
-    SolverResult,
-)
-from repro.solver.genetic import GeneticConfig
+from repro.solver.dlws import DualLevelWaferSolver
 from repro.solver.search_space import plan_for, select_fastest
-
-
-@dataclass(frozen=True)
-class SolverOutcome:
-    """Flat, serializable outcome of ``PlanService.solve``."""
-
-    model: str
-    spec: Optional[str]
-    oom: bool
-    step_time: float
-    throughput: float
-    candidates_considered: int
-    finalists_simulated: int  # finalists considered, mapped or not
-    dp_cost: float
-    ga_cost: float
-    evaluations: int
-    search_seconds: float
-    plan_cache_hits: int
-    plan_cache_misses: int
-    schema_version: int = SCHEMA_VERSION
-
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-JSON dict (non-finite floats become ``None``)."""
-        return serializable_fields(self)
-
-    @classmethod
-    def from_result(cls, result: SolverResult) -> "SolverOutcome":
-        """Wrap a :class:`~repro.solver.dlws.SolverResult`."""
-        report = result.best_report
-        return cls(
-            model=result.model.name,
-            spec=result.best_spec.label() if result.best_spec else None,
-            oom=report.oom if report else True,
-            step_time=report.step_time if report else float("inf"),
-            throughput=report.throughput if report else 0.0,
-            candidates_considered=result.candidates_considered,
-            finalists_simulated=result.finalists_simulated,
-            dp_cost=result.dp_cost,
-            ga_cost=result.ga_cost,
-            evaluations=result.evaluations,
-            search_seconds=result.search_seconds,
-            plan_cache_hits=result.plan_cache_hits,
-            plan_cache_misses=result.plan_cache_misses,
-        )
 
 
 class PlanService:
@@ -199,44 +151,13 @@ class PlanService:
         return result
 
     def solve(self, scenario: Scenario) -> SolverOutcome:
-        """Run the dual-level solver on ``scenario`` (flat outcome)."""
+        """Run the dual-level solver on ``scenario`` and the cached chip of
+        its hardware (flat outcome)."""
         hardware = scenario.hardware
-        if hardware.platform != "wafer":
-            raise ScenarioError(
-                "the dual-level solver only runs on the wafer platform")
-        # The solver searches one healthy wafer: reject the knobs it would
-        # silently drop.
-        if hardware.num_wafers > 1:
-            raise ScenarioError(
-                "the dual-level solver plans one wafer; set num_wafers=1")
-        if hardware.has_fault_study:
-            raise ScenarioError(
-                "the dual-level solver plans a healthy wafer; drop the fault "
-                "rates")
-        if scenario.solver.fixed_spec is not None:
-            raise ScenarioError(
-                "the dual-level solver searches the configuration; drop "
-                "solver.fixed_spec")
-        solver_spec = scenario.solver
-        genetic_config = (
-            DEFAULT_GENETIC_CONFIG if solver_spec.ga_generations is None
-            else GeneticConfig(generations=solver_spec.ga_generations))
         with span("service.solve", model=scenario.workload.model):
-            solver = DualLevelWaferSolver(
-                wafer=self.wafer_for(hardware),
-                config=hardware.resolve_simulator(),
-                genetic_config=replace(genetic_config, seed=solver_spec.seed),
-                num_finalists=solver_spec.num_finalists,
-                mapping_engine=solver_spec.engine,
-            )
-            result = solver.solve(
-                scenario.workload.resolve(),
-                scheme=solver_spec.resolved_scheme(),
-                max_tatp=solver_spec.max_tatp,
-                pipeline_degrees=solver_spec.pipeline_degrees,
-                max_candidates=solver_spec.max_candidates,
-            )
-        return SolverOutcome.from_result(result)
+            return DualLevelWaferSolver(
+                self.wafer_for(hardware), hardware.resolve_simulator(),
+            ).solve(scenario)
 
     # The GPU comparator ------------------------------------------------------------
 
@@ -273,18 +194,21 @@ class PlanService:
         )
 
 
-def validate_result_payload(payload: Dict[str, object]) -> List[str]:
-    """Schema-check one serialized :class:`PlanResult` document.
+def validate_result_payload(payload: Dict[str, object],
+                            record: type = PlanResult) -> List[str]:
+    """Schema-check one serialized result document.
 
     Used by ``repro plan --validate`` and the CI smoke step: verifies the
-    payload carries exactly the PlanResult fields, a supported
-    ``schema_version``, a known ``kind``, and only finite (or null) numbers.
+    payload carries exactly the fields of ``record`` (:class:`PlanResult`,
+    or :class:`SolverOutcome` for a solve), a supported
+    ``schema_version``, a known ``kind`` when it has one, and only finite
+    (or null) numbers.
 
     Returns:
         A list of human-readable problems; empty when the payload is valid.
     """
     problems: List[str] = []
-    expected = {result_field.name for result_field in fields(PlanResult)}
+    expected = {result_field.name for result_field in fields(record)}
     missing = expected - set(payload)
     extra = set(payload) - expected
     if missing:

@@ -32,6 +32,7 @@ from repro.parallelism.baselines import BaselineScheme, candidate_specs
 from repro.simulation.config import SimulatorConfig
 from repro.simulation.simulator import WaferSimulator
 from repro.solver.search_space import (
+    checkpointing_allowed,
     downsample_specs,
     plan_for,
     prune_specs,
@@ -98,11 +99,7 @@ def run_baseline_scenario(
         if solver.max_candidates is not None:
             specs = downsample_specs(specs, solver.max_candidates)
 
-    # Full activation recomputation is part of every scheme's toolbox except
-    # Megatron-1's, whose replication-reliant execution the paper evaluates
-    # with its published (selective-recompute-only) recipe.
-    allow_checkpointing = scheme is not BaselineScheme.MEGATRON1
-
+    allow_checkpointing = checkpointing_allowed(scheme)
     simulator = WaferSimulator(wafer, config)
     with span("evaluate.simulate", candidates=len(specs)):
         best_spec, report, oom = select_fastest(

@@ -33,7 +33,13 @@ from repro.parallelism.baselines import BaselineScheme, candidate_specs
 from repro.parallelism.strategies import ExecutionPlan
 from repro.simulation.config import SimulatorConfig
 from repro.simulation.simulator import SimulationReport, WaferSimulator
-from repro.solver.search_space import downsample_specs, prune_specs, select_fastest
+from repro.solver.search_space import (
+    checkpointing_allowed,
+    downsample_specs,
+    plan_for,
+    prune_specs,
+    select_fastest,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.api.scenario import Scenario
@@ -76,7 +82,9 @@ def run_multiwafer_scenario(
     ``plan_cache`` memoises ``analyze_model``.
 
     The candidates of every admissible pipeline degree are pruned together
-    and capped like the single-wafer search's, and
+    and capped like the single-wafer search's, each runs the plan
+    :func:`~repro.solver.search_space.plan_for` picks (checkpointed when
+    only that fits, except under Megatron-1), and
     :func:`~repro.solver.search_space.select_fastest` picks the result:
     the fastest configuration that fits in memory wins, and only
     configurations that fit are mapped and simulated. When none fits, the
@@ -112,11 +120,13 @@ def run_multiwafer_scenario(
     if solver.max_candidates is not None:
         specs = downsample_specs(specs, solver.max_candidates)
 
+    capacity = wafer.config.die.hbm.capacity
+    allow_checkpointing = checkpointing_allowed(scheme)
     best_spec, report, oom = select_fastest(
-        ((spec, plan_cache.analyze(model, spec, num_devices=spec.total_degree,
-                                   num_microbatches=num_microbatches))
+        ((spec, plan_for(plan_cache, model, spec, spec.total_degree, capacity,
+                         allow_checkpointing, num_microbatches))
          for spec in specs),
-        wafer.config.die.hbm.capacity,
+        capacity,
         lambda plan: _pipelined_report(plan, solver.engine, system, simulator,
                                        num_microbatches))
     if report is None:

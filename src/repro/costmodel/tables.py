@@ -73,7 +73,7 @@ class PlanCache:
         self.counters = CounterBundle(hits=0, misses=0)
         self._plans: "OrderedDict[tuple, ExecutionPlan]" = OrderedDict()
 
-    # hits/misses stay plain attributes (read by SolverResult and tests);
+    # hits/misses stay plain attributes (read by SolverOutcome and tests);
     # the bundle behind them is the shared snapshot()/merge() convention.
     @property
     def hits(self) -> int:

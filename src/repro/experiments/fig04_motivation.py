@@ -201,7 +201,7 @@ def run_motivation(
                 "sub-study are null in each row.",
     scenario=scenario_for_part,
 )
-def motivation_cell(ctx, part, model):
+def motivation_cell(service, part, model):
     """One (sub-study, model) cell of Fig. 4."""
     if part == "breakdown":
         return [{
@@ -213,7 +213,7 @@ def motivation_cell(ctx, part, model):
             "ideal_gb": None,
             "capacity_gb": None,
             "oom": False,
-        } for row in run_breakdown(models=[model], service=ctx.service)]
+        } for row in run_breakdown(models=[model], service=service)]
     if part == "memory":
         return [{
             "collective_fraction": None,
@@ -225,5 +225,5 @@ def motivation_cell(ctx, part, model):
             "capacity_gb": row.capacity_gb,
             "oom": row.megatron_oom,
         } for row in run_memory_comparison(models=[model],
-                                           service=ctx.service)]
+                                           service=service)]
     raise ValueError(f"unknown Fig. 4 part {part!r}")

@@ -123,7 +123,7 @@ def run_ring_utilization(
                 "relay penalty that motivates TATP's topology awareness.",
     scenario=scenario_for_ring,
 )
-def ring_utilization_cell(ctx, model, wafer):
+def ring_utilization_cell(service, model, wafer):
     """One (model, wafer size) cell of Fig. 7(c)."""
     rows_count, cols = (int(part) for part in wafer.split("x"))
     return [{
@@ -133,4 +133,4 @@ def ring_utilization_cell(ctx, model, wafer):
         "utilization_drop": row.utilization_drop,
     } for row in run_ring_utilization(models=[model],
                                       wafer_sizes=[(rows_count, cols)],
-                                      service=ctx.service)]
+                                      service=service)]

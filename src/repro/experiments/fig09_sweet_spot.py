@@ -184,7 +184,7 @@ def optimal_power_efficiency_degree(points: Sequence[SweetSpotPoint]) -> int:
                 "communication/DRAM-dominated.",
     scenario=scenario_for_degree,
 )
-def sweet_spot_cell(ctx, degree):
+def sweet_spot_cell(service, degree):
     """One TATP degree of the Fig. 9 sweep (purely analytical)."""
     scenario = scenario_for_degree(degree)
     degree = scenario.solver.resolve_fixed_spec().tatp

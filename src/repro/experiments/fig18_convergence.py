@@ -63,10 +63,10 @@ def optimal_tatp_degrees(
                 "configuration and its TATP degree.",
     scenario=scenario_for_sweep,
 )
-def convergence_cell(ctx, model, seq_length):
+def convergence_cell(service, model, seq_length):
     """One (model, sequence length) summary row of Fig. 18."""
     sweep = run_config_sweep(model_name=model, seq_length=seq_length,
-                             service=ctx.service)
+                             service=service)
     best = sweep.best()
     feasible = [item for item in sweep.configs if not item.oom]
     try:

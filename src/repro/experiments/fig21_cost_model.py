@@ -109,7 +109,7 @@ def run_cost_model_validation(
                 "the rows to preserve determinism.",
     scenario=scenario_for_validation,
 )
-def cost_model_cell(ctx, train_samples, test_samples, epochs, seed):
+def cost_model_cell(service, train_samples, test_samples, epochs, seed):
     """The single training/evaluation cell of Fig. 21."""
     scenario = scenario_for_validation(train_samples, test_samples, epochs,
                                        seed)

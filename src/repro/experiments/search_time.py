@@ -161,7 +161,7 @@ def run_search_time_comparison(
                 "wall-clock measurements and vary between runs.",
     scenario=scenario_for_search,
 )
-def search_time_cell(ctx, model, max_candidates, exhaustive_cap,
+def search_time_cell(service, model, max_candidates, exhaustive_cap,
                      ga_generations):
     """The single timed comparison cell of §VIII-H."""
     scenario = scenario_for_search(model, max_candidates, exhaustive_cap,

@@ -16,7 +16,6 @@ into one uniform evaluation grid:
 * :mod:`repro.runner.cli` — the ``python -m repro`` command line.
 """
 
-from repro.runner.context import RunContext
 from repro.runner.manifest import validate_manifest, write_manifest
 from repro.runner.orchestrator import run_all, run_experiment
 from repro.runner.registry import (
@@ -29,7 +28,6 @@ from repro.runner.registry import (
 
 __all__ = [
     "Experiment",
-    "RunContext",
     "all_experiments",
     "expand_grid",
     "get_experiment",

@@ -437,10 +437,17 @@ def _read_request_text(args: argparse.Namespace) -> Optional[str]:
     return args.scenario
 
 
-def _validate_payloads(payloads: List[dict], batch: bool) -> int:
-    """Schema-check emitted result payloads; returns the exit status."""
-    from repro.api.service import validate_result_payload
+def _validate_payloads(payloads: List[dict], batch: bool,
+                       solve: bool = False) -> int:
+    """Schema-check emitted result payloads (solver outcomes when
+    ``solve``); returns the exit status."""
+    from repro.api.service import (
+        PlanResult,
+        SolverOutcome,
+        validate_result_payload,
+    )
 
+    record = SolverOutcome if solve else PlanResult
     status = 0
     for index, payload in enumerate(payloads):
         label = f"result[{index}]" if batch else "result"
@@ -449,7 +456,7 @@ def _validate_payloads(payloads: List[dict], batch: bool) -> int:
                   file=sys.stderr)
             status = 1
             continue
-        for problem in validate_result_payload(payload):
+        for problem in validate_result_payload(payload, record):
             print(f"invalid {label}: {problem}", file=sys.stderr)
             status = 1
     return status
@@ -458,13 +465,6 @@ def _validate_payloads(payloads: List[dict], batch: bool) -> int:
 def _cmd_plan(args: argparse.Namespace) -> int:
     from repro.api.scenario import Scenario
     from repro.api.service import PlanService
-
-    if args.validate and args.solve:
-        # SolverOutcome has its own (different) schema; there is no
-        # validator for it, so refuse rather than silently skipping.
-        print("error: --validate only applies to evaluation results; "
-              "drop it or --solve", file=sys.stderr)
-        return 2
 
     text = _read_request_text(args)
     if text is None:
@@ -497,7 +497,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         print(f"error: {message}", file=sys.stderr)
         return 2
 
-    status = _validate_payloads(payloads, batch) if args.validate else 0
+    status = (_validate_payloads(payloads, batch, args.solve)
+              if args.validate else 0)
     print(json.dumps(payloads if batch else payloads[0], indent=args.indent,
                      sort_keys=True, allow_nan=False))
     if args.stats:

@@ -12,10 +12,9 @@ sweep`` and ``repro serve`` use: one
   evaluated (Fig. 14 reads power off Fig. 13's searches) is served from the
   run's store.
 * A *computed figure* runs its cell runner in-process, cell by cell in grid
-  order, on one :class:`~repro.runner.context.RunContext`. At ``jobs=1``
-  the context wraps the scheduler's own in-process
-  :class:`~repro.api.service.PlanService`, so every figure of the run
-  shares its warm plan cache and wafers.
+  order, on the run's one :class:`~repro.api.service.PlanService`. At
+  ``jobs=1`` that is the scheduler's own in-process service, so every
+  figure of the run shares its warm plan cache and wafers.
 
 Determinism contract: evaluation is deterministic and every cache is pure
 memoisation, so a figure's rows depend neither on ``jobs`` nor on the
@@ -31,8 +30,8 @@ import traceback
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
+from repro.api.service import PlanService
 from repro.obs.tracing import span
-from repro.runner.context import RunContext
 from repro.runner.manifest import (
     build_manifest,
     cell_entry,
@@ -59,7 +58,7 @@ class CellOutcome:
 
 
 def execute_cell(
-    experiment: Experiment, params: Dict[str, object], ctx: RunContext,
+    experiment: Experiment, params: Dict[str, object], service: PlanService,
     max_retries: int = 1,
 ) -> CellOutcome:
     """Run one cell of a computed figure and account for its wall time.
@@ -82,7 +81,7 @@ def execute_cell(
         while True:
             attempts += 1
             try:
-                raw_rows = experiment.cell(ctx, **params)
+                raw_rows = experiment.cell(service, **params)
                 rows = [finite({**params, **row}) for row in raw_rows]
                 error = None
                 break
@@ -149,8 +148,9 @@ def run_all(
         async with PlanScheduler(store=ResultStore(None),
                                  jobs=jobs) as scheduler:
             # scheduler.service is the in-process service at jobs=1 and
-            # None otherwise, where the context builds its own.
-            context = RunContext(service=scheduler.service, reduced=reduced)
+            # None otherwise, where the computed figures share their own.
+            service = (scheduler.service if scheduler.service is not None
+                       else PlanService())
             for experiment in experiments:
                 figure = experiment.figure
                 report(f"{figure} ({experiment.paper}): {experiment.title}")
@@ -158,7 +158,7 @@ def run_all(
                     # Off the loop's thread; nothing else uses the service
                     # meanwhile, as the figures run one at a time.
                     manifest = await asyncio.to_thread(
-                        _run_computed, experiment, context, reduced, jobs,
+                        _run_computed, experiment, service, reduced, jobs,
                         report)
                 else:
                     manifest = await _sweep_figure(experiment, scheduler,
@@ -176,15 +176,16 @@ def run_all(
     return asyncio.run(_run())
 
 
-def _run_computed(experiment: Experiment, context: RunContext, reduced: bool,
-                  jobs: int, report: Callable[[str], None]) -> Dict:
+def _run_computed(experiment: Experiment, service: PlanService,
+                  reduced: bool, jobs: int,
+                  report: Callable[[str], None]) -> Dict:
     """A computed figure's manifest: its cells, in grid order, on
-    ``context``."""
+    ``service``."""
     start = time.perf_counter()
     cells: List[Dict[str, object]] = []
     rows: List[Dict[str, object]] = []
     for params in experiment.cells(reduced):
-        outcome = execute_cell(experiment, params, context)
+        outcome = execute_cell(experiment, params, service)
         cell = cell_entry(params, outcome.rows, outcome.wall_seconds,
                           outcome.error)
         report(_cell_line(experiment.figure, cell))
@@ -194,7 +195,7 @@ def _run_computed(experiment: Experiment, context: RunContext, reduced: bool,
         experiment_identity(experiment), experiment.grid(reduced),
         experiment.schema, cells, rows, reduced=reduced, jobs=jobs,
         total_seconds=time.perf_counter() - start,
-        plan_cache=context.service.plan_cache.stats())
+        plan_cache=service.plan_cache.stats())
 
 
 async def _sweep_figure(experiment: Experiment, scheduler: PlanScheduler,

@@ -23,10 +23,9 @@ A cell is computed in one of two ways:
   through the plan scheduler and map each point's result payload to one
   row with ``row(params, payload)``.
 * a *computed figure* decorates a *cell runner*
-  ``cell(ctx, **params) -> list[dict]``: ``ctx`` is a
-  :class:`repro.runner.context.RunContext` (shared plan service),
-  ``params`` is one point of the grid, and the returned dicts are the
-  cell's rows.
+  ``cell(service, **params) -> list[dict]``: ``service`` is the run's
+  shared :class:`~repro.api.service.PlanService`, ``params`` is one point
+  of the grid, and the returned dicts are the cell's rows.
 
 Either way ``params`` are merged into each row, and the merged keys must
 equal the registered ``schema``.
@@ -64,10 +63,10 @@ class Experiment:
     row: Optional[Callable] = None
     runner: Optional[Callable] = None
 
-    def cell(self, ctx, **params) -> List[Dict[str, object]]:
+    def cell(self, service, **params) -> List[Dict[str, object]]:
         """The rows of one cell of a computed figure (before ``params`` are
-        merged in): its cell runner's output."""
-        return self.runner(ctx, **params)
+        merged in): its cell runner's output on ``service``."""
+        return self.runner(service, **params)
 
     def scenario_for(self, **params) -> "object":
         """Build the figure's :class:`repro.api.Scenario` for one cell.

@@ -41,12 +41,14 @@ Unlimited rules (``poison``, uncounted ``slow-eval``) need no tokens.
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.api.scenario import Scenario
 
 #: Registered fault names -> (site, one-line description).
 FAULTS: Dict[str, Tuple[str, str]] = {
@@ -219,8 +221,12 @@ class FaultInjector:
 
     # Fault sites ------------------------------------------------------------------
 
-    def on_worker_evaluate(self, doc: Mapping[str, object]) -> None:
-        """Worker-side hook, called once per scenario before evaluating it."""
+    def on_worker_evaluate(self, scenario: Scenario) -> None:
+        """Worker-side hook, called once per scenario before evaluating it.
+
+        A ``poison`` rule matches its substring against the scenario's JSON
+        document, which is only built when such a rule is armed.
+        """
         doc_json = None
         for rule in self.rules:
             if rule.name == "slow-eval" and self._claim(rule):
@@ -229,7 +235,7 @@ class FaultInjector:
                 self._crash("injected worker crash")
             elif rule.name == "poison":
                 if doc_json is None:
-                    doc_json = json.dumps(doc, sort_keys=True, default=str)
+                    doc_json = scenario.to_json()
                 if rule.match in doc_json:
                     self.fired[rule.name] = self.fired.get(rule.name, 0) + 1
                     self._crash(f"poison scenario matching {rule.match!r}")

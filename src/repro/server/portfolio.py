@@ -111,9 +111,10 @@ async def sweep_portfolio(
         max_concurrency = scheduler.max_queue
     gate = (asyncio.Semaphore(max_concurrency)
             if max_concurrency is not None else None)
+    keys = [point.cache_key() for point in points]
     unique: Dict[str, List[PortfolioPoint]] = {}
-    for point in points:
-        unique.setdefault(point.cache_key(), []).append(point)
+    for key, point in zip(keys, points):
+        unique.setdefault(key, []).append(point)
     total = len(unique)
     completed = 0
 
@@ -153,17 +154,19 @@ async def sweep_portfolio(
     served = dict(zip(unique, await asyncio.gather(
         *(_serve(key) for key in unique))))
 
+    # Each served payload is the sweep's own copy; only the points that
+    # share a key with an earlier one need a copy of it.
     outcomes: List[PointOutcome] = []
     seen_keys: set = set()
-    for point in points:
-        key = point.cache_key()
+    for key, point in zip(keys, points):
         result = served[key]
         duplicate = key in seen_keys
         seen_keys.add(key)
         outcomes.append(PointOutcome(
             index=point.index,
             params=point.params,
-            payload=copy.deepcopy(result["payload"]),
+            payload=(copy.deepcopy(result["payload"]) if duplicate
+                     else result["payload"]),
             source="duplicate" if duplicate else result["source"],
             # A duplicate point cost nothing: its evaluation's wall time is
             # accounted to the first point sharing the key.

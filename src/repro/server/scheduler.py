@@ -55,7 +55,7 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.api.scenario import Scenario, ScenarioError
 from repro.api.service import PlanService
@@ -122,12 +122,12 @@ class PlanRequestError(ValueError):
 # Worker-side evaluation ---------------------------------------------------------
 
 
-def evaluate_doc(service: PlanService, doc: Mapping[str, object],
-                 trace_context: Optional[Dict[str, str]] = None,
-                 chaos: Optional[FaultInjector] = None,
-                 drain_spans: bool = False) -> Tuple[
-                     Dict[str, object], Dict[str, object]]:
-    """Evaluate one scenario document on one service.
+def evaluate_scenario(service: PlanService, scenario: Scenario,
+                      trace_context: Optional[Dict[str, str]] = None,
+                      chaos: Optional[FaultInjector] = None,
+                      drain_spans: bool = False) -> Tuple[
+                          Dict[str, object], Dict[str, object]]:
+    """Evaluate one scenario on one service.
 
     Returns the result payload (or its structured error) plus a worker
     telemetry snapshot (pid, plan-cache counters, the service's
@@ -141,9 +141,9 @@ def evaluate_doc(service: PlanService, doc: Mapping[str, object],
     tracer = get_tracer()
     with tracer.span_under(trace_context, "scheduler.evaluate"):
         if chaos is not None:
-            chaos.on_worker_evaluate(doc)
+            chaos.on_worker_evaluate(scenario)
         try:
-            payload = service.evaluate(Scenario.from_dict(doc)).to_dict()
+            payload = service.evaluate(scenario).to_dict()
         except Exception as error:
             # A failed evaluation is the request's own structured error,
             # not a worker failure to retry.
@@ -188,12 +188,12 @@ def _init_pool_worker(chaos_spec: Optional[str] = None,
 
 
 def _evaluate_in_worker(
-        doc: Dict[str, object],
+        scenario: Scenario,
         trace_context: Optional[Dict[str, str]] = None) -> Tuple[
             Dict[str, object], Dict[str, object]]:
-    """Top-level (picklable) pool task: evaluate one document."""
-    return evaluate_doc(_WORKER_SERVICE, doc, trace_context,
-                        chaos=_WORKER_CHAOS, drain_spans=True)
+    """Top-level (picklable) pool task: evaluate one scenario."""
+    return evaluate_scenario(_WORKER_SERVICE, scenario, trace_context,
+                             chaos=_WORKER_CHAOS, drain_spans=True)
 
 
 # Scheduler ----------------------------------------------------------------------
@@ -255,7 +255,8 @@ class PlanScheduler:
         self.store = store
         self.service = PlanService() if jobs == 1 else None
         self._evaluate_fn = (
-            functools.partial(evaluate_doc, self.service, chaos=self.chaos)
+            functools.partial(evaluate_scenario, self.service,
+                              chaos=self.chaos)
             if jobs == 1 else _evaluate_in_worker)
         self.counters = CounterBundle(
             requests=0,
@@ -502,9 +503,9 @@ class PlanScheduler:
         failure alone: the lane is replaced and the request re-dispatched
         under :attr:`retry`. A request that still fails after the last
         attempt gets a terminal ``worker_crashed`` error payload carrying
-        its ``cache_key``.
+        its ``cache_key``. The lane gets the frozen (picklable) scenario
+        itself.
         """
-        doc = scenario.to_dict()
         loop = asyncio.get_running_loop()
         tracer = get_tracer()
         attempts = 0
@@ -514,7 +515,8 @@ class PlanScheduler:
             while True:
                 try:
                     payload, telemetry = await loop.run_in_executor(
-                        self._lanes[lane], self._evaluate_fn, doc, context)
+                        self._lanes[lane], self._evaluate_fn, scenario,
+                        context)
                 except Exception as error:
                     failure = classify_exception(error)
                     if isinstance(error, BrokenExecutor):

@@ -20,7 +20,7 @@ from repro.solver.search_space import SearchSpace, prune_specs
 from repro.solver.dp import DynamicProgrammingResult, optimize_segments
 from repro.solver.genetic import GeneticConfig, GeneticRefiner
 from repro.solver.exhaustive import ExhaustiveSolver
-from repro.solver.dlws import DualLevelWaferSolver, SolverResult
+from repro.solver.dlws import DualLevelWaferSolver
 
 __all__ = [
     "SearchSpace",
@@ -31,5 +31,4 @@ __all__ = [
     "GeneticRefiner",
     "ExhaustiveSolver",
     "DualLevelWaferSolver",
-    "SolverResult",
 ]

@@ -13,11 +13,10 @@ manageable with structural pruning:
 * an optional cap evenly subsamples the survivors (:func:`downsample_specs`).
 
 Every search of :class:`~repro.api.service.PlanService` (the single-wafer,
-pinned-spec, multi-wafer and dual-level solver paths on the wafer, and the
-GPU comparator) then makes its choice with :func:`select_fastest`, the
-fastest candidate that fits. The single-wafer, pinned-spec and GPU paths
-run each candidate's plan as :func:`plan_for` picks it: checkpointed when
-only that fits.
+pinned-spec, multi-wafer, fault and dual-level solver paths on the wafer,
+and the GPU comparator) runs each candidate's plan as :func:`plan_for`
+picks it, checkpointed when only that fits, and then makes its choice with
+:func:`select_fastest`, the fastest candidate that fits.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from repro.costmodel.tables import PlanCache
 from repro.hardware.config import WaferConfig, default_wafer_config
 from repro.parallelism.baselines import BaselineScheme, candidate_specs
 from repro.parallelism.spec import ParallelSpec
-from repro.parallelism.strategies import ExecutionPlan
+from repro.parallelism.strategies import DEFAULT_MICROBATCHES, ExecutionPlan
 from repro.simulation.memory import fits_in_memory, memory_pressure
 from repro.workloads.models import ModelConfig
 
@@ -142,6 +141,16 @@ def downsample_specs(specs: List[ParallelSpec], limit: int) -> List[ParallelSpec
             for index in range(limit)]
 
 
+def checkpointing_allowed(scheme: BaselineScheme) -> bool:
+    """Whether a search may run ``scheme``'s candidates checkpointed.
+
+    Full activation recomputation is part of every scheme's toolbox except
+    Megatron-1's, whose replication-reliant execution the paper evaluates
+    with its published (selective-recompute-only) recipe.
+    """
+    return scheme is not BaselineScheme.MEGATRON1
+
+
 def plan_for(
     plan_cache: PlanCache,
     model: ModelConfig,
@@ -149,17 +158,20 @@ def plan_for(
     num_devices: int,
     capacity: float,
     allow_checkpointing: bool,
+    num_microbatches: int = DEFAULT_MICROBATCHES,
 ) -> ExecutionPlan:
     """The plan that runs for ``spec``: checkpointed when only that fits.
 
-    ``capacity`` is the per-device memory in bytes. Without a fit either
-    way the plain plan is returned, so the caller reports it as OOM.
+    ``capacity`` is the per-device memory in bytes and
+    ``num_microbatches`` the pipeline's microbatch count. Without a fit
+    either way the plain plan is returned, so the caller reports it as OOM.
     """
-    plan = plan_cache.analyze(model, spec, num_devices=num_devices)
+    plan = plan_cache.analyze(model, spec, num_devices=num_devices,
+                              num_microbatches=num_microbatches)
     if allow_checkpointing and not fits_in_memory(plan.memory, capacity):
         checkpointed = plan_cache.analyze(
             model, spec, num_devices=num_devices,
-            activation_checkpointing=True)
+            activation_checkpointing=True, num_microbatches=num_microbatches)
         if fits_in_memory(checkpointed.memory, capacity):
             return checkpointed
     return plan

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.api.scenario import SCHEMA_VERSION
-from repro.api.service import validate_result_payload
+from repro.api.service import SolverOutcome, validate_result_payload
 from repro.runner.cli import main
 
 
@@ -63,10 +63,16 @@ class TestPlanCommand:
         assert main(["plan", "--file", "/does/not/exist.json"]) == 2
         assert "cannot read" in capsys.readouterr().err
 
-    def test_validate_with_solve_is_rejected(self, capsys):
-        assert main(["plan", _reduced_scenario(), "--solve",
-                     "--validate"]) == 2
-        assert "--validate only applies" in capsys.readouterr().err
+    def test_validate_checks_a_solve_against_the_solver_outcome(
+            self, capsys):
+        assert main(["plan", _reduced_scenario(ga_generations=4), "--solve",
+                     "--validate"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert validate_result_payload(payload, SolverOutcome) == []
+        # The same payload is not an evaluation record.
+        problems = validate_result_payload(payload)
+        assert any("missing" in problem for problem in problems)
+        assert any("unexpected" in problem for problem in problems)
 
     def test_invalid_fixed_spec_degree_exits_2(self, capsys):
         document = json.dumps({

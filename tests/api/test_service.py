@@ -12,7 +12,12 @@ from repro.api.scenario import (
     SolverSpec,
     WorkloadSpec,
 )
-from repro.api.service import PlanResult, PlanService, validate_result_payload
+from repro.api.service import (
+    PlanResult,
+    PlanService,
+    SolverOutcome,
+    validate_result_payload,
+)
 from repro.core.framework import scheme_max_tp
 from repro.costmodel.tables import PlanCache
 from repro.hardware.config import GPUClusterConfig
@@ -291,6 +296,19 @@ class TestPlanResult:
         assert any("schema_version" in problem for problem in problems)
         assert any("kind" in problem for problem in problems)
 
+    def test_validator_checks_a_solve_against_its_record(self):
+        payload = PlanService().solve(
+            _scenario(ga_generations=2, max_candidates=4)).to_dict()
+        assert validate_result_payload(payload, SolverOutcome) == []
+        payload["step_time"] = float("nan")
+        payload["schema_version"] = 99
+        del payload["dp_cost"]
+        problems = validate_result_payload(payload, SolverOutcome)
+        assert any("missing result keys: dp_cost" in problem
+                   for problem in problems)
+        assert any("schema_version" in problem for problem in problems)
+        assert any("non-finite" in problem for problem in problems)
+
     def test_oom_step_time_serialises_as_null(self):
         result = PlanResult.from_gpu("m", "mesp", "cluster",
                                      float("inf"), 0.0, 3)
@@ -330,11 +348,22 @@ class TestSolve:
         service = PlanService()
         service.solve(_scenario(seed=7))
         service.solve(_scenario(seed=7, ga_generations=4))
-        # The seed is the only GA parameter the scenario changes.
+        # The seed and the generation count are the only GA parameters the
+        # scenario changes.
         assert configs == [
             GeneticConfig(generations=12, population_size=16, seed=7),
-            GeneticConfig(generations=4, seed=7),
+            GeneticConfig(generations=4, population_size=16, seed=7),
         ]
+
+    def test_default_generation_count_is_the_default_refinement(self):
+        # Naming the default's own generation count runs the same GA as
+        # leaving the field unset.
+        def outcome(**solver):
+            payload = PlanService().solve(_scenario(**solver)).to_dict()
+            payload.pop("search_seconds")
+            return payload
+
+        assert outcome(ga_generations=12) == outcome()
 
     def test_solve_rejects_gpu_platform(self):
         scenario = Scenario(workload=WorkloadSpec(model="gpt3-6.7b"),
@@ -354,6 +383,32 @@ class TestSolve:
         scenario = Scenario.from_dict(_small_document(hardware, solver))
         with pytest.raises(ScenarioError, match=match):
             PlanService().solve(scenario)
+
+
+class TestSolveAgreesWithEvaluate:
+    """The solver's finalists run the plan the single-wafer search runs:
+    checkpointed when only that fits (gpt3-175b and opt-175b at 16k tokens
+    fit only checkpointed)."""
+
+    @pytest.mark.parametrize("model, seq_length, pipeline_degrees", [
+        ("gpt3-175b", 16384, (1,)),
+        ("gpt3-175b", 16384, (1, 2, 4)),
+        ("opt-175b", 16384, (1,)),
+        ("opt-175b", 16384, (1, 2, 4)),
+        ("gpt3-6.7b", 16384, (1,)),
+        ("llama3-70b", 16384, (1, 2, 4)),
+    ])
+    def test_same_spec_oom_and_step_time(self, model, seq_length,
+                                         pipeline_degrees):
+        scenario = Scenario(
+            workload=WorkloadSpec(model=model, seq_length=seq_length),
+            solver=SolverSpec(pipeline_degrees=pipeline_degrees))
+        service = PlanService()
+        solved = service.solve(scenario)
+        evaluated = service.evaluate(scenario)
+        assert (solved.spec, solved.oom, solved.step_time) == (
+            evaluated.spec, evaluated.oom, evaluated.step_time)
+        assert not solved.oom
 
 
 class TestRejectedPinnedSpecs:

@@ -226,6 +226,26 @@ class TestMultiWafer:
         with pytest.raises(ScenarioError):  # a ValueError
             HardwareSpec(num_wafers=0)
 
+    def test_candidate_that_fits_only_checkpointed_runs_checkpointed(
+            self, service):
+        # On 4 wafers, llama3-405b's fastest FSDP configuration needs 121.3
+        # GB per die as planned and 56.35 GB checkpointed; with 72 GB of
+        # HBM the search must run it checkpointed, as the single-wafer
+        # search would.
+        result = service.evaluate(Scenario(
+            workload=WorkloadSpec(model="llama3-405b", seq_length=4096),
+            hardware=HardwareSpec(num_wafers=4, num_microbatches=16),
+            solver=SolverSpec(scheme="fsdp", engine="gmap")))
+        spec = ParallelSpec(dp=2, fsdp=16, pp=4)
+        assert result.spec == spec.label()
+        assert not result.oom
+        assert result.memory_gb == pytest.approx(56.35, abs=0.01)
+        model = WorkloadSpec(model="llama3-405b", seq_length=4096).resolve()
+        capacity = WaferScaleChip().config.die.hbm.capacity
+        assert capacity / _GB == pytest.approx(72)
+        plain = analyze_model(model, spec, num_microbatches=16)
+        assert plain.memory.total / _GB == pytest.approx(121.3, abs=0.05)
+
     def test_no_candidate_left_after_pruning_reports_oom(self, service):
         # 1 GB of HBM per die: pruning drops every pipelined configuration,
         # so the least-infeasible one is simulated and reported as OOM.

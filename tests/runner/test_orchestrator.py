@@ -158,12 +158,12 @@ class TestManifest:
                                  get_experiment("fabric_zoo")) == []
 
     def test_failing_cell_is_recorded_not_raised(self):
-        from repro.runner.context import RunContext
+        from repro.api.service import PlanService
         from repro.runner.orchestrator import execute_cell
         experiment = get_experiment("fig07")
         outcome = execute_cell(experiment, {"model": "no-such-model",
                                             "wafer": "4x8"},
-                               RunContext())
+                               PlanService())
         assert outcome.error is not None
         assert outcome.rows == []
 

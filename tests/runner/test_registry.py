@@ -4,7 +4,6 @@ import pytest
 
 import repro.experiments as experiments
 from repro.api.service import PlanService
-from repro.runner.context import RunContext
 from repro.runner.manifest import validate_manifest
 from repro.runner.orchestrator import execute_cell, run_experiment
 from repro.runner.registry import (
@@ -87,7 +86,7 @@ class TestRegistration:
             scenario=lambda model: None,
             row=lambda params, payload: {"oom": payload["oom"]}))
         with pytest.raises(ValueError, match="no cell runner"):
-            decorator(lambda ctx, model: [{"oom": False}])
+            decorator(lambda service, model: [{"oom": False}])
         assert "fig_registration_test" not in figure_ids()
 
     def test_row_mapper_without_scenario_builder_is_rejected(self):
@@ -110,8 +109,7 @@ class TestReducedGridsExecute:
         experiment = get_experiment(figure)
         if experiment.row is None:
             params = experiment.cells(reduced=True)[0]
-            outcome = execute_cell(experiment, params,
-                                   RunContext(reduced=True))
+            outcome = execute_cell(experiment, params, PlanService())
             assert outcome.error is None, outcome.error
             rows = outcome.rows
         else:

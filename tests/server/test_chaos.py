@@ -500,7 +500,7 @@ class TestOrchestratorRetry:
         """A stub experiment whose cell fails ``len(failures)`` times."""
         calls = {"count": 0}
 
-        def cell(ctx, **params):
+        def cell(service, **params):
             calls["count"] += 1
             if failures:
                 raise failures.pop(0)
@@ -511,7 +511,7 @@ class TestOrchestratorRetry:
     def test_transient_cell_failure_is_retried_once(self):
         experiment, calls = self._experiment(
             [InjectedWorkerCrash("worker died")])
-        outcome = execute_cell(experiment, {"rows": 4}, ctx=None)
+        outcome = execute_cell(experiment, {"rows": 4}, service=None)
         assert outcome.error is None
         assert outcome.retries == 1
         assert calls["count"] == 2
@@ -519,7 +519,7 @@ class TestOrchestratorRetry:
 
     def test_terminal_cell_failure_is_not_retried(self):
         experiment, calls = self._experiment([ValueError("bad cell")])
-        outcome = execute_cell(experiment, {"rows": 4}, ctx=None)
+        outcome = execute_cell(experiment, {"rows": 4}, service=None)
         assert outcome.error is not None
         assert "bad cell" in outcome.error
         assert outcome.retries == 0
@@ -528,7 +528,7 @@ class TestOrchestratorRetry:
     def test_persistent_transient_failure_exhausts_retries(self):
         experiment, calls = self._experiment(
             [InjectedWorkerCrash("down"), InjectedWorkerCrash("still down")])
-        outcome = execute_cell(experiment, {"rows": 4}, ctx=None)
+        outcome = execute_cell(experiment, {"rows": 4}, service=None)
         assert outcome.error is not None
         assert outcome.retries == 1
         assert calls["count"] == 2

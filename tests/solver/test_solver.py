@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.api.scenario import Scenario, SolverSpec, WorkloadSpec
 from repro.hardware.config import default_wafer_config
+from repro.hardware.wafer import WaferScaleChip
 from repro.parallelism.baselines import BaselineScheme
 from repro.parallelism.spec import ParallelSpec
 from repro.solver.dlws import DualLevelWaferSolver
@@ -177,25 +179,27 @@ class TestExhaustiveSolver:
             ExhaustiveSolver.total_combinations(-1, 2)
 
 
+def _solve(model, **solver):
+    """Solve one default-wafer scenario of ``model`` with ``solver`` knobs."""
+    scenario = Scenario(workload=WorkloadSpec(model=model),
+                        solver=SolverSpec(**solver))
+    return DualLevelWaferSolver(WaferScaleChip(), None).solve(scenario)
+
+
 class TestDualLevelWaferSolver:
-    def test_solver_returns_feasible_best(self, gpt3_6b):
-        solver = DualLevelWaferSolver(num_finalists=4)
-        result = solver.solve(gpt3_6b)
-        assert result.best_spec.total_degree == 32
-        assert not result.best_report.oom
-        assert result.candidates_considered > 0
-        assert result.search_seconds > 0
+    def test_solver_returns_feasible_best(self):
+        outcome = _solve("gpt3-6.7b", num_finalists=4)
+        assert ParallelSpec(**_degrees(outcome.spec)).total_degree == 32
+        assert not outcome.oom
+        assert outcome.finalists_simulated == 4
+        assert outcome.candidates_considered > 0
+        assert outcome.search_seconds > 0
 
-    def test_solver_prefers_tatp_for_large_models(self, llama70b):
-        solver = DualLevelWaferSolver(num_finalists=6)
-        result = solver.solve(llama70b)
-        assert result.best_spec.tatp > 1
+    def test_solver_prefers_tatp_for_large_models(self):
+        outcome = _solve("llama3-70b", num_finalists=6)
+        assert _degrees(outcome.spec)["tatp"] > 1
 
-    def test_invalid_finalist_count(self):
-        with pytest.raises(ValueError):
-            DualLevelWaferSolver(num_finalists=0)
-
-    def test_solve_never_reanalyzes_a_plan(self, gpt3_6b, monkeypatch):
+    def test_solve_never_reanalyzes_a_plan(self, monkeypatch):
         # Pruning, finalist ranking, and finalist simulation all need the
         # same execution plans; the shared plan cache must derive each
         # distinct (model, spec, devices, checkpointing) plan exactly once.
@@ -212,11 +216,16 @@ class TestDualLevelWaferSolver:
                 activation_checkpointing=activation_checkpointing, **kwargs)
 
         monkeypatch.setattr(tables_module, "analyze_model", counting_analyze)
-        solver = DualLevelWaferSolver(num_finalists=4)
-        result = solver.solve(gpt3_6b)
+        outcome = _solve("gpt3-6.7b", num_finalists=4)
         assert len(computed) == len(set(computed)), \
             "analyze_model ran twice for the same (model, spec) key"
         # Finalist ranking and simulation re-read plans the pruning already
         # derived, so the cache must have served repeat lookups.
-        assert result.plan_cache_hits > 0
-        assert result.plan_cache_misses == len(computed)
+        assert outcome.plan_cache_hits > 0
+        assert outcome.plan_cache_misses == len(computed)
+
+
+def _degrees(label):
+    """The degrees of a spec label like ``(dp=2,tp=1,sp=1,tatp=16)``."""
+    return {name: int(value) for name, value in
+            (item.split("=") for item in label.strip("()").split(","))}
