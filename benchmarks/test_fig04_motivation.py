@@ -1,31 +1,18 @@
 """Benchmark regenerating Fig. 4 (motivation: time breakdown and memory overhead)."""
 
-from repro.experiments.fig04_motivation import run_motivation
 
-
-def test_fig04_motivation(benchmark):
-    results = benchmark.pedantic(
-        run_motivation,
-        kwargs={"breakdown_models": ["gpt3-6.7b", "gpt3-76b", "gpt3-175b"],
-                "memory_models": ["deepseek-7b", "llama2-70b", "bloom-176b"]},
-        rounds=1, iterations=1)
-
-    print()
-    print("Fig. 4(b): Megatron-style time breakdown")
-    for row in results.breakdown:
-        print(f"  {row.model:<14} collective={row.collective_fraction:5.1%} "
-              f"bw-util={row.bandwidth_utilization:5.1%} spec={row.spec}")
-    print("Fig. 4(c): Megatron vs ideal per-die memory (GB)")
-    for row in results.memory:
-        print(f"  {row.model:<14} megatron={row.megatron_gb:7.1f} "
-              f"ideal={row.ideal_gb:6.1f} capacity={row.capacity_gb:5.1f} "
-              f"oom={row.megatron_oom}")
+def test_fig04_motivation(benchmark, paper_rows):
+    rows = benchmark.pedantic(paper_rows, args=("fig04",), rounds=1,
+                              iterations=1)
+    breakdown = [row for row in rows if row["part"] == "breakdown"]
+    memory = [row for row in rows if row["part"] == "memory"]
 
     # Collective communication is a substantial share of Megatron training time.
-    assert all(row.collective_fraction > 0.05 for row in results.breakdown)
+    assert all(row["collective_fraction"] > 0.05 for row in breakdown)
     # D2D bandwidth stays well below saturation (paper: < 55%).
-    assert all(row.bandwidth_utilization < 0.55 for row in results.breakdown)
+    assert all(row["bandwidth_utilization"] < 0.55 for row in breakdown)
     # Replication-heavy Megatron exceeds the ideal footprint on every model and
     # overflows the per-die capacity for the 70B+ ones.
-    assert all(row.overhead > 1.0 for row in results.memory)
-    assert any(row.megatron_oom for row in results.memory)
+    assert all(row["ideal_gb"] > 0 and row["megatron_gb"] / row["ideal_gb"] > 1.0
+               for row in memory)
+    assert any(row["oom"] for row in memory)

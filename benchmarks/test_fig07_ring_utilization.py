@@ -1,25 +1,14 @@
 """Benchmark regenerating Fig. 7(c) (physical vs logical ring utilization)."""
 
-from repro.experiments.fig07_ring_utilization import run_ring_utilization
 
-
-def test_fig07_ring_utilization(benchmark):
-    rows = benchmark.pedantic(
-        run_ring_utilization,
-        kwargs={"models": ["llama2-7b", "llama2-30b", "llama2-70b"],
-                "wafer_sizes": [(4, 8), (6, 8), (8, 10)]},
-        rounds=1, iterations=1)
-
-    print()
-    print("model         dies  physical-ring  logical-ring  drop")
-    for row in rows:
-        print(f"{row.model:<13} {row.wafer_dies:4d}  "
-              f"{row.physical_ring_utilization:12.1%}  "
-              f"{row.logical_ring_utilization:12.1%}  {row.utilization_drop:6.1%}")
+def test_fig07_ring_utilization(benchmark, paper_rows):
+    rows = benchmark.pedantic(paper_rows, args=("fig07",), rounds=1,
+                              iterations=1)
 
     assert rows
     # A contiguous physical-ring mapping never does worse than the scattered
     # (logical-ring) mapping, and the gap never exceeds the paper's worst case.
     for row in rows:
-        assert row.physical_ring_utilization >= row.logical_ring_utilization - 1e-9
-        assert 0.0 <= row.utilization_drop <= 0.6
+        assert (row["physical_ring_utilization"]
+                >= row["logical_ring_utilization"] - 1e-9)
+        assert 0.0 <= row["utilization_drop"] <= 0.6

@@ -1,34 +1,21 @@
 """Benchmark regenerating Fig. 9 (TATP degree sweet spot)."""
 
-from repro.experiments.fig09_sweet_spot import (
-    optimal_degree,
-    optimal_power_efficiency_degree,
-    run_sweet_spot,
-)
 
-
-def test_fig09_sweet_spot(benchmark):
-    points = benchmark.pedantic(run_sweet_spot, rounds=1, iterations=1)
-
-    print()
-    print("N    throughput      mem/die(MB)  comp(ms)  comm(ms)  power(W)")
-    for point in points:
-        print(f"{point.degree:<4d} {point.throughput:12.3e}  "
-              f"{point.memory_bytes_per_die / 2**20:10.1f}  "
-              f"{point.compute_time * 1e3:8.3f}  {point.comm_time * 1e3:8.3f}  "
-              f"{point.total_power:8.0f}")
-    best = optimal_degree(points)
-    best_power = optimal_power_efficiency_degree(points)
-    print(f"optimal throughput degree: {best}; "
+def test_fig09_sweet_spot(benchmark, paper_rows):
+    rows = benchmark.pedantic(paper_rows, args=("fig09",), rounds=1,
+                              iterations=1)
+    best = max(rows, key=lambda row: row["throughput"])["degree"]
+    best_power = max(rows, key=lambda row: row["power_efficiency"])["degree"]
+    print(f"\noptimal throughput degree: {best}; "
           f"optimal power-efficiency degree: {best_power}")
 
     # Paper: the throughput sweet spot sits at N ~ 8-16 and throughput declines
     # on both sides of it; power efficiency peaks at or below the same point.
     assert 4 <= best <= 16
-    throughput = {p.degree: p.throughput for p in points}
+    throughput = {row["degree"]: row["throughput"] for row in rows}
     assert throughput[best] > throughput[2]
     assert throughput[best] > throughput[64]
     assert best_power <= best
     # Memory per die scales as O(1/N).
-    memory = {p.degree: p.memory_bytes_per_die for p in points}
+    memory = {row["degree"]: row["memory_bytes_per_die"] for row in rows}
     assert memory[2] / memory[64] == 32

@@ -1,34 +1,29 @@
 """Benchmark regenerating Fig. 15 (GPU cluster vs wafer-scale chip)."""
 
-from repro.core.metrics import geometric_mean
-from repro.experiments.fig15_gpu_comparison import run_gpu_comparison
+from statistics import geometric_mean
 
 
-def test_fig15_gpu_comparison(benchmark):
-    rows = benchmark.pedantic(
-        run_gpu_comparison,
-        kwargs={"models": ["gpt3-6.7b", "llama2-7b", "llama3-70b", "gpt3-76b"]},
-        rounds=1, iterations=1)
-
-    print()
-    print("model          GPU+MeSP(s)  Wafer+MeSP(s)  Wafer+TEMP(s)  "
-          "TEMP/GPU  TEMP/WaferMeSP")
-    for row in rows:
-        print(f"{row.model:<14} {row.gpu_mesp_time:11.3f}  "
-              f"{row.wafer_mesp_time:13.3f}  {row.wafer_temp_time:13.3f}  "
-              f"{row.temp_speedup_over_gpu:8.2f}  "
-              f"{row.temp_speedup_over_wafer_mesp:10.2f}")
+def test_fig15_gpu_comparison(benchmark, paper_rows):
+    rows = benchmark.pedantic(paper_rows, args=("fig15",), rounds=1,
+                              iterations=1)
+    temp = {row["model"]: row for row in rows if row["system"] == "Wafer+TEMP"}
+    # On gpt3-175b and opt-175b only Wafer+TEMP fits; an OOM baseline is
+    # compared to nothing.
+    baselines = [row for row in rows if row["system"] != "Wafer+TEMP"
+                 and not row["oom"] and row["step_time"] is not None]
 
     # Paper: Wafer+TEMP achieves the lowest training latency, beating both the
     # GPU cluster running MeSP and the wafer running MeSP.
-    for row in rows:
-        assert row.wafer_temp_time <= row.gpu_mesp_time * 1.001
-        assert row.wafer_temp_time <= row.wafer_mesp_time * 1.001
-    mean_over_gpu = geometric_mean(
-        [row.temp_speedup_over_gpu for row in rows])
-    mean_over_wafer = geometric_mean(
-        [row.temp_speedup_over_wafer_mesp for row in rows])
-    print(f"average TEMP speedup: {mean_over_gpu:.2f}x over GPU+MeSP, "
-          f"{mean_over_wafer:.2f}x over Wafer+MeSP")
-    assert mean_over_gpu > 1.0
-    assert mean_over_wafer > 1.0
+    assert not any(row["oom"] for row in temp.values())
+    for row in baselines:
+        assert temp[row["model"]]["step_time"] <= row["step_time"] * 1.001, (
+            row["model"], row["system"])
+    speedups = {
+        system: geometric_mean([
+            row["step_time"] / temp[row["model"]]["step_time"]
+            for row in baselines if row["system"] == system])
+        for system in ("GPU+MeSP", "Wafer+MeSP")}
+    print("\naverage TEMP speedup:",
+          {system: round(value, 2) for system, value in speedups.items()})
+    assert speedups["GPU+MeSP"] > 1.0
+    assert speedups["Wafer+MeSP"] > 1.0

@@ -1,30 +1,17 @@
 """Benchmark regenerating Fig. 18 (optimal TATP degree across GPT-3 models)."""
 
-from repro.experiments.fig18_convergence import optimal_tatp_degrees, run_convergence
 
-
-def test_fig18_tatp_convergence(benchmark):
-    results = benchmark.pedantic(
-        run_convergence,
-        kwargs={"model_names": ("gpt3-6.7b", "gpt3-76b", "gpt3-175b"),
-                "seq_lengths": (2048, 16384)},
-        rounds=1, iterations=1)
-
-    degrees = optimal_tatp_degrees(results)
-    print()
-    for (model, seq), sweep in results.items():
-        best = sweep.best()
-        gain = best.throughput / sweep.best_without_tatp().throughput
-        print(f"{model:<12} seq={seq:<6d} best={best.label:<14} "
-              f"tatp={best.tatp:<3d} gain-over-best-non-tatp={gain:4.2f}x")
+def test_fig18_tatp_convergence(benchmark, paper_rows):
+    rows = benchmark.pedantic(paper_rows, args=("fig18",), rounds=1,
+                              iterations=1)
 
     # Paper: the winning TATP degree consistently falls in a moderate band
     # (8-16 in the paper; we accept 2-32 as the reproduced band) and the best
     # configuration never loses to the best TATP-free configuration.
-    for (model, seq), sweep in results.items():
-        best = sweep.best()
-        assert 1 <= best.tatp <= 32
-        assert best.throughput >= sweep.best_without_tatp().throughput * 0.999
+    for row in rows:
+        assert 1 <= row["best_tatp"] <= 32
+        assert row["gain_over_best_non_tatp"] is not None
+        assert row["gain_over_best_non_tatp"] >= 0.999
     # At least half of the scenarios pick a TATP degree of 4 or more.
-    moderate = sum(1 for degree in degrees.values() if degree >= 4)
-    assert moderate * 2 >= len(degrees)
+    moderate = sum(1 for row in rows if row["best_tatp"] >= 4)
+    assert moderate * 2 >= len(rows)

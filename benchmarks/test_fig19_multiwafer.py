@@ -1,36 +1,22 @@
 """Benchmark regenerating Fig. 19 (multi-wafer scalability)."""
 
-from repro.experiments.fig19_multiwafer import run_multiwafer_study
 
-
-def test_fig19_multiwafer_scaling(benchmark):
-    study = benchmark.pedantic(
-        run_multiwafer_study, kwargs={"num_microbatches": 16},
-        rounds=1, iterations=1)
-
-    print()
-    print("model          wafers system      spec                               "
-          "pp  step(s)  bubble(s)  tok/s")
-    for cell in study.cells:
-        print(f"{cell.model:<14} {cell.num_wafers:5d}  {cell.system:<11} "
-              f"{cell.spec:<34} {cell.pp_degree:3d} {cell.step_time:8.2f} "
-              f"{cell.bubble_time:9.2f} {cell.throughput:9.0f}")
+def test_fig19_multiwafer_scaling(benchmark, paper_rows):
+    rows = benchmark.pedantic(paper_rows, args=("fig19",), rounds=1,
+                              iterations=1)
+    temp = {row["model"]: row for row in rows if row["system"] == "TEMP"}
+    baselines = [row for row in rows if row["system"] != "TEMP"]
 
     # Paper: TEMP achieves the highest throughput on every multi-wafer model
     # (1.2x-1.6x over the baselines) by keeping the pipeline degree low.
-    for model in study.models():
-        temp = study.cell(model, "TEMP")
-        assert not temp.oom
-        for system in study.systems():
-            if system == "TEMP":
-                continue
-            cell = study.cell(model, system)
-            if cell.oom:
-                continue
-            assert temp.throughput >= cell.throughput * 0.999, (model, system)
-    # TEMP's pipeline degree never exceeds the baselines' smallest choice.
-    for model in study.models():
-        temp_pp = study.cell(model, "TEMP").pp_degree
-        baseline_pps = [study.cell(model, system).pp_degree
-                        for system in study.systems() if system != "TEMP"]
-        assert temp_pp <= max(baseline_pps)
+    assert not any(row["oom"] for row in temp.values())
+    for row in baselines:
+        if row["oom"] or row["step_time"] is None:
+            continue
+        assert (temp[row["model"]]["throughput"]
+                >= row["throughput"] * 0.999), (row["model"], row["system"])
+    # TEMP's pipeline degree never exceeds the baselines' largest choice.
+    for model, row in temp.items():
+        assert row["pp_degree"] <= max(
+            baseline["pp_degree"] for baseline in baselines
+            if baseline["model"] == model)

@@ -1,25 +1,21 @@
 """Benchmark regenerating Fig. 20 (fault tolerance sweeps)."""
 
-from repro.experiments.fig20_fault_tolerance import run_fault_tolerance
 
-
-def test_fig20_fault_tolerance(benchmark):
-    study = benchmark.pedantic(run_fault_tolerance, rounds=1, iterations=1)
-
-    print()
-    print("link-fault sweep (rate -> normalised throughput):")
-    for point in study.link_sweep:
-        print(f"  {point.fault_rate:4.0%} -> {point.relative_throughput:5.2f}")
-    print("core-fault sweep (rate -> normalised throughput):")
-    for point in study.core_sweep:
-        print(f"  {point.fault_rate:4.0%} -> {point.relative_throughput:5.2f}")
+def test_fig20_fault_tolerance(benchmark, paper_rows):
+    rows = benchmark.pedantic(paper_rows, args=("fig20",), rounds=1,
+                              iterations=1)
+    # Rows come in grid order: ascending fault rates within each sweep.
+    link = [row for row in rows if row["sweep"] == "link"]
+    core = [row["relative_throughput"] for row in rows
+            if row["sweep"] == "core"]
 
     # Paper: link faults hit a throughput cliff (around a 35% fault rate),
     # while core faults degrade gracefully (~80% throughput at a 25% rate).
-    cliff = study.link_cliff_rate(threshold=0.5)
+    cliff = next((row["rate"] for row in link
+                  if row["relative_throughput"] < 0.5), None)
     assert cliff is not None and 0.2 <= cliff <= 0.6
-    assert study.link_sweep[0].relative_throughput > 0.99
-    assert study.core_sweep[-1].relative_throughput > 0.6
+    assert link[0]["relative_throughput"] > 0.99
+    assert core[-1] > 0.6
     # Core-fault degradation is monotone and never cliff-like.
-    rates = [point.relative_throughput for point in study.core_sweep]
-    assert all(later <= earlier + 1e-6 for earlier, later in zip(rates, rates[1:]))
+    assert all(later <= earlier + 1e-6
+               for earlier, later in zip(core, core[1:]))

@@ -1,29 +1,16 @@
 """Benchmark for §VIII-H (dual-level search vs exhaustive/ILP search time)."""
 
-from repro.experiments.search_time import run_search_time_comparison
 
-
-def test_search_time_comparison(benchmark):
-    result = benchmark.pedantic(
-        run_search_time_comparison,
-        kwargs={"model_name": "gpt3-76b", "max_candidates": 10,
-                "exhaustive_cap": 20000, "ga_generations": 8},
-        rounds=1, iterations=1)
-
-    print()
-    print(f"model={result.model} operators={result.num_operators} "
-          f"candidates={result.num_candidates}")
-    print(f"DLS:        {result.dls_seconds:8.2f}s  cost={result.dls_cost:.4f}  "
-          f"evaluations={result.dls_evaluations}")
-    print(f"exhaustive: {result.exhaustive_seconds:8.2f}s "
-          f"(truncated={result.exhaustive_truncated}, "
-          f"evaluated {result.exhaustive_evaluations} of "
-          f"{result.exhaustive_total_space:.2e} combinations)")
-    print(f"projected full-exhaustive time: "
-          f"{result.projected_exhaustive_seconds:.2e}s "
-          f"-> projected speedup {result.projected_speedup:.1e}x")
+def test_search_time_comparison(benchmark, paper_rows):
+    (row,) = benchmark.pedantic(paper_rows, args=("search_time",),
+                                rounds=1, iterations=1)
+    print(f"\nDLS {row['dls_seconds']:.2f}s vs exhaustive "
+          f"{row['exhaustive_seconds']:.2f}s over "
+          f"{row['exhaustive_evaluations']} of "
+          f"{row['exhaustive_total_space']:.2e} combinations: projected "
+          f"speedup {row['projected_speedup']:.1e}x")
 
     # Paper: the dual-level search is > 200x faster than the ILP baseline.
-    assert result.dls_seconds < 300
-    assert result.projected_speedup > 200
-    assert result.exhaustive_total_space > result.dls_evaluations
+    assert row["dls_seconds"] < 300
+    assert row["projected_speedup"] > 200
+    assert row["exhaustive_total_space"] > row["dls_evaluations"]

@@ -6,27 +6,37 @@ sweeping every (DP, TP, SP, TATP) combination under the traffic-conscious
 mapping engine and printing the ten best configurations.
 """
 
-from repro.experiments.fig17_parallel_configs import run_config_sweep
+from repro.api.service import PlanService
+from repro.experiments.fig17_parallel_configs import (
+    config_cells,
+    scenario_for_config,
+)
 
 
 def main() -> None:
-    sweep = run_config_sweep(model_name="llama2-7b", seq_length=16384,
-                             batch_size=32)
-    normalized = sweep.normalized()
+    service = PlanService()
+    # One pinned Scenario per configuration; a 16k sweep trains with batch
+    # 32 (the long-sequence default of the Fig. 17 scenarios).
+    sweep = [(cell["config"], cell["tatp"],
+              service.evaluate(scenario_for_config(**cell)))
+             for cell in config_cells("llama2-7b", 16384)]
+    feasible = [entry for entry in sweep if not entry[2].oom]
+    best = max(feasible, key=lambda entry: entry[2].throughput)
+    reference = max((entry for entry in feasible if entry[1] == 1),
+                    key=lambda entry: entry[2].throughput)
+    reference_throughput = reference[2].throughput
 
     print("Llama2-7B, sequence length 16k, batch 32 — top configurations")
     print(f"{'(DP,TP,SP,TATP)':<16} {'norm. throughput':>16} {'memory (GB)':>12} "
           f"{'OOM':>4}")
-    ranked = sorted(sweep.configs, key=lambda c: -c.throughput)[:10]
-    for config in ranked:
-        print(f"{config.label:<16} {normalized[config.label]:16.2f} "
-              f"{config.memory_gb:12.1f} {'yes' if config.oom else 'no':>4}")
+    ranked = sorted(sweep, key=lambda entry: -entry[2].throughput)[:10]
+    for label, _, result in ranked:
+        print(f"{label:<16} {result.throughput / reference_throughput:16.2f} "
+              f"{result.memory_gb:12.1f} {'yes' if result.oom else 'no':>4}")
 
-    best = sweep.best()
-    reference = sweep.best_without_tatp()
-    print(f"\nBest configuration: {best.label} "
-          f"({best.throughput / reference.throughput:.2f}x the best "
-          f"TATP-free configuration {reference.label})")
+    print(f"\nBest configuration: {best[0]} "
+          f"({best[2].throughput / reference_throughput:.2f}x the best "
+          f"TATP-free configuration {reference[0]})")
 
 
 if __name__ == "__main__":

@@ -228,15 +228,17 @@ class PortfolioAxis:
 
 @dataclass(frozen=True)
 class PortfolioPoint:
-    """One expanded point: its row identity and its scenario."""
+    """One expanded point: its row identity, its scenario, and ``key``,
+    the scenario's stable content hash (the dedup identity), hashed once
+    here so the sweep, its job and the scheduler all read it."""
 
     index: int
     params: Dict[str, object]
     scenario: Scenario
+    key: str = field(init=False)
 
-    def cache_key(self) -> str:
-        """The scenario's stable content hash (the dedup identity)."""
-        return self.scenario.cache_key()
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", self.scenario.cache_key())
 
 
 #: Valid expansion modes.

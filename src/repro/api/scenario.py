@@ -308,6 +308,10 @@ class SolverSpec:
         if self.num_finalists < 1:
             raise ScenarioError(
                 f"num_finalists must be >= 1, got {self.num_finalists}")
+        if self.ga_generations is not None and self.ga_generations < 1:
+            raise ScenarioError(
+                f"ga_generations must be >= 1 or null, got "
+                f"{self.ga_generations}")
         if self.fixed_spec is not None:
             fixed = dict(self.fixed_spec)
             unknown = sorted(set(fixed) - set(_FIXED_SPEC_KEYS))

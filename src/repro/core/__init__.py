@@ -13,16 +13,6 @@ scenario's :class:`~repro.api.result.PlanResult` itself:
 * :mod:`repro.core.fault_tolerance` — the three-step fault-tolerance flow of
   Fig. 20 (localise/classify, re-balance partitions, re-route communication).
 
-:mod:`repro.core.metrics` holds the normalisation and aggregation helpers for
-the figures (speedups, geometric means, breakdown tables). The core modules
-import :mod:`repro.api.scenario` and :mod:`repro.api.result` only, never the
-service that dispatches to them.
+The core modules import :mod:`repro.api.scenario` and
+:mod:`repro.api.result` only, never the service that dispatches to them.
 """
-
-from repro.core.metrics import geometric_mean, normalize_to, speedup
-
-__all__ = [
-    "geometric_mean",
-    "normalize_to",
-    "speedup",
-]

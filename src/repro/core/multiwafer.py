@@ -45,25 +45,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.api.scenario import Scenario
 
 
-def pipeline_degrees_for(
-    scheme: BaselineScheme, num_wafers: int, allow_sub_wafer_pp: bool = True
-) -> List[int]:
+def pipeline_degrees_for(scheme: BaselineScheme, num_wafers: int) -> List[int]:
     """Pipeline degrees a scheme considers on ``num_wafers`` wafers.
 
-    Baselines without a wafer-tailored parallelism need PP to be a multiple of
-    the wafer count (the paper observes PP = k*N); TEMP can additionally use a
-    PP degree equal to the wafer count or even lower is impossible (a stage
-    cannot span wafers), so its candidates are {N, 2N} while baselines explore
-    {N, 2N, 4N}.
+    A stage cannot span wafers, so every degree is a multiple of the wafer
+    count N (the paper observes PP = k*N). Baselines without a
+    wafer-tailored parallelism explore {N, 2N, 4N}; TEMP, whose TATP covers
+    more parallelism inside a wafer, needs only {N, 2N}.
     """
     if num_wafers < 1:
         raise ValueError("num_wafers must be >= 1")
     if scheme is BaselineScheme.TEMP:
         return [num_wafers, 2 * num_wafers]
-    degrees = [num_wafers, 2 * num_wafers, 4 * num_wafers]
-    if not allow_sub_wafer_pp:
-        degrees = [num_wafers]
-    return degrees
+    return [num_wafers, 2 * num_wafers, 4 * num_wafers]
 
 
 def run_multiwafer_scenario(

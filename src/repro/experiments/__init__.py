@@ -1,14 +1,15 @@
-"""Experiment runners — one per table/figure of the paper's evaluation.
+"""The paper's evaluation — one module per table/figure.
 
 Every module registers its figure with the experiment registry
 (:mod:`repro.runner.registry`) at import time: the default/reduced
 parameter grids, the manifest row schema, and either a scenario builder
-plus row mapper or a cell runner. The registry is the single source of
-truth — ``__all__`` below, the ``python -m repro`` CLI, the sweep
-orchestrator, the ``repro sweep`` portfolios, and the generated
-``EXPERIMENTS.md`` index are all derived from it.
+plus row mapper or a cell runner. The registration is the figure: the
+``python -m repro`` CLI, the figure runner, the ``repro sweep``
+portfolios and the generated ``EXPERIMENTS.md`` index are all derived
+from it, and the paper-shape checks under ``benchmarks/`` assert on the
+rows ``repro run`` computes from it.
 
-| Figure | Runner |
+| Figure | Module |
 |--------|--------|
 | Fig. 4(b)/(c) | :mod:`repro.experiments.fig04_motivation` |
 | Fig. 7(c)     | :mod:`repro.experiments.fig07_ring_utilization` |
@@ -26,8 +27,6 @@ orchestrator, the ``repro sweep`` portfolios, and the generated
 | topology zoo  | :mod:`repro.experiments.fabric_zoo` |
 """
 
-import importlib
-
 # Importing the figure modules populates the registry.
 from repro.experiments import fig04_motivation  # noqa: F401
 from repro.experiments import fig07_ring_utilization  # noqa: F401
@@ -43,23 +42,3 @@ from repro.experiments import fig20_fault_tolerance  # noqa: F401
 from repro.experiments import fig21_cost_model  # noqa: F401
 from repro.experiments import search_time  # noqa: F401
 from repro.experiments import fabric_zoo  # noqa: F401
-from repro.runner import registry as _registry
-
-
-def _export_entrypoints():
-    """Re-export every registered entrypoint.
-
-    ``__all__`` is derived from the registry, so a newly registered figure's
-    public runners become importable from ``repro.experiments`` without
-    touching this file.
-    """
-    names = []
-    for experiment in _registry.all_experiments():
-        module = importlib.import_module(experiment.module)
-        for name in experiment.entrypoints:
-            globals()[name] = getattr(module, name)
-            names.append(name)
-    return sorted(names)
-
-
-__all__ = _export_entrypoints()

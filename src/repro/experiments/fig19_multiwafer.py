@@ -9,12 +9,9 @@ parallelism; TEMP's TATP keeps the pipeline degree low and wins by 1.2-1.6x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Mapping
 
 from repro.api.scenario import HardwareSpec, Scenario, SolverSpec, WorkloadSpec
-from repro.api.service import PlanService
-from repro.costmodel.tables import PlanCache
 from repro.parallelism.baselines import BaselineScheme
 from repro.runner.registry import register
 from repro.workloads.models import MULTI_WAFER_MODELS
@@ -38,13 +35,10 @@ _SYSTEM_TABLE = {label: (scheme, engine)
                  for scheme, engine, label in MULTI_WAFER_GRID}
 
 
-def scenario_for_multiwafer(model: str, system: str,
-                            num_wafers: Optional[int] = None,
-                            num_microbatches: int = 16) -> Scenario:
-    """The :class:`Scenario` of one (model, system) cell of Fig. 19.
-
-    ``num_wafers`` defaults to the paper's wafer count for the model
-    (:data:`MULTI_WAFER_MODELS`).
+def scenario_for_multiwafer(model: str, system: str) -> Scenario:
+    """The :class:`Scenario` of one (model, system) cell of Fig. 19: the
+    model on the paper's wafer count for it (:data:`MULTI_WAFER_MODELS`),
+    pipelined over 16 microbatches.
     """
     try:
         scheme, engine = _SYSTEM_TABLE[system]
@@ -52,69 +46,12 @@ def scenario_for_multiwafer(model: str, system: str,
         known = ", ".join(SYSTEMS)
         raise KeyError(
             f"unknown system {system!r}; expected one of {known}") from None
-    if num_wafers is None:
-        num_wafers = MULTI_WAFER_MODELS[model]
     return Scenario(
         workload=WorkloadSpec(model=model),
-        hardware=HardwareSpec(num_wafers=num_wafers,
-                              num_microbatches=num_microbatches),
+        hardware=HardwareSpec(num_wafers=MULTI_WAFER_MODELS[model],
+                              num_microbatches=16),
         solver=SolverSpec(scheme=scheme.value, engine=engine),
     )
-
-
-@dataclass
-class MultiWaferCell:
-    """One (model, system) cell of Fig. 19."""
-
-    model: str
-    system: str
-    num_wafers: int
-    spec: str
-    pp_degree: int
-    step_time: float
-    compute_time: float
-    comm_time: float
-    bubble_time: float
-    throughput: float
-    oom: bool
-
-
-@dataclass
-class MultiWaferStudy:
-    """All cells of Fig. 19."""
-
-    cells: List[MultiWaferCell] = field(default_factory=list)
-
-    def cell(self, model: str, system: str) -> MultiWaferCell:
-        """Look up one cell."""
-        for candidate in self.cells:
-            if candidate.model == model and candidate.system == system:
-                return candidate
-        raise KeyError(f"no cell for model={model} system={system}")
-
-    def systems(self) -> List[str]:
-        """System labels in presentation order."""
-        ordered: List[str] = []
-        for cell in self.cells:
-            if cell.system not in ordered:
-                ordered.append(cell.system)
-        return ordered
-
-    def models(self) -> List[str]:
-        """Model names in presentation order."""
-        ordered: List[str] = []
-        for cell in self.cells:
-            if cell.model not in ordered:
-                ordered.append(cell.model)
-        return ordered
-
-    def temp_speedup(self, model: str, system: str) -> float:
-        """TEMP speedup over ``system`` for ``model``."""
-        baseline = self.cell(model, system)
-        temp = self.cell(model, "TEMP")
-        if temp.step_time <= 0 or baseline.oom:
-            return 0.0
-        return baseline.step_time / temp.step_time
 
 
 def multiwafer_row(params: Mapping[str, object],
@@ -133,34 +70,6 @@ def multiwafer_row(params: Mapping[str, object],
     }
 
 
-def run_multiwafer_study(
-    models: Optional[Dict[str, int]] = None,
-    num_microbatches: int = 16,
-    plan_cache: Optional[PlanCache] = None,
-) -> MultiWaferStudy:
-    """Run the Fig. 19 study.
-
-    Args:
-        models: mapping of model name -> wafer count (defaults to the paper's
-            four models).
-        num_microbatches: pipeline microbatches per step.
-        plan_cache: optional shared ``analyze_model`` memoisation.
-    """
-    model_map = dict(models) if models is not None else dict(MULTI_WAFER_MODELS)
-    service = PlanService(plan_cache=plan_cache)
-    study = MultiWaferStudy()
-    for name, num_wafers in model_map.items():
-        for system in SYSTEMS:
-            params = {"model": name, "system": system}
-            scenario = scenario_for_multiwafer(
-                name, system, num_wafers=num_wafers,
-                num_microbatches=num_microbatches)
-            payload = service.evaluate(scenario).to_dict()
-            study.cells.append(
-                MultiWaferCell(**params, **multiwafer_row(params, payload)))
-    return study
-
-
 register(
     figure="fig19",
     paper="Fig. 19",
@@ -170,7 +79,6 @@ register(
     schema=("model", "system", "num_wafers", "spec", "pp_degree",
             "step_time", "compute_time", "comm_time", "bubble_time",
             "throughput", "oom"),
-    entrypoints=("run_multiwafer_study",),
     description="Larger-than-one-wafer models are pipelined across 2-6 "
                 "wafers; TEMP keeps the pipeline degree (and the bubble) "
                 "low because TATP covers more parallelism inside a wafer.",

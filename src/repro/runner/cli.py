@@ -781,7 +781,7 @@ def _sweep_via_server(args: argparse.Namespace, portfolio, points):
             status["wall_seconds"]):
         outcomes.append(PointOutcome(
             index=point.index, params=point.params, payload=payload,
-            source=source, wall_seconds=wall, key=point.cache_key()))
+            source=source, wall_seconds=wall, key=point.key))
     return outcomes
 
 

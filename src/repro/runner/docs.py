@@ -76,9 +76,6 @@ def render_experiments_md() -> str:
             lines.append(exp.description)
             lines.append("")
         lines.append(f"- Module: `{exp.module}`")
-        if exp.entrypoints:
-            names = ", ".join(f"`{name}`" for name in exp.entrypoints)
-            lines.append(f"- Entry points: {names}")
         lines.append(f"- Grid axes: {', '.join(f'`{a}`' for a in exp.axes())}")
         columns = ", ".join(f"`{column}`" for column in exp.schema)
         lines.append(f"- Manifest row columns: {columns}")

@@ -3,9 +3,9 @@
 Every module under :mod:`repro.experiments` registers its figure with
 :func:`register` at import time: the default and reduced parameter grids,
 the schema of the manifest rows it emits, and how a cell is computed. The
-orchestrator, ``repro sweep``, the CLI, the generated ``EXPERIMENTS.md``,
-and ``repro.experiments.__all__`` are all derived from this table, so
-adding a figure is one registration — no hand-maintained lists.
+figure runner, ``repro sweep``, the CLI and the generated
+``EXPERIMENTS.md`` are all derived from this table, so adding a figure is
+one registration — no hand-maintained lists.
 
 A *grid* is either
 
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import importlib
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.api.portfolio import Portfolio, PortfolioAxis, _section_axes
@@ -57,7 +57,6 @@ class Experiment:
     default_grid: Grid
     reduced_grid: Grid
     schema: Tuple[str, ...]
-    entrypoints: Tuple[str, ...] = field(default_factory=tuple)
     description: str = ""
     scenario: Optional[Callable] = None
     row: Optional[Callable] = None
@@ -147,7 +146,6 @@ def register(
     default_grid: Grid,
     reduced_grid: Grid,
     schema: Sequence[str],
-    entrypoints: Sequence[str] = (),
     description: str = "",
     scenario: Optional[Callable] = None,
     row: Optional[Callable] = None,
@@ -166,8 +164,6 @@ def register(
         reduced_grid: the fast grid used by CI and the test suite.
         schema: keys of every manifest row (cell params merged with the
             cell's row dicts).
-        entrypoints: public ``run_*`` functions of the module, re-exported
-            from ``repro.experiments``.
         description: longer prose for the generated docs.
         scenario: builder mapping one cell's grid params to the
             :class:`repro.api.Scenario` the cell evaluates.
@@ -188,7 +184,6 @@ def register(
         default_grid=default_grid,
         reduced_grid=reduced_grid,
         schema=tuple(schema),
-        entrypoints=tuple(entrypoints),
         description=description,
         scenario=scenario,
         row=row,

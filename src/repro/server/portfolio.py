@@ -111,18 +111,18 @@ async def sweep_portfolio(
         max_concurrency = scheduler.max_queue
     gate = (asyncio.Semaphore(max_concurrency)
             if max_concurrency is not None else None)
-    keys = [point.cache_key() for point in points]
     unique: Dict[str, List[PortfolioPoint]] = {}
-    for key, point in zip(keys, points):
-        unique.setdefault(key, []).append(point)
+    for point in points:
+        unique.setdefault(point.key, []).append(point)
     total = len(unique)
     completed = 0
 
-    async def _submit(scenario) -> tuple:
+    async def _submit(point: PortfolioPoint) -> tuple:
         attempt = 0
         while True:
             try:
-                return await scheduler.submit_traced(scenario)
+                return await scheduler.submit_traced(point.scenario,
+                                                     key=point.key)
             except PlanRequestError as error:
                 # Shed points back off and re-enter; everything else
                 # (shutdown, deadline) is final for this point.
@@ -139,9 +139,9 @@ async def sweep_portfolio(
         with span("sweep.point", cache_key=key, fanout=len(unique[key])):
             if gate is not None:
                 async with gate:
-                    payload, source = await _submit(first.scenario)
+                    payload, source = await _submit(first)
             else:
-                payload, source = await _submit(first.scenario)
+                payload, source = await _submit(first)
         wall = time.perf_counter() - start
         outcome = PointOutcome(
             index=first.index, params=first.params, payload=payload,
@@ -158,10 +158,10 @@ async def sweep_portfolio(
     # share a key with an earlier one need a copy of it.
     outcomes: List[PointOutcome] = []
     seen_keys: set = set()
-    for key, point in zip(keys, points):
-        result = served[key]
-        duplicate = key in seen_keys
-        seen_keys.add(key)
+    for point in points:
+        result = served[point.key]
+        duplicate = point.key in seen_keys
+        seen_keys.add(point.key)
         outcomes.append(PointOutcome(
             index=point.index,
             params=point.params,
@@ -171,7 +171,7 @@ async def sweep_portfolio(
             # A duplicate point cost nothing: its evaluation's wall time is
             # accounted to the first point sharing the key.
             wall_seconds=0.0 if duplicate else result["wall"],
-            key=key,
+            key=point.key,
         ))
     return outcomes
 
@@ -313,7 +313,7 @@ class PortfolioJob:
         self.id = job_id
         self.portfolio = portfolio
         self.points = points
-        self.unique = len({point.cache_key() for point in points})
+        self.unique = len({point.key for point in points})
         self.completed = 0
         self.status = "running"
         self.error: Optional[str] = None

@@ -353,8 +353,13 @@ class PlanScheduler:
         return payload
 
     async def submit_traced(
-            self, scenario: Scenario) -> Tuple[Dict[str, object], str]:
+            self, scenario: Scenario,
+            key: Optional[str] = None) -> Tuple[Dict[str, object], str]:
         """Serve one scenario and report which path served it.
+
+        ``key`` is the scenario's :meth:`~Scenario.cache_key` when the
+        caller already hashed it (a portfolio point carries its own);
+        otherwise it is computed here.
 
         Returns:
             ``(payload, source)`` with ``source`` one of :data:`SOURCES`:
@@ -375,7 +380,8 @@ class PlanScheduler:
                                    retryable=True, retry_after=1.0)
         start = time.perf_counter()
         self.counters["requests"] += 1
-        key = scenario.cache_key()
+        if key is None:
+            key = scenario.cache_key()
         with span("scheduler.request", cache_key=key):
             if self.store is not None:
                 stored = self.store.get(key)

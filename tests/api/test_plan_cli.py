@@ -51,6 +51,12 @@ class TestPlanCommand:
         assert payload["candidates_considered"] > 0
         assert payload["oom"] is False
 
+    def test_solve_with_no_generations_exits_2(self, capsys):
+        # Rejected when the document parses, not by the solver mid-solve.
+        assert main(["plan", _reduced_scenario(ga_generations=0),
+                     "--solve"]) == 2
+        assert "ga_generations must be >= 1" in capsys.readouterr().err
+
     def test_invalid_document_exits_2(self, capsys):
         assert main(["plan", "{\"schema_version\": 99}"]) == 2
         assert "not supported" in capsys.readouterr().err

@@ -133,7 +133,7 @@ class TestExpansion:
                 PortfolioAxis(name="step", values=(1, 2)),
             ))
         first, second = portfolio.expand()
-        assert first.cache_key() == second.cache_key()
+        assert first.key == second.key
         assert first.params != second.params
 
 
@@ -306,5 +306,5 @@ class TestRegistry:
         cells = experiment.cells(reduced)
         points = experiment.portfolio(reduced).expand()
         assert [point.params for point in points] == cells
-        assert [point.cache_key() for point in points] == [
+        assert [point.key for point in points] == [
             experiment.scenario_for(**cell).cache_key() for cell in cells]

@@ -120,6 +120,8 @@ class TestStrictness:
         ({"pipeline_degrees": ()}, "pipeline_degrees"),
         ({"pipeline_degrees": (0,)}, "pipeline_degrees"),
         ({"pipeline_degrees": (1, -2)}, "pipeline_degrees"),
+        ({"ga_generations": 0}, "ga_generations"),
+        ({"ga_generations": -3}, "ga_generations"),
     ])
     def test_nonsensical_solver_values_rejected(self, kwargs, field):
         with pytest.raises(ScenarioError, match=field):

@@ -1,4 +1,4 @@
-"""Tests for the framework's search paths, metrics, and fault tolerance.
+"""Tests for the framework's search paths and fault tolerance.
 
 The single-wafer, ablation, solver, multi-wafer and fault paths are driven
 the way every caller drives them: a :class:`~repro.api.scenario.Scenario`
@@ -19,13 +19,6 @@ from repro.api.scenario import (
 )
 from repro.api.service import PlanService, validate_result_payload
 from repro.core.framework import downsample_specs
-from repro.core.metrics import (
-    average_speedup,
-    geometric_mean,
-    normalize_breakdown,
-    normalize_to,
-    speedup,
-)
 from repro.core.multiwafer import pipeline_degrees_for
 from repro.hardware.wafer import WaferScaleChip
 from repro.parallelism.baselines import BaselineScheme
@@ -75,37 +68,6 @@ def _degree(label, name):
 def _total_degree(label):
     """The device count of a spec label (a TP-coupled sp adds none)."""
     return math.prod(int(degree) for degree in re.findall(r"=(\d+)", label))
-
-
-class TestMetrics:
-    def test_speedup(self):
-        assert speedup(2.0, 1.0) == 2.0
-        with pytest.raises(ValueError):
-            speedup(1.0, 0.0)
-
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-        assert geometric_mean([]) == 0.0
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, -1.0])
-
-    def test_normalize_to_default_reference_is_max(self):
-        normalized = normalize_to({"a": 2.0, "b": 4.0})
-        assert normalized == {"a": 0.5, "b": 1.0}
-
-    def test_normalize_to_explicit_reference(self):
-        normalized = normalize_to({"a": 2.0, "b": 4.0}, reference_key="a")
-        assert normalized["b"] == 2.0
-
-    def test_normalize_breakdown_sums_to_one(self):
-        normalized = normalize_breakdown({"x": 3.0, "y": 1.0})
-        assert sum(normalized.values()) == pytest.approx(1.0)
-
-    def test_average_speedup(self):
-        assert average_speedup([2.0, 8.0], [1.0, 2.0]) == pytest.approx(
-            geometric_mean([2.0, 4.0]))
-        with pytest.raises(ValueError):
-            average_speedup([1.0], [1.0, 2.0])
 
 
 class TestBaselineSearch:

@@ -352,7 +352,7 @@ class TestPortfolioProperties:
     @given(portfolio=portfolios())
     def test_point_keys_agree_with_scenario_equality(self, portfolio):
         points = portfolio.expand()
-        keys = [point.cache_key() for point in points]
+        keys = [point.key for point in points]
         for i, left in enumerate(points):
             for j, right in enumerate(points):
                 assert (keys[i] == keys[j]) \

@@ -1,8 +1,9 @@
 """Registry contract: all figures registered, grids sane, cells executable."""
 
+from pathlib import Path
+
 import pytest
 
-import repro.experiments as experiments
 from repro.api.service import PlanService
 from repro.runner.manifest import validate_manifest
 from repro.runner.orchestrator import execute_cell, run_experiment
@@ -21,6 +22,9 @@ EXPECTED_FIGURES = [
     "fig16", "fig17", "fig18", "fig19", "fig20", "fig21", "search_time",
 ]
 
+#: The paper-shape checks, one ``test_<figure>*.py`` per registered figure.
+BENCHMARKS_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
+
 
 class TestRegistry:
     def test_all_fourteen_figures_registered(self):
@@ -36,7 +40,6 @@ class TestRegistry:
             assert experiment.title
             assert experiment.module.startswith("repro.experiments.")
             assert experiment.schema, experiment.figure
-            assert experiment.entrypoints, experiment.figure
             assert callable(experiment.cell)
 
     def test_grids_expand_and_reduced_is_not_larger(self):
@@ -57,17 +60,12 @@ class TestRegistry:
         assert expand_grid([{"a": 1}, {"a": 2, "b": 3}]) == [
             {"a": 1}, {"a": 2, "b": 3}]
 
-    def test_entrypoints_exported_from_experiments_package(self):
-        for experiment in all_experiments():
-            for name in experiment.entrypoints:
-                assert name in experiments.__all__
-                assert callable(getattr(experiments, name))
-
-    def test_all_is_sorted_and_complete(self):
-        registered = sorted(
-            name for experiment in all_experiments()
-            for name in experiment.entrypoints)
-        assert experiments.__all__ == registered
+    def test_every_figure_has_a_paper_shape_check(self):
+        # A figure's paper-shape check asserts on its registered rows; a
+        # newly registered figure must add one.
+        missing = [figure for figure in figure_ids()
+                   if not list(BENCHMARKS_DIR.glob(f"test_{figure}*.py"))]
+        assert missing == []
 
 
 def _registration(**overrides):

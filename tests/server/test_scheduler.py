@@ -15,6 +15,7 @@ from repro.api.scenario import SCHEMA_VERSION, Scenario
 from repro.api.service import PlanService
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import get_tracer
+from repro.server.portfolio import PortfolioManager
 from repro.server.scheduler import (
     PlanRequestError,
     PlanScheduler,
@@ -393,3 +394,44 @@ class TestConstruction:
         payload = error_payload("boom", kind="test", status=418)
         assert payload == {"error": {"type": "test", "message": "boom",
                                      "status": 418}}
+
+
+class TestPortfolioJobHashing:
+    def test_each_point_is_hashed_once(self, monkeypatch):
+        # N = 4 points, U = 2 unique scenarios: the ``step`` axis only
+        # labels rows, so points 0/1 and 2/3 share a key.
+        document = {
+            "schema_version": SCHEMA_VERSION,
+            "name": "hash-count",
+            "base": _doc(),
+            "expansion": "zip",
+            "axes": [
+                {"name": "seq", "path": "workload.seq_length",
+                 "values": [256, 256, 512, 512]},
+                {"name": "step", "values": [1, 2, 3, 4]},
+            ],
+        }
+        hashed = []
+        cache_key = Scenario.cache_key
+
+        def counting_cache_key(scenario):
+            hashed.append(scenario)
+            return cache_key(scenario)
+
+        monkeypatch.setattr(Scenario, "cache_key", counting_cache_key)
+
+        async def scenario():
+            async with PlanScheduler() as scheduler:
+                manager = PortfolioManager(scheduler)
+                job = manager.start_job(document)
+                await manager.close()
+                return manager.get(job["job"])
+
+        status = _run(scenario())
+        assert status["status"] == "done"
+        assert (status["points"], status["unique"]) == (4, 2)
+        assert status["sources"] == ["evaluated", "duplicate",
+                                     "evaluated", "duplicate"]
+        # Hashing in the job, the sweep and the scheduler each would make
+        # 2N + U = 10; the point's own key leaves one hash per point.
+        assert len(hashed) <= 4 + 2
