@@ -38,7 +38,7 @@ Scenario API (the blessed request/response surface)
 
 Plan server (cached, concurrent Scenario serving)
     :class:`repro.server.PlanScheduler` (dedup, one request per persistent
-    worker lane), :class:`repro.server.ResultStore` (disk-backed,
+    worker lane), :class:`repro.server.ResultStore` (SQLite,
     keyed by :meth:`repro.api.Scenario.cache_key`),
     :class:`repro.server.PlanServer` / :class:`repro.server.PlanClient`
     (``repro serve`` / ``repro submit``).

@@ -1,6 +1,6 @@
 """The seed benchmark suite (imported by ``registry.ensure_loaded``).
 
-Eight benchmarks spanning the paths the repo cares about going fast:
+Seven benchmarks spanning the paths the repo cares about going fast:
 
 * ``dls_search`` — the dual-level solver end to end (the paper's own
   search-time figure is the reason this repo tracks perf at all);
@@ -14,10 +14,7 @@ Eight benchmarks spanning the paths the repo cares about going fast:
 * ``trace_overhead`` — the fig13 sweep on the default disabled
   tracing path, quantifying the instrumentation cost (pinned under 2%);
 * ``topology_routing`` — construction plus routing/ring queries across
-  every registered fabric family of the topology zoo;
-* ``store_backend`` — result-store open + serve cost on a 10k-entry store
-  for both persistence backends, pinning the SQLite backend's O(1) open
-  against the JSON-lines full-file indexing it replaces at scale.
+  every registered fabric family of the topology zoo.
 
 Each callable is deterministic given the registry state; wall-clock noise
 is what the warmup + median/p10/p90 harness in :mod:`repro.bench.report`
@@ -234,68 +231,6 @@ def bench_trace_overhead() -> Optional[Dict[str, object]]:
     }
 
 
-@register_benchmark(
-    name="store_backend",
-    title="Result-store open and serve, JSON lines vs SQLite",
-    description="Opens a pre-built 10k-entry result store in both backends "
-                "and serves a sample of gets from each; extras record the "
-                "per-backend open time and the SQLite open speedup over "
-                "JSON-lines full-file indexing (asserted > 1x — the reason "
-                "the indexed backend exists).",
-    repeat=3,
-)
-def bench_store_backend() -> Optional[Dict[str, object]]:
-    import tempfile
-
-    from repro.server.store import ResultStore
-
-    entries = 10_000
-    if "store_backend" not in _STATE:
-        root = tempfile.mkdtemp(prefix="repro-bench-store-")
-        jsonl_path = f"{root}/plans.jsonl"
-        sqlite_path = f"{root}/plans.sqlite"
-        payload = {"kind": "single_wafer", "model": "gpt3-6.7b",
-                   "step_time": 0.5, "memory_per_die": [1.0] * 8}
-        with ResultStore(jsonl_path) as jsonl_store:
-            with ResultStore(sqlite_path) as sqlite_store:
-                for index in range(entries):
-                    key = f"{index:064x}"
-                    document = {**payload, "step_time": index * 1e-6}
-                    jsonl_store.put(key, document)
-                    sqlite_store.put(key, document)
-        _STATE["store_backend"] = (jsonl_path, sqlite_path)
-    jsonl_path, sqlite_path = _STATE["store_backend"]
-
-    sample = [f"{index:064x}" for index in range(0, entries, entries // 100)]
-    timings: Dict[str, float] = {}
-    for name, path in (("jsonl", jsonl_path), ("sqlite", sqlite_path)):
-        start = time.perf_counter()
-        store = ResultStore(path)
-        timings[f"{name}_open_seconds"] = time.perf_counter() - start
-        start = time.perf_counter()
-        for key in sample:
-            if store.get(key) is None:
-                raise AssertionError(f"{name}: lost key {key}")
-        timings[f"{name}_get_seconds"] = time.perf_counter() - start
-        if len(store) != entries:
-            raise AssertionError(
-                f"{name}: expected {entries} entries, found {len(store)}")
-        store.close()
-
-    open_speedup = (timings["jsonl_open_seconds"]
-                    / timings["sqlite_open_seconds"])
-    if open_speedup <= 1.0:
-        raise AssertionError(
-            f"SQLite open ({timings['sqlite_open_seconds']:.4f}s) is not "
-            f"faster than JSON-lines indexing "
-            f"({timings['jsonl_open_seconds']:.4f}s) on a {entries}-entry "
-            f"store — the indexed backend lost its reason to exist")
-    return {
-        "entries": entries,
-        "gets_sampled": len(sample),
-        **{name: round(value, 6) for name, value in timings.items()},
-        "open_speedup": round(open_speedup, 2),
-    }
 
 
 @register_benchmark(

@@ -123,18 +123,6 @@ class FaultModel:
             core_faults[die] = rng.uniform(low, high)
         return cls(core_faults=core_faults)
 
-    @classmethod
-    def sample_die_faults(
-        cls, num_dies: int, fault_rate: float, seed: int = 0
-    ) -> "FaultModel":
-        """Sample a model where whole dies are removed from the wafer."""
-        if not 0.0 <= fault_rate <= 1.0:
-            raise ValueError(f"fault_rate must be in [0, 1], got {fault_rate}")
-        rng = random.Random(seed)
-        num_dead = int(round(fault_rate * num_dies))
-        dead = set(rng.sample(range(num_dies), num_dead)) if num_dead else set()
-        return cls(dead_dies=dead)
-
     def merged_with(self, other: "FaultModel") -> "FaultModel":
         """Combine two fault models (union of faults, max of fractions)."""
         core_faults = dict(self.core_faults)

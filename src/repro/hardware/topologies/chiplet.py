@@ -99,11 +99,6 @@ class ChipletTopology(Topology):
         if bw <= 0 or lat <= 0:
             raise ValueError("chiplet backbone factors must be positive")
 
-    def chiplet_of(self, die: int) -> Tuple[int, int]:
-        """Return the (chiplet row, chiplet col) tile holding ``die``."""
-        row, col = self.coord(die)
-        return row // self.tile_rows, col // self.tile_cols
-
     def gateway_dies(self, tile: Tuple[int, int]) -> List[int]:
         """Return the gateway die ids of chiplet ``tile``, deduplicated."""
         trow, tcol = tile

@@ -159,7 +159,3 @@ class WaferScaleChip:
     def contiguous_groups(self, group_size: int) -> List[List[int]]:
         """Contiguous die groups of ``group_size`` (see topology docs)."""
         return self.topology.partition_into_groups(group_size)
-
-    def ring_for(self, dies: Sequence[int]) -> Optional[List[int]]:
-        """A physical ring ordering for ``dies`` if one exists."""
-        return self.topology.contiguous_ring(dies)

@@ -53,11 +53,6 @@ class LinkLoadMap:
                 loads[key] = loads.get(key, 0.0) + flow.total_bytes
         return cls(loads=loads)
 
-    @property
-    def num_loaded_links(self) -> int:
-        """Number of links carrying any traffic."""
-        return sum(1 for load in self.loads.values() if load > 0)
-
     def load_of(self, link: Link) -> float:
         """Bytes carried by ``link``."""
         return self.loads.get((link.src, link.dst), 0.0)

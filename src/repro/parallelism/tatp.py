@@ -89,10 +89,6 @@ class TATPSchedule:
         hops = [op.hops for ops in self.transfers for op in ops]
         return max(hops) if hops else 0
 
-    def transfers_in_round(self, round_index: int) -> List[TransferOp]:
-        """Transfers scheduled during ``round_index``."""
-        return list(self.transfers[round_index])
-
     def sends_per_rank_per_round(self) -> int:
         """Maximum number of sends any rank performs in a single round."""
         worst = 0

@@ -12,12 +12,9 @@ Sub-commands::
     repro serve --port 8099 --jobs 2   # long-lived cached plan server
     repro serve --deadline 30 --max-queue 256   # + deadlines, load shedding
     repro serve --chaos worker-crash:once       # + deterministic fault injection
-    repro serve --store plans.sqlite   # indexed SQLite result store (O(1) open)
+    repro serve --store plans.sqlite   # SQLite result store, kept across restarts
     repro submit '<json>' --port 8099  # submit scenario(s) to a server
-    repro store stats plans.jsonl      # entries / dead records / file size
-    repro store compact plans.jsonl    # rewrite last-wins (drop dead records)
-    repro store migrate plans.jsonl plans.sqlite  # convert between backends
-                                       # (verified key-by-key)
+    repro store stats plans.sqlite     # entries / file size
     repro loadtest --requests 200 --dedup-ratio 0.95 --concurrency 8
                                        # replay synthetic plans against a live
                                        # server: p50/p95/p99, cache-hit rate
@@ -138,15 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "in-process PlanService, N>1 from N persistent "
                             "worker processes (default: %(default)s)")
     serve.add_argument("--store", metavar="PATH", default=None,
-                       help="persistent result store; repeated requests are "
-                            "served from it across restarts (default: "
+                       help="SQLite result-store file; repeated requests "
+                            "are served from it across restarts (default: "
                             "memory only)")
-    serve.add_argument("--store-backend", default="auto",
-                       choices=("auto", "jsonl", "sqlite"),
-                       help="result-store format: append-only JSON lines or "
-                            "an indexed SQLite database; 'auto' picks by "
-                            "extension (.sqlite/.sqlite3/.db -> sqlite, "
-                            "default: %(default)s)")
     serve.add_argument("--deadline", type=float, default=None,
                        metavar="SECONDS",
                        help="per-request deadline; an expired request gets "
@@ -157,8 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "requests; beyond it new work is shed with a "
                             "503 + Retry-After (default: unbounded)")
     serve.add_argument("--durable", action="store_true",
-                       help="fsync the result store on every write (a "
-                            "host crash then cannot lose acknowledged "
+                       help="write the result store with synchronous=FULL "
+                            "(a host crash then cannot lose acknowledged "
                             "records)")
     serve.add_argument("--chaos", default=None, metavar="SPEC",
                        help="arm deterministic fault injection, e.g. "
@@ -192,44 +183,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON output indentation (default: %(default)s)")
 
     store = sub.add_parser(
-        "store", parents=[logged],
-        help="maintain result-store files (stats, compaction, backend "
-             "migration)")
+        "store", parents=[logged], help="inspect result-store files")
     store_sub = store.add_subparsers(dest="store_command", required=True)
     store_stats_p = store_sub.add_parser(
-        "stats", parents=[logged],
-        help="entries, dead records, corrupt lines, and on-disk size")
+        "stats", parents=[logged], help="entries and on-disk size")
     store_stats_p.add_argument("path", help="result-store file")
-    store_stats_p.add_argument("--store-backend", default="auto",
-                               choices=("auto", "jsonl", "sqlite"),
-                               help="backend of the file (default: by "
-                                    "extension)")
-    store_compact = store_sub.add_parser(
-        "compact", parents=[logged],
-        help="drop dead/corrupt records: rewrite a JSON-lines file "
-             "last-wins, or checkpoint+VACUUM a SQLite file")
-    store_compact.add_argument("path", help="result-store file")
-    store_compact.add_argument("--store-backend", default="auto",
-                               choices=("auto", "jsonl", "sqlite"),
-                               help="backend of the file (default: by "
-                                    "extension)")
-    store_migrate = store_sub.add_parser(
-        "migrate", parents=[logged],
-        help="convert a store between backends, verified key-by-key")
-    store_migrate.add_argument("source", help="existing result-store file")
-    store_migrate.add_argument("destination",
-                               help="destination store file (upserted into "
-                                    "if it already exists)")
-    store_migrate.add_argument("--from-backend", default="auto",
-                               choices=("auto", "jsonl", "sqlite"),
-                               help="source backend (default: by extension)")
-    store_migrate.add_argument("--to-backend", default="auto",
-                               choices=("auto", "jsonl", "sqlite"),
-                               help="destination backend (default: by "
-                                    "extension)")
-    store_migrate.add_argument("--durable", action="store_true",
-                               help="write the destination with full "
-                                    "durability (fsync / synchronous=FULL)")
 
     loadtest = sub.add_parser(
         "loadtest", parents=[logged],
@@ -281,12 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "('HOST:PORT' or 'http://HOST:PORT') instead of "
                             "a local scheduler")
     sweep.add_argument("--store", metavar="PATH", default=None,
-                       help="persistent result store for the local "
+                       help="SQLite result-store file for the local "
                             "scheduler (repeats served across sweeps)")
-    sweep.add_argument("--store-backend", default="auto",
-                       choices=("auto", "jsonl", "sqlite"),
-                       help="result-store format (see 'repro serve "
-                            "--store-backend'; default: %(default)s)")
     sweep.add_argument("--output-dir", default=DEFAULT_OUTPUT_DIR,
                        help="manifest directory (default: %(default)s)")
     sweep.add_argument("--no-write", action="store_true",
@@ -513,7 +467,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.server.faults import FaultInjector, FaultSpecError
     from repro.server.http import PlanServer
     from repro.server.scheduler import PlanScheduler
-    from repro.server.store import ResultStore
+    from repro.server.store import ResultStore, StoreError
 
     chaos_spec = (args.chaos if args.chaos is not None
                   else os.environ.get("REPRO_CHAOS"))
@@ -522,11 +476,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except FaultSpecError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    # Opened before the port is bound, so a bad store file is reported as
+    # itself and not as a bind failure.
+    try:
+        store = ResultStore(args.store, durable=args.durable)
+    except StoreError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
     async def _serve() -> None:
         scheduler = PlanScheduler(
-            store=ResultStore(args.store, durable=args.durable,
-                              backend=args.store_backend),
+            store=store,
             jobs=args.jobs,
             deadline=args.deadline,
             max_queue=args.max_queue,
@@ -535,10 +495,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         server = PlanServer(scheduler, host=args.host, port=args.port)
         await server.start()
         chaos_note = f", chaos={chaos.spec!r}" if chaos is not None else ""
-        store_note = (f"{args.store} [{scheduler.store.backend}]"
-                      if args.store else "memory-only")
         print(f"plan server listening on http://{args.host}:{server.port} "
-              f"(jobs={args.jobs}, store={store_note}"
+              f"(jobs={args.jobs}, store={args.store or 'memory-only'}"
               f"{chaos_note})",
               flush=True)
         # SIGTERM (``kill``) stops the server the way Ctrl-C does: both
@@ -570,6 +528,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"error: cannot serve on {args.host}:{args.port}: {error}",
               file=sys.stderr)
         return 2
+    finally:
+        store.close()  # idempotent; the scheduler closes it on a clean stop
     print("plan server stopped", file=sys.stderr)
     return 0
 
@@ -648,6 +608,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         build_sweep_manifest,
         run_portfolio_local,
     )
+    from repro.server.store import ResultStore, StoreError
 
     # Every figure with a row mapper is sweepable.
     sweepable = {experiment.figure: experiment
@@ -704,8 +665,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                   f"({outcome.wall_seconds:.2f}s, {outcome.source})")
 
         try:
+            store = (ResultStore(args.store) if args.store is not None
+                     else None)
+        except StoreError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
+        try:
             outcomes = run_portfolio_local(
-                portfolio, jobs=args.jobs, store=_sweep_store(args),
+                portfolio, jobs=args.jobs, store=store,
                 points=points, on_unique=_progress)
         except PortfolioError as error:
             print(f"error: {error}", file=sys.stderr)
@@ -730,14 +697,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         path = manifest_module.write_manifest(manifest, args.output_dir)
         print(f"  wrote {path}")
     return status
-
-
-def _sweep_store(args: argparse.Namespace):
-    if args.store is None:
-        return None
-    from repro.server.store import ResultStore
-
-    return ResultStore(args.store, backend=args.store_backend)
 
 
 def _sweep_via_server(args: argparse.Namespace, portfolio, points):
@@ -786,44 +745,16 @@ def _sweep_via_server(args: argparse.Namespace, portfolio, points):
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
-    from repro.server.store import (
-        StoreError,
-        compact_store,
-        migrate_store,
-        store_stats,
-    )
+    from repro.server.store import StoreError, store_stats
 
+    if not os.path.exists(args.path):
+        print(f"error: no such store file: {args.path}", file=sys.stderr)
+        return 2
     try:
-        if args.store_command == "stats":
-            if not os.path.exists(args.path):
-                print(f"error: no such store file: {args.path}",
-                      file=sys.stderr)
-                return 2
-            document = store_stats(args.path, backend=args.store_backend)
-        elif args.store_command == "compact":
-            if not os.path.exists(args.path):
-                print(f"error: no such store file: {args.path}",
-                      file=sys.stderr)
-                return 2
-            document = compact_store(args.path, backend=args.store_backend)
-        else:  # migrate
-            if not os.path.exists(args.source):
-                print(f"error: no such store file: {args.source}",
-                      file=sys.stderr)
-                return 2
-            document = migrate_store(
-                args.source, args.destination,
-                source_backend=args.from_backend,
-                destination_backend=args.to_backend,
-                durable=args.durable)
-    except ValueError as error:
+        document = store_stats(args.path)
+    except StoreError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    except OSError as error:  # StoreError included: corrupt/unwritable files
-        kind = ("verification failed"
-                if isinstance(error, StoreError) else "store error")
-        print(f"error: {kind}: {error}", file=sys.stderr)
-        return 1
     print(json.dumps(document, indent=2, sort_keys=True))
     return 0
 

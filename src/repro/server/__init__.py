@@ -2,7 +2,7 @@
 
 A long-lived front end over the Scenario API — requests are deduplicated
 by :class:`~repro.server.scheduler.PlanScheduler` and evaluated one per
-worker lane, served across restarts from the
+worker lane, served across restarts from the SQLite
 :class:`~repro.server.store.ResultStore`, exposed over HTTP by
 :class:`~repro.server.http.PlanServer` (``repro serve``), and spoken to by
 :class:`~repro.server.client.PlanClient` (``repro submit``).
@@ -19,7 +19,7 @@ drivable deterministically via :mod:`repro.server.faults` (``repro serve
 
 Quick start::
 
-    $ python -m repro serve --port 8099 --store results/plan_store.jsonl &
+    $ python -m repro serve --port 8099 --store results/plan_store.sqlite &
     $ echo '{"schema_version": 1, "workload": {"model": "gpt3-6.7b"}}' \\
         | python -m repro submit - --port 8099
 """
@@ -47,18 +47,9 @@ from repro.server.resilience import (
     is_retryable_payload,
 )
 from repro.server.scheduler import PlanRequestError, PlanScheduler, error_payload
-from repro.server.store import (
-    BACKENDS,
-    ResultStore,
-    StoreError,
-    compact_store,
-    migrate_store,
-    resolve_backend,
-    store_stats,
-)
+from repro.server.store import ResultStore, StoreError, store_stats
 
 __all__ = [
-    "BACKENDS",
     "Failure",
     "FaultInjector",
     "FaultSpecError",
@@ -76,12 +67,9 @@ __all__ = [
     "StoreError",
     "build_sweep_manifest",
     "classify_exception",
-    "compact_store",
     "error_payload",
     "is_retryable_exception",
     "is_retryable_payload",
-    "migrate_store",
-    "resolve_backend",
     "run_portfolio_local",
     "store_stats",
     "sweep_portfolio",

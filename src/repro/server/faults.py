@@ -241,7 +241,7 @@ class FaultInjector:
                     self._crash(f"poison scenario matching {rule.match!r}")
 
     def on_store_write(self) -> None:
-        """Store-side hook, called before each result-store append.
+        """Store-side hook, called before each result-store write.
 
         Raises:
             InjectedStoreWriteError: when a ``store-write-fail`` firing is

@@ -228,7 +228,6 @@ def render_report(report: Dict[str, object]) -> str:
             f"server: shed={server_metrics.get('shed')}  "
             f"evaluations={server_metrics.get('evaluations')}  "
             f"retries={server_metrics.get('retries')}  "
-            f"store_backend={store.get('backend', '-')}  "
             f"store_entries={store.get('entries', '-')}")
     else:
         lines.append(f"server metrics unavailable: "

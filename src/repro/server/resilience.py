@@ -40,7 +40,7 @@ RETRYABLE_KINDS = frozenset({
     "overloaded",         # admission control shed the request (503)
     "deadline_expired",   # per-request deadline passed (504)
     "worker_crashed",     # pool worker died before exhausting retries
-    "store_write_failed",  # result-store append failed (result still served)
+    "store_write_failed",  # result-store write failed (result still served)
 })
 
 #: Exception types that mark transient infrastructure failures. Note that

@@ -281,7 +281,7 @@ class PlanScheduler:
             help="worker evaluation time per request (retries included)")
         self._store_write_hist = self.registry.histogram(
             "scheduler.store_write_seconds",
-            help="result-store append latency")
+            help="result-store write latency")
         self._inflight: Dict[str, asyncio.Task] = {}
         self._worker_stats: Dict[int, Dict[str, int]] = {}
         self._worker_metrics: Dict[int, Dict[str, object]] = {}
@@ -568,7 +568,7 @@ class PlanScheduler:
         """Persist one payload, surviving (and counting) write failures.
 
         The store is an optimisation, not the source of truth: a failed
-        append must not fail the request whose result it was caching.
+        write must not fail the request whose result it was caching.
         """
         if self.store is None:
             return

@@ -1,4 +1,4 @@
-"""Disk-backed result store of the plan server, keyed by scenario hash.
+"""The plan server's result store: one SQLite database keyed by scenario hash.
 
 A :class:`ResultStore` maps a :meth:`Scenario.cache_key
 <repro.api.scenario.Scenario.cache_key>` to the serialized
@@ -7,305 +7,103 @@ It is the server's cross-restart memory: the scheduler consults it before
 queueing work, so an identical request submitted after a restart is served
 without re-running the solver.
 
-Persistence is pluggable behind one interface (selected by file extension,
-or explicitly via ``backend=`` / ``repro serve --store-backend``):
+The store is one SQLite database with one keyed table, in WAL mode, and a
+re-put upserts its row. ``path`` names the database file; ``None`` keeps
+the database in memory (the mode ``repro run``, ``repro serve`` without
+``--store`` and most tests use). Opening reads no records, and a re-put
+replaces its row, so neither restarts nor re-puts grow the file without
+bound. ``durable=True`` sets ``synchronous=FULL``, so an acknowledged
+record survives a host crash, not only a process crash.
 
-``jsonl`` (default)
-    Append-only JSON lines — one ``{"key": <sha256>, "payload": {...}}``
-    document per line, bit-compatible with every store written before the
-    backend layer existed. Human-greppable, crash-tolerant (a torn final
-    line is skipped on load, every earlier record survives), and trivially
-    mergeable across hosts with ``cat``. The whole file is indexed into
-    memory on open; the last record for a key wins, so a re-put is an
-    append — superseded records stay on disk as *dead records* until
-    :meth:`ResultStore.compact` (or the automatic compaction-on-close once
-    ``dead_records`` crosses the threshold) rewrites the file last-wins.
-
-``sqlite``
-    An indexed SQLite database (WAL journal, one keyed table, upsert on
-    re-put). Opening is O(1) — no full-file indexing — so a server
-    restarting over a multi-million-entry store is ready immediately, and
-    re-puts never grow the file unboundedly. Selected automatically for
-    ``.sqlite`` / ``.sqlite3`` / ``.db`` paths.
-
-Payloads are cached in their canonical serialized form and every ``get``
+Payloads are stored in their canonical serialized form and every ``get``
 hands back a freshly decoded copy, so a caller mutating a served payload
-can never corrupt what later requests receive — without the per-hit
-``copy.deepcopy`` the serving path used to pay.
+can never corrupt what later requests receive.
 
-Corrupt JSON lines (torn writes, non-record documents) are *counted*, not
-silently skipped: ``stats()`` reports ``corrupt_lines`` and a structured
-warning is logged on the ``repro.server.store`` logger (captured by
-``--log-json`` like every other subsystem), so a store quietly losing
-records is visible in ``GET /metrics`` and in shipped logs.
-``durable=True`` makes an acknowledged record survive a host crash:
-fsync-per-append on the JSON-lines backend, ``synchronous=FULL`` on the
-SQLite backend.
+A file that is not an SQLite database (a JSON-lines store written by older
+versions, say) is refused with :class:`StoreError` and left untouched. The
+store only caches deterministic evaluations, so a fresh store recomputes
+its answers on demand.
 
-``repro store stats|compact|migrate`` drives the maintenance entry points
-(:func:`store_stats`, :func:`compact_store`, :func:`migrate_store`) from
-the command line; migration is verified key by key before it reports
-success.
+``repro store stats PATH`` prints :func:`store_stats` of a store file.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import os
 import sqlite3
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional
 
 from repro.obs.metrics import CounterBundle
 from repro.obs.tracing import span
 
-logger = logging.getLogger("repro.server.store")
-
-#: Result-store counter names reported by :meth:`ResultStore.stats`.
-STORE_COUNTERS = ("hits", "misses", "writes", "corrupt_lines")
-
-#: Registered persistence backends (the ``--store-backend`` choices).
-BACKENDS = ("jsonl", "sqlite")
-
-#: Path extensions that auto-select the SQLite backend.
-SQLITE_EXTENSIONS = (".sqlite", ".sqlite3", ".db")
-
-#: Dead-record count beyond which a JSON-lines store compacts on close.
-DEFAULT_COMPACT_THRESHOLD = 256
-
-
 class StoreError(OSError):
-    """A backing-store failure (corrupt database, failed write, bad
-    migration). An :class:`OSError` so the scheduler's failed-write
-    containment (``store_write_failures``) covers every backend."""
+    """A result-store failure: a file that cannot be opened as a store, or
+    a failed write. An :class:`OSError` so the scheduler's failed-write
+    containment (``store_write_failures``) covers it."""
 
 
-def resolve_backend(path: Optional[str],
-                    backend: Optional[str] = None) -> str:
-    """The backend name for ``path`` (explicit ``backend`` wins).
+def _connect(database: str, durable: bool) -> sqlite3.Connection:
+    """An open connection to ``database`` with the ``plans`` table."""
+    # check_same_thread=False: the store is owned by one scheduler, but
+    # test harnesses open and close it across a thread boundary.
+    conn = sqlite3.connect(database, check_same_thread=False)
+    try:
+        conn.execute("PRAGMA journal_mode=WAL")
+        conn.execute("PRAGMA synchronous="
+                     + ("FULL" if durable else "NORMAL"))
+        conn.execute("CREATE TABLE IF NOT EXISTS plans ("
+                     "key TEXT PRIMARY KEY, payload TEXT NOT NULL)")
+        conn.commit()
+    except sqlite3.Error:
+        conn.close()
+        raise
+    return conn
 
-    ``"auto"``/``None`` selects by extension: :data:`SQLITE_EXTENSIONS`
-    mean ``sqlite``, anything else keeps the JSON-lines default (existing
-    stores predate the backend layer and must keep opening unchanged).
+
+class ResultStore:
+    """Persistent ``scenario cache key -> result payload`` map with counters.
+
+    Args:
+        path: the SQLite database file (created with its parent directory
+            when missing). ``None`` keeps the database in memory.
+        durable: survive a *host* crash, not just a process crash
+            (``synchronous=FULL``).
+
+    Attributes:
+        hits: ``get`` calls that found a payload.
+        misses: ``get`` calls that found nothing.
+        writes: ``put`` calls.
 
     Raises:
-        ValueError: on an unknown backend name.
-    """
-    if backend in (None, "auto"):
-        if path is not None and \
-                os.path.splitext(os.fspath(path))[1].lower() \
-                in SQLITE_EXTENSIONS:
-            return "sqlite"
-        return "jsonl"
-    if backend not in BACKENDS:
-        known = ", ".join(BACKENDS)
-        raise ValueError(f"unknown store backend {backend!r}; "
-                         f"known backends: {known} (or 'auto')")
-    return backend
-
-
-def _canonical(payload: Dict[str, object]) -> str:
-    """The canonical serialized form every backend stores and serves."""
-    return json.dumps(payload, sort_keys=True, allow_nan=False)
-
-
-def _ensure_parent(path: str) -> None:
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-
-
-# Backends -----------------------------------------------------------------------
-
-
-class _MemoryBackend:
-    """No persistence: the ``ResultStore(None)`` mode tests and the
-    offline ``repro plan`` batch path use."""
-
-    name = "memory"
-
-    def __init__(self) -> None:
-        self._records: Dict[str, str] = {}
-        self.corrupt_lines = 0
-        self.dead_records = 0
-
-    def get(self, key: str) -> Optional[str]:
-        return self._records.get(key)
-
-    def put(self, key: str, text: str) -> None:
-        self._records[key] = text
-
-    def keys(self):
-        return self._records.keys()
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._records
-
-    def compact(self) -> int:
-        return 0
-
-    def close(self) -> None:
-        pass
-
-
-class _JsonLinesBackend:
-    """The seed format: append-only JSON lines, fully indexed on open."""
-
-    name = "jsonl"
-
-    def __init__(self, path: str, durable: bool = False) -> None:
-        self.path = os.fspath(path)
-        self.durable = durable
-        self._records: Dict[str, str] = {}
-        self.corrupt_lines = 0
-        self.dead_records = 0
-        self._load()
-        _ensure_parent(self.path)
-        self._handle = open(self.path, "a", encoding="utf-8")
-
-    def _load(self) -> None:
-        """Index every intact record of the backing file (last key wins)."""
-        try:
-            with open(self.path, encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except json.JSONDecodeError:
-                        # A torn trailing line from a crashed writer; every
-                        # complete record before it is still served.
-                        self.corrupt_lines += 1
-                        continue
-                    if (isinstance(record, dict)
-                            and isinstance(record.get("key"), str)
-                            and isinstance(record.get("payload"), dict)):
-                        if record["key"] in self._records:
-                            self.dead_records += 1
-                        self._records[record["key"]] = _canonical(
-                            record["payload"])
-                    else:
-                        self.corrupt_lines += 1
-        except FileNotFoundError:
-            pass
-        if self.corrupt_lines:
-            logger.warning(
-                "result store %s: skipped %d corrupt line(s) on load "
-                "(torn writes or foreign documents); intact records are "
-                "still served", self.path, self.corrupt_lines,
-                extra={"store_path": self.path,
-                       "corrupt_lines": self.corrupt_lines})
-
-    @staticmethod
-    def _record_line(key: str, text: str) -> str:
-        # Byte-identical to json.dumps({"key": ..., "payload": ...},
-        # sort_keys=True) given the canonical payload text — the format
-        # every pre-backend store was written in.
-        return f'{{"key": {json.dumps(key)}, "payload": {text}}}\n'
-
-    def get(self, key: str) -> Optional[str]:
-        return self._records.get(key)
-
-    def put(self, key: str, text: str) -> None:
-        if key in self._records:
-            self.dead_records += 1
-        self._records[key] = text
-        self._handle.write(self._record_line(key, text))
-        self._handle.flush()
-        if self.durable:
-            os.fsync(self._handle.fileno())
-
-    def keys(self):
-        return self._records.keys()
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._records
-
-    def compact(self) -> int:
-        """Rewrite the file last-wins (atomic); returns records dropped.
-
-        Dead records and corrupt lines are both rewritten away; the live
-        ``key -> payload`` mapping is preserved exactly.
-        """
-        dropped = self.dead_records + self.corrupt_lines
-        tmp_path = self.path + ".compact.tmp"
-        self._handle.flush()
-        with open(tmp_path, "w", encoding="utf-8") as tmp:
-            for key, text in self._records.items():
-                tmp.write(self._record_line(key, text))
-            tmp.flush()
-            os.fsync(tmp.fileno())
-        os.replace(tmp_path, self.path)
-        self._handle.close()
-        self._handle = open(self.path, "a", encoding="utf-8")
-        self.dead_records = 0
-        self.corrupt_lines = 0
-        return dropped
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-
-class _SqliteBackend:
-    """Indexed SQLite persistence: WAL journal, keyed table, upserts.
-
-    Opening is O(1) (no full-file indexing) and a re-put replaces the row
-    in place, so neither restarts nor re-puts grow the file without bound.
+        StoreError: when ``path`` cannot be opened as a result store.
     """
 
-    name = "sqlite"
+    def __init__(self, path: Optional[str] = None,
+                 durable: bool = False) -> None:
+        self.path = os.fspath(path) if path is not None else None
+        self.counters = CounterBundle(hits=0, misses=0, writes=0)
+        with span("store.load", path=self.path or "memory"):
+            try:
+                directory = os.path.dirname(self.path or "")
+                if directory:
+                    os.makedirs(directory, exist_ok=True)
+                self._conn = _connect(self.path or ":memory:", durable)
+            except (OSError, sqlite3.Error) as error:
+                raise StoreError(f"cannot open result store {self.path}: "
+                                 f"{error}") from error
 
-    def __init__(self, path: str, durable: bool = False) -> None:
-        self.path = os.fspath(path)
-        self.durable = durable
-        _ensure_parent(self.path)
-        self.corrupt_lines = 0
-        self.dead_records = 0
-        try:
-            # check_same_thread=False: the store is owned by one scheduler
-            # but test harnesses open/close it across a thread boundary.
-            self._conn = sqlite3.connect(self.path, check_same_thread=False)
-            self._conn.execute("PRAGMA journal_mode=WAL")
-            self._conn.execute("PRAGMA synchronous="
-                               + ("FULL" if durable else "NORMAL"))
-            self._conn.execute(
-                "CREATE TABLE IF NOT EXISTS plans ("
-                "key TEXT PRIMARY KEY, payload TEXT NOT NULL)")
-            self._conn.commit()
-        except sqlite3.Error as error:
-            raise StoreError(
-                f"cannot open SQLite result store {self.path}: "
-                f"{error}") from error
+    @property
+    def hits(self) -> int:
+        return self.counters.hits
 
-    def get(self, key: str) -> Optional[str]:
-        row = self._conn.execute(
-            "SELECT payload FROM plans WHERE key = ?", (key,)).fetchone()
-        return row[0] if row is not None else None
+    @property
+    def misses(self) -> int:
+        return self.counters.misses
 
-    def put(self, key: str, text: str) -> None:
-        try:
-            self._conn.execute(
-                "INSERT INTO plans (key, payload) VALUES (?, ?) "
-                "ON CONFLICT(key) DO UPDATE SET payload = excluded.payload",
-                (key, text))
-            self._conn.commit()
-        except sqlite3.Error as error:
-            raise StoreError(
-                f"SQLite result store {self.path}: write failed: "
-                f"{error}") from error
-
-    def keys(self) -> Iterator[str]:
-        for (key,) in self._conn.execute("SELECT key FROM plans"):
-            yield key
+    @property
+    def writes(self) -> int:
+        return self.counters.writes
 
     def __len__(self) -> int:
         return self._conn.execute("SELECT COUNT(*) FROM plans").fetchone()[0]
@@ -315,121 +113,6 @@ class _SqliteBackend:
             "SELECT 1 FROM plans WHERE key = ?", (key,)).fetchone() \
             is not None
 
-    def compact(self) -> int:
-        """Checkpoint the WAL back into the main file and VACUUM it."""
-        self._conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
-        self._conn.execute("VACUUM")
-        self._conn.commit()
-        return 0
-
-    def close(self) -> None:
-        if self._conn is not None:
-            self._conn.commit()
-            self._conn.close()
-            self._conn = None
-
-
-def _open_backend(path: Optional[str], backend: Optional[str],
-                  durable: bool):
-    name = resolve_backend(path, backend)
-    if path is None:
-        return _MemoryBackend()
-    if name == "sqlite":
-        return _SqliteBackend(path, durable=durable)
-    return _JsonLinesBackend(path, durable=durable)
-
-
-# The store ----------------------------------------------------------------------
-
-
-class ResultStore:
-    """Persistent ``scenario cache key -> result payload`` map with counters.
-
-    Args:
-        path: backing file. ``None`` keeps the store in memory only (same
-            interface, no persistence) — the mode the offline ``repro
-            plan`` batch path and most tests use.
-        durable: survive a *host* crash, not just a process crash: fsync
-            after every JSON-lines append / ``synchronous=FULL`` on SQLite.
-        backend: ``"jsonl"``, ``"sqlite"``, or ``None``/``"auto"`` to
-            select by extension (see :func:`resolve_backend`).
-        compact_threshold: dead-record count beyond which a JSON-lines
-            store is compacted automatically on :meth:`close`; ``None``
-            disables auto-compaction.
-
-    Attributes:
-        hits: ``get`` calls that found a payload.
-        misses: ``get`` calls that found nothing.
-        writes: ``put`` calls (each is one appended line / upsert when
-            disk-backed).
-        corrupt_lines: non-empty backing-file lines that were not intact
-            records at load time (torn writes, foreign documents).
-    """
-
-    def __init__(self, path: Optional[str] = None,
-                 durable: bool = False,
-                 backend: Optional[str] = None,
-                 compact_threshold: Optional[int] =
-                 DEFAULT_COMPACT_THRESHOLD) -> None:
-        self.path = os.fspath(path) if path is not None else None
-        self.durable = durable
-        self.compact_threshold = compact_threshold
-        self.counters = CounterBundle(
-            **{name: 0 for name in STORE_COUNTERS})
-        with span("store.load", path=self.path or "memory"):
-            self._backend = _open_backend(self.path, backend, durable)
-        self.backend = self._backend.name
-        self.corrupt_lines = self._backend.corrupt_lines
-
-    # The documented counter attributes stay plain reads/writes; the bundle
-    # behind them is the shared snapshot()/merge() convention.
-    @property
-    def hits(self) -> int:
-        return self.counters.hits
-
-    @hits.setter
-    def hits(self, value: int) -> None:
-        self.counters.hits = value
-
-    @property
-    def misses(self) -> int:
-        return self.counters.misses
-
-    @misses.setter
-    def misses(self, value: int) -> None:
-        self.counters.misses = value
-
-    @property
-    def writes(self) -> int:
-        return self.counters.writes
-
-    @writes.setter
-    def writes(self, value: int) -> None:
-        self.counters.writes = value
-
-    @property
-    def corrupt_lines(self) -> int:
-        return self.counters.corrupt_lines
-
-    @corrupt_lines.setter
-    def corrupt_lines(self, value: int) -> None:
-        self.counters.corrupt_lines = value
-
-    @property
-    def dead_records(self) -> int:
-        """Superseded on-disk records awaiting compaction (JSON lines)."""
-        return self._backend.dead_records
-
-    def __len__(self) -> int:
-        return len(self._backend)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._backend
-
-    def keys(self):
-        """The stored cache keys (iteration order is backend-defined)."""
-        return self._backend.keys()
-
     def get(self, key: str) -> Optional[Dict[str, object]]:
         """The stored payload for ``key``, or ``None`` (counts hit/miss).
 
@@ -437,58 +120,41 @@ class ResultStore:
         form: mutating a served payload can never corrupt what later
         requests receive, and the serving path never pays a deepcopy.
         """
-        text = self._backend.get(key)
-        if text is None:
-            self.misses += 1
+        row = self._conn.execute(
+            "SELECT payload FROM plans WHERE key = ?", (key,)).fetchone()
+        if row is None:
+            self.counters.misses += 1
             return None
-        self.hits += 1
-        return json.loads(text)
-
-    def get_serialized(self, key: str) -> Optional[str]:
-        """The canonical serialized payload for ``key`` (no counters):
-        the migration/verification path compares these byte for byte."""
-        return self._backend.get(key)
+        self.counters.hits += 1
+        return json.loads(row[0])
 
     def put(self, key: str, payload: Dict[str, object]) -> None:
-        """Store (and, when disk-backed, durably persist) one payload."""
-        self._backend.put(key, _canonical(payload))
-        self.writes += 1
-
-    def compact(self) -> int:
-        """Drop dead/corrupt records from the backing file.
-
-        JSON lines: atomically rewrite the file last-wins. SQLite:
-        checkpoint the WAL and ``VACUUM``. Returns the number of dead
-        records removed.
-        """
-        with span("store.compact", path=self.path or "memory"):
-            return self._backend.compact()
+        """Store one payload (upsert), committed before this returns."""
+        text = json.dumps(payload, sort_keys=True, allow_nan=False)
+        try:
+            self._conn.execute(
+                "INSERT INTO plans (key, payload) VALUES (?, ?) "
+                "ON CONFLICT(key) DO UPDATE SET payload = excluded.payload",
+                (key, text))
+            self._conn.commit()
+        except sqlite3.Error as error:
+            raise StoreError(f"result store {self.path or 'memory'}: "
+                             f"write failed: {error}") from error
+        self.counters.writes += 1
 
     def stats(self) -> Dict[str, object]:
         """Plain-JSON counter snapshot for ``GET /metrics``."""
         return {
             **self.counters.snapshot(),
-            "entries": len(self._backend),
+            "entries": len(self),
             "persistent": self.path is not None,
-            "backend": self.backend,
-            "dead_records": self._backend.dead_records,
         }
 
     def close(self) -> None:
-        """Flush and release the backing file (idempotent).
-
-        A JSON-lines store whose ``dead_records`` crossed
-        ``compact_threshold`` is compacted first, so unbounded growth
-        across restart/re-put/retry churn heals itself at shutdown.
-        """
-        if (self.compact_threshold is not None
-                and self._backend.dead_records >= self.compact_threshold):
-            dropped = self.compact()
-            logger.info(
-                "result store %s: auto-compacted on close (%d dead "
-                "record(s) dropped)", self.path, dropped,
-                extra={"store_path": self.path, "dead_records": dropped})
-        self._backend.close()
+        """Release the database connection (idempotent)."""
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
 
     def __enter__(self) -> "ResultStore":
         return self
@@ -497,87 +163,13 @@ class ResultStore:
         self.close()
 
 
-# Maintenance entry points (``repro store ...``) ---------------------------------
-
-
-def store_stats(path: str, backend: Optional[str] = None) -> Dict[str, object]:
-    """Offline ``stats()`` of a store file plus its on-disk size."""
-    with ResultStore(path, backend=backend,
-                     compact_threshold=None) as store:
-        document = store.stats()
-    document["path"] = os.fspath(path)
-    document["file_bytes"] = (os.path.getsize(path)
-                              if os.path.exists(path) else 0)
-    for counter in ("hits", "misses", "writes"):
-        document.pop(counter, None)  # meaningless for an offline open
-    return document
-
-
-def compact_store(path: str,
-                  backend: Optional[str] = None) -> Dict[str, object]:
-    """Compact a store file in place; returns a before/after summary."""
-    bytes_before = os.path.getsize(path) if os.path.exists(path) else 0
-    with ResultStore(path, backend=backend,
-                     compact_threshold=None) as store:
-        dead_before = store.dead_records
-        corrupt_before = store.corrupt_lines
-        dropped = store.compact()
-        entries = len(store)
-        backend_name = store.backend
-    return {
-        "path": os.fspath(path),
-        "backend": backend_name,
-        "entries": entries,
-        "dead_records_before": dead_before,
-        "corrupt_lines_before": corrupt_before,
-        "records_dropped": dropped,
-        "bytes_before": bytes_before,
-        "bytes_after": os.path.getsize(path),
-    }
-
-
-def migrate_store(source: str, destination: str,
-                  source_backend: Optional[str] = None,
-                  destination_backend: Optional[str] = None,
-                  durable: bool = False) -> Dict[str, object]:
-    """Convert a store between backends, verified key by key.
-
-    Every key of ``source`` is copied into ``destination`` (an existing
-    destination is upserted into, so migration is idempotent), then read
-    back and compared in canonical serialized form. Returns a summary once
-    every key verified.
+def store_stats(path: str) -> Dict[str, object]:
+    """Offline entry count and on-disk size of a store file.
 
     Raises:
-        StoreError: when any key fails read-back verification.
-        ValueError: when source and destination are the same file.
+        StoreError: when ``path`` cannot be opened as a result store.
     """
-    src_path = os.fspath(source)
-    dst_path = os.fspath(destination)
-    if os.path.abspath(src_path) == os.path.abspath(dst_path):
-        raise ValueError(
-            f"migration source and destination are the same file: "
-            f"{src_path}; compaction is `repro store compact`")
-    with ResultStore(src_path, backend=source_backend,
-                     compact_threshold=None) as src:
-        with ResultStore(dst_path, backend=destination_backend,
-                         durable=durable, compact_threshold=None) as dst:
-            copied = 0
-            for key in src.keys():
-                dst._backend.put(key, src.get_serialized(key))
-                copied += 1
-            # Key-by-key read-back: the migrated store must serve exactly
-            # the payloads the source did before this reports success.
-            for key in src.keys():
-                if dst.get_serialized(key) != src.get_serialized(key):
-                    raise StoreError(
-                        f"migration verification failed for key {key!r}: "
-                        f"{dst_path} does not serve the source payload")
-            summary = {
-                "source": src_path,
-                "source_backend": src.backend,
-                "destination": dst_path,
-                "destination_backend": dst.backend,
-                "entries": copied,
-                "verified": copied,
-            }
-    return summary
+    with ResultStore(path) as store:
+        entries = len(store)
+    return {"path": os.fspath(path), "entries": entries,
+            "file_bytes": os.path.getsize(path)}

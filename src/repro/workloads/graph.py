@@ -241,10 +241,6 @@ class ComputeGraph:
         """Sorted list of layer indices present in the graph."""
         return sorted({node.layer_index for node in self.nodes() if node.layer_index >= 0})
 
-    def nodes_in_layer(self, layer_index: int) -> List[OperatorNode]:
-        """Nodes belonging to one transformer layer."""
-        return [node for node in self.nodes() if node.layer_index == layer_index]
-
     # Partitioning ---------------------------------------------------------------
 
     def partition_at_residual_boundaries(self) -> List[List[int]]:

@@ -96,7 +96,7 @@ class ServerHarness:
 def server(tmp_path_factory):
     """One running plan server (ephemeral port) per test module."""
     harness = ServerHarness(
-        tmp_path_factory.mktemp("plan-server") / "store.jsonl")
+        tmp_path_factory.mktemp("plan-server") / "store.sqlite")
     harness.start()
     yield harness
     harness.stop()

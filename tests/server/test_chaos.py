@@ -382,8 +382,8 @@ class TestStoreWriteFailure:
         assert store_stats["writes"] == 1
 
     def test_sqlite_store_under_write_fault(self, tmp_path):
-        # The same containment contract holds behind the indexed backend:
-        # the injected failure costs one write, nothing else, and the next
+        # The same containment contract holds for a store file: the
+        # injected failure costs one write, nothing else, and the next
         # evaluation persists (visible across a reopen).
         document = _doc()
         path = str(tmp_path / "plans.sqlite")
@@ -392,7 +392,6 @@ class TestStoreWriteFailure:
 
         async def scenario():
             with ResultStore(path) as store:
-                assert store.backend == "sqlite"
                 async with PlanScheduler(chaos=chaos,
                                          store=store) as scheduler:
                     first = await scheduler.submit_doc(document)
@@ -411,6 +410,24 @@ class TestStoreWriteFailure:
             assert len(reopened) == 1
             key = Scenario.from_dict(document).cache_key()
             assert reopened.get(key) == first
+
+    def test_real_store_write_failure_is_contained(self, tmp_path):
+        # No injected fault: the store file itself refuses the write. The
+        # request is still served and the failure is counted, not raised.
+        document = _doc()
+
+        async def scenario():
+            with ResultStore(str(tmp_path / "plans.sqlite")) as store:
+                store._conn.execute("PRAGMA query_only=ON")
+                async with PlanScheduler(store=store) as scheduler:
+                    payload = await scheduler.submit_doc(document)
+                    return (payload, dict(scheduler.counters),
+                            store.stats())
+
+        payload, counters, store_stats = _run(scenario())
+        assert payload == _direct(document)
+        assert counters["store_write_failures"] == 1
+        assert (store_stats["writes"], store_stats["entries"]) == (0, 0)
 
 
 class TestAdmissionControl:
@@ -557,7 +574,7 @@ class TestLiveChaos:
                                                      make_server):
         chaos = FaultInjector("slow-eval:0.5:1",
                               state_dir=str(tmp_path / "chaos"))
-        harness = make_server(store_path=tmp_path / "store.jsonl",
+        harness = make_server(store_path=tmp_path / "store.sqlite",
                               chaos=chaos, deadline=0.05)
         client = PlanClient(port=harness.port, timeout=30.0)
         with pytest.raises(PlanServerError) as excinfo:
@@ -572,7 +589,8 @@ class TestLiveChaos:
         for counter in ("retries", "shed", "pool_rebuilds",
                         "store_write_failures"):
             assert counter in scheduler
-        assert metrics["store"]["corrupt_lines"] == 0
+        # The expired request's evaluation still fed the store.
+        assert metrics["store"]["writes"] == 1
         assert metrics["chaos"]["enabled"] is True
 
     def test_pool_worker_crash_rebuilds_and_recovers(self, tmp_path):

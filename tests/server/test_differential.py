@@ -10,6 +10,7 @@ the GPU comparator. Any drift between serving layers fails here first.
 """
 
 import asyncio
+import json
 
 import pytest
 
@@ -135,12 +136,12 @@ def test_pool_scheduler_path_matches_direct(scenarios, direct_payloads):
     assert asyncio.run(run()) == direct_payloads
 
 
-@pytest.mark.parametrize("store_name", ["plans.jsonl", "plans.sqlite"])
+@pytest.mark.parametrize("store_name", ["plans.sqlite"])
 def test_store_backends_serve_bit_identical_payloads(
         store_name, tmp_path, scenarios, direct_payloads):
-    # Same scenario stream through a store-backed scheduler on each
-    # persistence backend: the first pass populates, the second is served
-    # from the store — and both match the direct evaluation bit for bit.
+    # Same scenario stream through a store-backed scheduler: the first
+    # pass populates, the second is served from the store — and both
+    # match the direct evaluation bit for bit.
     from repro.server.store import ResultStore
 
     path = tmp_path / store_name
@@ -170,28 +171,26 @@ def test_store_backends_serve_bit_identical_payloads(
                 == direct_payloads[kind]
 
 
-def test_jsonl_and_sqlite_stores_hold_identical_mappings(
+def test_memory_and_file_stores_hold_identical_mappings(
         tmp_path, scenarios, direct_payloads):
-    # The two backends persisting the same stream must agree key for key,
-    # in the canonical serialized form (the migration/verify invariant).
+    # A memory store and a store file fed the same stream agree key for
+    # key, in the canonical serialized form of the direct payloads.
     from repro.server.store import ResultStore
 
-    stores = {}
-    for name in ("plans.jsonl", "plans.sqlite"):
-        async def run(store):
-            async with PlanScheduler(store=store) as scheduler:
-                for scenario in scenarios.values():
-                    await scheduler.submit(scenario)
+    async def run(store):
+        async with PlanScheduler(store=store) as scheduler:
+            for scenario in scenarios.values():
+                await scheduler.submit(scenario)
+            return dict(store._conn.execute("SELECT key, payload FROM plans"))
 
-        with ResultStore(tmp_path / name) as store:
-            asyncio.run(run(store))
-        stores[name] = tmp_path / name
-
-    with ResultStore(stores["plans.jsonl"]) as jsonl_store:
-        with ResultStore(stores["plans.sqlite"]) as sqlite_store:
-            jsonl_keys = sorted(jsonl_store.keys())
-            assert jsonl_keys == sorted(sqlite_store.keys())
-            assert len(jsonl_keys) == len(scenarios)
-            for key in jsonl_keys:
-                assert jsonl_store.get_serialized(key) \
-                    == sqlite_store.get_serialized(key)
+    memory_rows = asyncio.run(run(ResultStore(None)))
+    path = tmp_path / "plans.sqlite"
+    asyncio.run(run(ResultStore(path)))
+    with ResultStore(path) as reopened:
+        file_rows = dict(reopened._conn.execute(
+            "SELECT key, payload FROM plans"))
+    assert memory_rows == file_rows
+    assert memory_rows == {
+        scenario.cache_key(): json.dumps(direct_payloads[kind],
+                                         sort_keys=True, allow_nan=False)
+        for kind, scenario in scenarios.items()}

@@ -96,7 +96,7 @@ class TestServing:
 
     def test_store_serves_across_scheduler_restarts(self, tmp_path):
         document = _doc()
-        path = tmp_path / "store.jsonl"
+        path = tmp_path / "store.sqlite"
 
         async def first_life():
             async with PlanScheduler(store=ResultStore(path)) as scheduler:

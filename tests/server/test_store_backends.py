@@ -1,12 +1,11 @@
-"""Tests of the pluggable store backends, compaction, migration, and the
-loadtest harness.
+"""Tests of the SQLite result store's files and processes, and of the
+``repro store`` / ``repro loadtest`` verbs.
 
-The contracts pinned here are the operational ones of the indexed-backend
-PR: extension/flag-driven backend selection, SQLite upserts keeping the
-file bounded, JSON-lines dead-record accounting + (auto-)compaction fixing
-the unbounded-growth bug, migration verified key by key, concurrent and
-crashing writers leaving a JSON-lines store loadable, and the ``repro
-store`` / ``repro loadtest`` verbs end to end.
+The contracts pinned here are operational: upserts keep the file bounded,
+concurrent and crashing writers lose no committed record, a file that is
+not a store is refused and left untouched, a store that cannot be opened
+is a usage error of every command that takes one, and the loadtest
+harness reports against a live server.
 """
 
 import json
@@ -16,13 +15,7 @@ import os
 import pytest
 
 from repro.runner.cli import main as cli_main
-from repro.server.store import (
-    DEFAULT_COMPACT_THRESHOLD,
-    ResultStore,
-    StoreError,
-    migrate_store,
-    resolve_backend,
-)
+from repro.server.store import ResultStore, StoreError
 
 KEY = "a" * 64
 OTHER_KEY = "b" * 64
@@ -32,39 +25,6 @@ PAYLOAD = {"kind": "single_wafer", "model": "gpt3-6.7b", "step_time": 0.5}
 def _fill(store, count, prefix=0):
     for index in range(count):
         store.put(f"{prefix:032d}{index:032d}", {"step_time": index * 0.001})
-
-
-class TestBackendSelection:
-    @pytest.mark.parametrize("filename,expected", [
-        ("plans.jsonl", "jsonl"),
-        ("plans.txt", "jsonl"),
-        ("plans", "jsonl"),
-        ("plans.sqlite", "sqlite"),
-        ("plans.sqlite3", "sqlite"),
-        ("plans.db", "sqlite"),
-        ("plans.SQLITE", "sqlite"),
-    ])
-    def test_extension_selects_backend(self, filename, expected):
-        assert resolve_backend(filename) == expected
-        assert resolve_backend(filename, "auto") == expected
-
-    def test_explicit_backend_overrides_extension(self, tmp_path):
-        path = tmp_path / "plans.jsonl"
-        with ResultStore(path, backend="sqlite") as store:
-            store.put(KEY, PAYLOAD)
-            assert store.backend == "sqlite"
-        # And it really is a SQLite file, extension notwithstanding.
-        with open(path, "rb") as handle:
-            assert handle.read(15) == b"SQLite format 3"
-
-    def test_unknown_backend_is_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown store backend"):
-            ResultStore(tmp_path / "plans.jsonl", backend="lmdb")
-
-    def test_memory_store_reports_memory_backend(self):
-        with ResultStore(None) as store:
-            assert store.backend == "memory"
-            assert store.stats()["persistent"] is False
 
 
 class TestSqliteBackend:
@@ -79,7 +39,6 @@ class TestSqliteBackend:
         with ResultStore(path) as reopened:
             assert reopened.get(KEY) == PAYLOAD
             assert reopened.stats()["persistent"] is True
-            assert reopened.stats()["backend"] == "sqlite"
 
     def test_returned_payload_is_isolated(self, tmp_path):
         with ResultStore(tmp_path / "plans.sqlite") as store:
@@ -93,7 +52,6 @@ class TestSqliteBackend:
             for round_number in range(50):
                 store.put(KEY, {"step_time": float(round_number)})
             assert len(store) == 1
-            assert store.dead_records == 0
             assert store.get(KEY) == {"step_time": 49.0}
 
     def test_corrupt_database_raises_oserror(self, tmp_path):
@@ -106,240 +64,131 @@ class TestSqliteBackend:
             finally:
                 store.close()
 
-    def test_keys_iterates_all(self, tmp_path):
+    def test_write_failure_raises_store_error(self, tmp_path):
+        # A failed write is a StoreError, an OSError, so the scheduler's
+        # store_write_failures containment catches it; it counts no write
+        # and costs no committed record.
         with ResultStore(tmp_path / "plans.sqlite") as store:
             store.put(KEY, PAYLOAD)
-            store.put(OTHER_KEY, PAYLOAD)
-            assert sorted(store.keys()) == sorted([KEY, OTHER_KEY])
+            store._conn.execute("PRAGMA query_only=ON")
+            with pytest.raises(StoreError, match="write failed") as caught:
+                store.put(OTHER_KEY, PAYLOAD)
+            assert isinstance(caught.value, OSError)
+            assert store.writes == 1
+            assert len(store) == 1 and store.get(KEY) == PAYLOAD
 
+    def test_directory_path_is_refused(self, tmp_path):
+        with pytest.raises(StoreError,
+                           match=f"cannot open result store {tmp_path}"):
+            ResultStore(tmp_path)
 
-class TestCompaction:
-    def test_dead_records_are_counted(self, tmp_path):
-        path = tmp_path / "plans.jsonl"
-        with ResultStore(path) as store:
-            store.put(KEY, {"step_time": 1.0})
-            store.put(KEY, {"step_time": 2.0})
-            store.put(OTHER_KEY, PAYLOAD)
-            assert store.dead_records == 1
-            assert store.stats()["dead_records"] == 1
-        # Reload sees the same superseded record on disk.
-        with ResultStore(path) as reopened:
-            assert reopened.dead_records == 1
-
-    def test_compact_drops_dead_records_and_preserves_content(self, tmp_path):
-        path = tmp_path / "plans.jsonl"
-        with ResultStore(path) as store:
-            for round_number in range(10):
-                store.put(KEY, {"step_time": float(round_number)})
-            store.put(OTHER_KEY, PAYLOAD)
-            size_before = os.path.getsize(path)
-            dropped = store.compact()
-            assert dropped == 9
-            assert store.dead_records == 0
-            assert os.path.getsize(path) < size_before
-            # Live mapping untouched, and the store stays writable.
-            assert store.get(KEY) == {"step_time": 9.0}
-            store.put("c" * 64, PAYLOAD)
-        with ResultStore(path) as reopened:
-            assert len(reopened) == 3
-            assert reopened.get(KEY) == {"step_time": 9.0}
-            assert reopened.get(OTHER_KEY) == PAYLOAD
-
-    def test_compact_also_drops_corrupt_lines(self, tmp_path):
-        path = tmp_path / "plans.jsonl"
-        with ResultStore(path) as store:
-            store.put(KEY, PAYLOAD)
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"torn": ')
-        with ResultStore(path) as store:
-            assert store.corrupt_lines == 1
-            store.compact()
-        with ResultStore(path) as reopened:
-            assert reopened.corrupt_lines == 0
-            assert reopened.get(KEY) == PAYLOAD
-
-    def test_auto_compaction_on_close(self, tmp_path):
-        path = tmp_path / "plans.jsonl"
-        store = ResultStore(path, compact_threshold=5)
-        for round_number in range(7):
-            store.put(KEY, {"step_time": float(round_number)})
-        assert store.dead_records == 6
-        store.close()
-        # The close rewrote the file down to the one live record.
-        assert len(path.read_text().splitlines()) == 1
-        with ResultStore(path) as reopened:
-            assert reopened.get(KEY) == {"step_time": 6.0}
-
-    def test_auto_compaction_respects_threshold(self, tmp_path):
-        path = tmp_path / "plans.jsonl"
-        with ResultStore(path, compact_threshold=100) as store:
-            for round_number in range(7):
-                store.put(KEY, {"step_time": float(round_number)})
-        assert len(path.read_text().splitlines()) == 7
-
-    def test_auto_compaction_can_be_disabled(self, tmp_path):
-        path = tmp_path / "plans.jsonl"
-        with ResultStore(path, compact_threshold=None) as store:
-            for round_number in range(DEFAULT_COMPACT_THRESHOLD + 10):
-                store.put(KEY, {"step_time": float(round_number)})
-        assert len(path.read_text().splitlines()) \
-            == DEFAULT_COMPACT_THRESHOLD + 10
-
-
-class TestMigration:
-    def test_round_trip_preserves_every_payload(self, tmp_path):
-        jsonl_a = tmp_path / "plans.jsonl"
-        sqlite = tmp_path / "plans.sqlite"
-        jsonl_b = tmp_path / "back.jsonl"
-        with ResultStore(jsonl_a) as store:
-            _fill(store, 25)
-            store.put(KEY, PAYLOAD)
-
-        summary = migrate_store(jsonl_a, sqlite)
-        assert summary["entries"] == summary["verified"] == 26
-        assert summary["source_backend"] == "jsonl"
-        assert summary["destination_backend"] == "sqlite"
-        migrate_store(sqlite, jsonl_b)
-
-        # Key-by-key: the round-tripped store serves exactly the original
-        # mapping, in the canonical serialized form.
-        with ResultStore(jsonl_a) as original:
-            with ResultStore(jsonl_b) as round_tripped:
-                assert sorted(original.keys()) \
-                    == sorted(round_tripped.keys())
-                for key in original.keys():
-                    assert original.get_serialized(key) \
-                        == round_tripped.get_serialized(key)
-
-    def test_migrate_into_existing_store_upserts(self, tmp_path):
-        source = tmp_path / "plans.jsonl"
-        destination = tmp_path / "plans.sqlite"
-        with ResultStore(source) as store:
-            store.put(KEY, {"step_time": 2.0})
-        with ResultStore(destination) as store:
-            store.put(KEY, {"step_time": 1.0})  # stale; must be replaced
-            store.put(OTHER_KEY, PAYLOAD)  # unrelated; must survive
-        migrate_store(source, destination)
-        with ResultStore(destination) as migrated:
-            assert migrated.get(KEY) == {"step_time": 2.0}
-            assert migrated.get(OTHER_KEY) == PAYLOAD
-
-    def test_same_file_is_rejected(self, tmp_path):
-        path = tmp_path / "plans.jsonl"
-        with ResultStore(path) as store:
-            store.put(KEY, PAYLOAD)
-        with pytest.raises(ValueError, match="same file"):
-            migrate_store(path, path)
-
-    def test_verification_failure_raises(self, tmp_path, monkeypatch):
-        source = tmp_path / "plans.jsonl"
-        with ResultStore(source) as store:
-            store.put(KEY, PAYLOAD)
-        # Sabotage the destination's read-back so verification must trip.
-        from repro.server import store as store_module
-
-        monkeypatch.setattr(store_module._SqliteBackend, "get",
-                            lambda self, key: '{"corrupted": true}')
-        with pytest.raises(StoreError, match="verification failed"):
-            migrate_store(source, tmp_path / "plans.sqlite")
+    def test_uncreatable_parent_directory_is_refused(self, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory\n")
+        path = blocker / "plans.sqlite"
+        with pytest.raises(StoreError,
+                           match=f"cannot open result store {path}"):
+            ResultStore(path)
+        assert blocker.read_text() == "a file, not a directory\n"
 
 
 class TestDurability:
     def test_concurrent_writers_all_records_survive(self, tmp_path):
-        # Two real processes appending to one JSON-lines store: O_APPEND
-        # line writes interleave without corrupting each other.
-        path = str(tmp_path / "plans.jsonl")
-        workers = [
-            multiprocessing.Process(target=_append_worker,
-                                    args=(path, prefix, 50))
-            for prefix in (1, 2)
-        ]
+        # Two real processes writing into one store: SQLite serialises
+        # their commits, and every record of both survives.
+        path = str(tmp_path / "plans.sqlite")
+        context = multiprocessing.get_context("spawn")
+        workers = [context.Process(target=_fill_worker,
+                                   args=(path, prefix, 50))
+                   for prefix in (1, 2)]
         for worker in workers:
             worker.start()
         for worker in workers:
             worker.join(timeout=60)
             assert worker.exitcode == 0
         with ResultStore(path) as store:
-            assert store.corrupt_lines == 0
             assert len(store) == 100
             assert store.get(f"{1:032d}{7:032d}") == {"step_time": 0.007}
             assert store.get(f"{2:032d}{7:032d}") == {"step_time": 0.007}
 
     def test_kill_mid_write_leaves_store_loadable(self, tmp_path):
-        # A writer dying mid-line (torn record) costs exactly the torn
-        # record: every complete record before it is served on reload.
-        path = str(tmp_path / "plans.jsonl")
-        process = multiprocessing.Process(target=_torn_write_worker,
-                                          args=(path,))
+        # A writer dying inside an uncommitted insert costs exactly that
+        # insert: every committed record is served on reopen.
+        path = str(tmp_path / "plans.sqlite")
+        process = multiprocessing.get_context("spawn").Process(
+            target=_crash_worker, args=(path,))
         process.start()
         process.join(timeout=60)
+        assert process.exitcode == 1
         with ResultStore(path) as store:
-            assert store.corrupt_lines == 1
             assert len(store) == 3
             assert store.get(f"{0:032d}{1:032d}") == {"step_time": 0.001}
+            assert store.get(KEY) is None
+
+    def test_json_lines_file_is_refused_untouched(self, tmp_path):
+        # Stores written before the single SQLite format are refused,
+        # byte-identical, with no WAL or shared-memory file left beside.
+        path = tmp_path / "plans.jsonl"
+        path.write_text(json.dumps({"key": KEY, "payload": PAYLOAD}) + "\n")
+        before = path.read_bytes()
+        with pytest.raises(StoreError, match="not a database"):
+            ResultStore(path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["plans.jsonl"]
 
     def test_sqlite_durable_sets_full_synchronous(self, tmp_path):
         with ResultStore(tmp_path / "plans.sqlite", durable=True) as store:
-            assert store._backend._conn.execute(
+            assert store._conn.execute(
                 "PRAGMA synchronous").fetchone()[0] == 2  # FULL
         with ResultStore(tmp_path / "fast.sqlite") as store:
-            assert store._backend._conn.execute(
+            assert store._conn.execute(
                 "PRAGMA synchronous").fetchone()[0] == 1  # NORMAL
 
 
-def _append_worker(path, prefix, count):
-    with ResultStore(path, compact_threshold=None) as store:
+def _fill_worker(path, prefix, count):
+    with ResultStore(path) as store:
         _fill(store, count, prefix=prefix)
 
 
-def _torn_write_worker(path):
+def _crash_worker(path):
     store = ResultStore(path)
     _fill(store, 3)
-    # Start a fourth record but die before the line completes.
-    store._backend._handle.write('{"key": "' + KEY + '", "payl')
-    store._backend._handle.flush()
+    # Start a fourth record but die before it commits.
+    store._conn.execute("INSERT INTO plans (key, payload) VALUES (?, ?)",
+                        (KEY, json.dumps(PAYLOAD)))
     os._exit(1)
 
 
 class TestStoreCli:
-    def _build(self, tmp_path, dead=3):
-        path = tmp_path / "plans.jsonl"
-        with ResultStore(path) as store:
-            for round_number in range(dead + 1):
-                store.put(KEY, {"step_time": float(round_number)})
-            store.put(OTHER_KEY, PAYLOAD)
-        return path
-
     def test_stats_verb(self, tmp_path, capsys):
-        path = self._build(tmp_path)
+        path = tmp_path / "plans.sqlite"
+        with ResultStore(path) as store:
+            store.put(KEY, PAYLOAD)
+            store.put(OTHER_KEY, PAYLOAD)
         assert cli_main(["store", "stats", str(path)]) == 0
         document = json.loads(capsys.readouterr().out)
-        assert document["backend"] == "jsonl"
+        assert document["path"] == str(path)
         assert document["entries"] == 2
-        assert document["dead_records"] == 3
         assert document["file_bytes"] > 0
-
-    def test_compact_verb(self, tmp_path, capsys):
-        path = self._build(tmp_path)
-        assert cli_main(["store", "compact", str(path)]) == 0
-        document = json.loads(capsys.readouterr().out)
-        assert document["records_dropped"] == 3
-        assert document["bytes_after"] < document["bytes_before"]
-
-    def test_migrate_verb(self, tmp_path, capsys):
-        source = self._build(tmp_path)
-        destination = tmp_path / "plans.sqlite"
-        assert cli_main(["store", "migrate", str(source),
-                         str(destination)]) == 0
-        document = json.loads(capsys.readouterr().out)
-        assert document["entries"] == document["verified"] == 2
-        with ResultStore(destination) as migrated:
-            assert migrated.get(KEY) == {"step_time": 3.0}
 
     def test_missing_file_is_a_usage_error(self, tmp_path, capsys):
         assert cli_main(["store", "stats",
-                         str(tmp_path / "missing.jsonl")]) == 2
+                         str(tmp_path / "missing.sqlite")]) == 2
         assert "no such store file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["store", "stats", "{path}"],
+        ["serve", "--port", "0", "--store", "{path}"],
+        ["sweep", "fig14", "--reduced", "--store", "{path}", "--no-write"],
+    ], ids=["store-stats", "serve", "sweep"])
+    def test_unopenable_store_is_a_usage_error(self, tmp_path, capsys,
+                                               argv):
+        path = tmp_path / "bad.sqlite"
+        path.write_text("not a database\n")
+        assert cli_main([arg.format(path=path) for arg in argv]) == 2
+        assert (f"error: cannot open result store {path}: file is not a "
+                f"database") in capsys.readouterr().err
+        assert path.read_text() == "not a database\n"
 
 
 class TestLoadtest:
@@ -358,11 +207,11 @@ class TestLoadtest:
         assert report["cache_hit_rate"] == pytest.approx(0.8)
         for quantile in ("p50", "p95", "p99"):
             assert report["latency"][quantile] > 0.0
-        assert report["server_metrics"]["store"]["backend"] == "sqlite"
+        assert report["server_metrics"]["store"]["entries"] == 4
         assert report["server_metrics"]["shed"] == 0
 
     def test_loadtest_cli_slo_gate(self, make_server, tmp_path, capsys):
-        harness = make_server(store_path=str(tmp_path / "plans.jsonl"))
+        harness = make_server(store_path=str(tmp_path / "plans.sqlite"))
         assert cli_main(["loadtest", "--server",
                          f"127.0.0.1:{harness.port}",
                          "--requests", "10", "--dedup-ratio", "0.5",
@@ -373,7 +222,7 @@ class TestLoadtest:
 
     def test_loadtest_cli_fails_below_slo(self, make_server, tmp_path,
                                           capsys):
-        harness = make_server(store_path=str(tmp_path / "plans.jsonl"))
+        harness = make_server(store_path=str(tmp_path / "plans.sqlite"))
         # dedup 0.0 -> every request unique -> hit rate 0 < the 0.9 SLO.
         assert cli_main(["loadtest", "--server",
                          f"127.0.0.1:{harness.port}",
