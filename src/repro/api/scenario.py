@@ -29,12 +29,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.hardware.config import WaferConfig, default_wafer_config
 from repro.hardware.faults import FaultModel
-from repro.hardware.topologies import (
-    DEFAULT_TOPOLOGY,
-    Topology,
-    build_topology,
-    validate_topology_spec,
-)
+from repro.hardware.topologies import DEFAULT_TOPOLOGY, validate_topology_spec
 from repro.hardware.wafer import WaferScaleChip
 from repro.parallelism.baselines import BaselineScheme
 from repro.parallelism.spec import ParallelSpec
@@ -218,10 +213,6 @@ class HardwareSpec:
     def resolve_wafer(self) -> WaferScaleChip:
         """A healthy wafer built from :meth:`resolve_config`."""
         return WaferScaleChip(self.resolve_config(), topology=self.topology)
-
-    def resolve_topology(self) -> "Topology":
-        """The healthy interconnect fabric this spec describes."""
-        return build_topology(self.topology, self.rows, self.cols)
 
     def resolve_simulator(self) -> Optional[SimulatorConfig]:
         """Simulator knobs, or ``None`` when the defaults apply unchanged."""

@@ -29,7 +29,7 @@ import json
 import math
 import time
 from dataclasses import fields
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.api.result import RESULT_KINDS, PlanResult, SolverOutcome
 from repro.api.scenario import SCHEMA_VERSION, HardwareSpec, Scenario
@@ -60,12 +60,9 @@ class PlanService:
     results are bit-identical with a private or a shared service.
     """
 
-    def __init__(self, plan_cache: Optional[PlanCache] = None,
-                 registry: Optional[MetricsRegistry] = None) -> None:
-        self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._evaluations = self.registry.counter(
-            "service.evaluations", help="PlanService.evaluate calls")
+    def __init__(self) -> None:
+        self.plan_cache = PlanCache()
+        self.registry = MetricsRegistry()
         self._evaluate_hist = self.registry.histogram(
             "service.evaluate_seconds",
             help="end-to-end PlanService.evaluate latency")
@@ -76,8 +73,8 @@ class PlanService:
 
         ``plan_cache`` is :meth:`PlanCache.stats` (hit/miss/size),
         ``wafers_cached`` the number of distinct hardware geometries
-        resolved. Surfaced by ``repro plan --stats`` and the plan server's
-        ``GET /metrics``.
+        resolved. Surfaced by ``repro plan --stats``; the plan server's
+        ``GET /metrics`` carries the ``plan_cache`` part.
         """
         return {
             "plan_cache": self.plan_cache.stats(),
@@ -138,7 +135,6 @@ class PlanService:
                               self.wafer_for(hardware),
                               hardware.resolve_simulator())
         elapsed = time.perf_counter() - start
-        self._evaluations.inc()
         self._evaluate_hist.observe(elapsed)
         if tracing_enabled():
             # object.__setattr__: PlanResult is frozen, and telemetry is a

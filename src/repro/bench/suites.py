@@ -205,9 +205,9 @@ def bench_trace_overhead() -> Optional[Dict[str, object]]:
             pass
     noop_span_seconds = (time.perf_counter() - start) / rounds
 
-    # Span volume of the same sweep when tracing is on (buffered mode).
+    # Span volume of the same sweep when tracing is on (no sink: buffered).
     if "trace_overhead_spans" not in _STATE:
-        configure_tracing(buffered=True)
+        configure_tracing()
         try:
             run_portfolio_local(portfolio, jobs=1, points=points)
             _STATE["trace_overhead_spans"] = len(get_tracer().drain())

@@ -123,12 +123,6 @@ class MultiWaferSystem:
             return link.transfer_time(num_bytes)
         return self.wafer_config.d2d.transfer_time(num_bytes)
 
-    def dies_per_stage(self, pp_degree: int) -> int:
-        """Number of dies available to each pipeline stage."""
-        if pp_degree <= 0:
-            raise ValueError(f"pp_degree must be positive, got {pp_degree}")
-        return max(1, self.total_dies // pp_degree)
-
     def describe(self) -> dict:
         """Summary of the headline system parameters."""
         return {

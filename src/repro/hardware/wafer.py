@@ -153,9 +153,3 @@ class WaferScaleChip:
             "hbm_capacity_gb": self.aggregate_hbm_capacity() / (1024 ** 3),
             "d2d_bandwidth_tbps": self.config.d2d.bandwidth / (1024 ** 4),
         }
-
-    # Group helpers -------------------------------------------------------------
-
-    def contiguous_groups(self, group_size: int) -> List[List[int]]:
-        """Contiguous die groups of ``group_size`` (see topology docs)."""
-        return self.topology.partition_into_groups(group_size)

@@ -53,10 +53,6 @@ class LinkLoadMap:
                 loads[key] = loads.get(key, 0.0) + flow.total_bytes
         return cls(loads=loads)
 
-    def load_of(self, link: Link) -> float:
-        """Bytes carried by ``link``."""
-        return self.loads.get((link.src, link.dst), 0.0)
-
     def max_load(self) -> float:
         """Bytes on the most congested link (0 when there is no traffic)."""
         return max(self.loads.values(), default=0.0)

@@ -1,24 +1,20 @@
-"""Unified observability: metrics registry, tracing spans, structured logs.
+"""Unified observability: a histogram registry and tracing spans.
 
 The one instrumentation layer every dispatch path reports through — see
-:mod:`repro.obs.metrics`, :mod:`repro.obs.tracing`, :mod:`repro.obs.logs`.
+:mod:`repro.obs.metrics` (latency histograms, :class:`CounterBundle`
+counters, Prometheus text) and :mod:`repro.obs.tracing` (nested spans).
 """
 
-from repro.obs.logs import JsonFormatter, setup_logging
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     PROMETHEUS_CONTENT_TYPE,
-    Counter,
     CounterBundle,
-    Gauge,
     Histogram,
     MetricError,
     MetricsRegistry,
-    default_registry,
     flatten_stats,
     prometheus_name,
     render_prometheus,
-    set_default_registry,
 )
 from repro.obs.tracing import (
     Tracer,
@@ -35,24 +31,18 @@ from repro.obs.tracing import (
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "PROMETHEUS_CONTENT_TYPE",
-    "Counter",
     "CounterBundle",
-    "Gauge",
     "Histogram",
-    "JsonFormatter",
     "MetricError",
     "MetricsRegistry",
     "Tracer",
     "configure_tracing",
-    "default_registry",
     "disable_tracing",
     "flatten_stats",
     "get_tracer",
     "prometheus_name",
     "read_trace",
     "render_prometheus",
-    "set_default_registry",
-    "setup_logging",
     "span",
     "summarize_trace",
     "to_chrome_trace",

@@ -1,13 +1,14 @@
-"""The metrics registry: named counters, gauges, and histograms.
+"""The metrics registry: named latency histograms, and counter bundles.
 
-One :class:`MetricsRegistry` holds every metric a component records. The
-design follows the Prometheus client model, adapted to this repo's two
+One :class:`MetricsRegistry` holds every histogram a component records.
+The design follows the Prometheus client model, adapted to this repo's two
 constraints — zero third-party dependencies, and a scheduler that must
 aggregate telemetry coming back from pool workers:
 
-* metrics are *named* (dotted, e.g. ``"scheduler.queue_wait_seconds"``) and
-  get-or-created idempotently, so instrumentation sites never coordinate;
-* histograms use **fixed upper-bound buckets** with linearly interpolated
+* histograms are *named* (dotted, e.g. ``"scheduler.queue_wait_seconds"``)
+  and get-or-created idempotently, so instrumentation sites never
+  coordinate;
+* they use **fixed upper-bound buckets** with linearly interpolated
   p50/p95/p99 estimation — cheap to record, cheap to merge, and exactly the
   shape Prometheus exposes;
 * every registry produces a plain-JSON :meth:`~MetricsRegistry.snapshot`
@@ -17,14 +18,16 @@ aggregate telemetry coming back from pool workers:
   into the Prometheus text exposition format (``GET
   /metrics?format=prometheus``).
 
-There is a process-global :func:`default_registry` for CLI-style call
-sites; components that must stay isolated (a scheduler per test, a service
-per pool worker) take an injectable instance instead.
+Every histogram reaches both outputs: the scheduler's ``stats()["timings"]``
+summaries (``GET /metrics``) and the Prometheus histogram series. Each
+component owns a private registry, so schedulers and services never share
+latency distributions by accident.
 
-:class:`CounterBundle` is the one ``snapshot()`` convention shared by the
-components that predate this module (``PlanCache``, ``ResultStore``, the
-scheduler) — a dict of named integer counters with ``inc``/``merge``/
-``snapshot``, replacing their three hand-rolled counter-dict shapes.
+Counts are not registry metrics. :class:`CounterBundle` is the one counter
+convention (``PlanCache``, ``ResultStore``, the scheduler): a dict of named
+integer counters with ``inc``/``merge``/``snapshot`` whose snapshot the
+component's ``stats()`` document surfaces — and with it ``GET /metrics``
+and its Prometheus gauges.
 """
 
 from __future__ import annotations
@@ -48,56 +51,8 @@ _NAME_SANITIZER = re.compile(r"[^a-zA-Z0-9_]")
 
 
 class MetricError(ValueError):
-    """A metric was declared twice with conflicting types or buckets."""
-
-
-class Counter:
-    """A monotonically increasing named value."""
-
-    kind = "counter"
-
-    def __init__(self, name: str, help: str = "") -> None:
-        self.name = name
-        self.help = help
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def snapshot(self) -> float:
-        return self.value
-
-    def merge(self, value: float) -> None:
-        self.value += value
-
-
-class Gauge:
-    """A named value that can go up and down (last write wins on merge)."""
-
-    kind = "gauge"
-
-    def __init__(self, name: str, help: str = "") -> None:
-        self.name = name
-        self.help = help
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
-    def snapshot(self) -> float:
-        return self.value
-
-    def merge(self, value: float) -> None:
-        # Gauges are point-in-time readings; summing worker gauges is the
-        # aggregation that makes sense for the sizes we track (entries,
-        # in-flight counts).
-        self.value += value
+    """Histogram buckets that are not ascending, or that clash with an
+    earlier declaration of the same name."""
 
 
 class Histogram:
@@ -110,8 +65,6 @@ class Histogram:
     fabricates values. Snapshots are mergeable across registries with
     identical bucket bounds.
     """
-
-    kind = "histogram"
 
     def __init__(self, name: str, help: str = "",
                  buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS) -> None:
@@ -215,100 +168,55 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named metrics with idempotent get-or-create and mergeable snapshots."""
+    """Named histograms with idempotent get-or-create and mergeable
+    snapshots."""
 
     def __init__(self) -> None:
-        self._metrics: "Dict[str, object]" = {}
+        self._metrics: Dict[str, Histogram] = {}
         self._lock = threading.Lock()
-
-    def _get_or_create(self, name: str, factory) -> object:
-        metric = self._metrics.get(name)
-        if metric is not None:
-            return metric
-        with self._lock:
-            metric = self._metrics.get(name)
-            if metric is None:
-                metric = factory()
-                self._metrics[name] = metric
-            return metric
-
-    def counter(self, name: str, help: str = "") -> Counter:
-        metric = self._get_or_create(name, lambda: Counter(name, help))
-        if not isinstance(metric, Counter):
-            raise MetricError(f"{name!r} is already a {metric.kind}")
-        return metric
-
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        metric = self._get_or_create(name, lambda: Gauge(name, help))
-        if not isinstance(metric, Gauge):
-            raise MetricError(f"{name!r} is already a {metric.kind}")
-        return metric
 
     def histogram(self, name: str, help: str = "",
                   buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
                   ) -> Histogram:
-        metric = self._get_or_create(
-            name, lambda: Histogram(name, help, buckets=buckets))
-        if not isinstance(metric, Histogram):
-            raise MetricError(f"{name!r} is already a {metric.kind}")
+        metric = self._metrics.get(name)
+        if metric is None:
+            with self._lock:
+                metric = self._metrics.get(name)
+                if metric is None:
+                    metric = Histogram(name, help, buckets=buckets)
+                    self._metrics[name] = metric
         if tuple(float(bound) for bound in buckets) != metric.bounds:
             raise MetricError(
                 f"histogram {name!r} re-declared with different buckets")
         return metric
 
-    def metrics(self) -> List[object]:
-        """Every registered metric, sorted by name."""
+    def metrics(self) -> List[Histogram]:
+        """Every registered histogram, sorted by name."""
         return [self._metrics[name] for name in sorted(self._metrics)]
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """Plain-JSON state of every metric, keyed by kind then name.
 
         The wire format of cross-process aggregation: workers ship it back
-        with each group result and the scheduler feeds it to
+        with each result and the scheduler feeds it to
         :meth:`merge_snapshot`.
         """
-        doc: Dict[str, Dict[str, object]] = {
-            "counters": {}, "gauges": {}, "histograms": {}}
-        for metric in self.metrics():
-            doc[metric.kind + "s"][metric.name] = metric.snapshot()
-        return doc
+        return {"histograms": self.histogram_snapshots()}
 
     def merge_snapshot(self, snapshot: Mapping[str, object]) -> None:
         """Fold another registry's :meth:`snapshot` into this one."""
-        for name, value in snapshot.get("counters", {}).items():
-            self.counter(name).merge(value)
-        for name, value in snapshot.get("gauges", {}).items():
-            self.gauge(name).merge(value)
         for name, digest in snapshot.get("histograms", {}).items():
             self.histogram(
                 name, buckets=digest["bounds"]).merge(digest)
 
     def histogram_summaries(self) -> Dict[str, Dict[str, float]]:
         """``{name: summary()}`` for every histogram (the JSON digest)."""
-        return {metric.name: metric.summary() for metric in self.metrics()
-                if isinstance(metric, Histogram)}
+        return {metric.name: metric.summary() for metric in self.metrics()}
 
     def histogram_snapshots(self) -> Dict[str, Dict[str, object]]:
         """``{name: snapshot()}`` for every histogram (bucket-level detail,
         the shape :func:`render_prometheus` consumes)."""
-        return {metric.name: metric.snapshot() for metric in self.metrics()
-                if isinstance(metric, Histogram)}
-
-
-_DEFAULT_REGISTRY = MetricsRegistry()
-
-
-def default_registry() -> MetricsRegistry:
-    """The process-global registry CLI-style call sites record into."""
-    return _DEFAULT_REGISTRY
-
-
-def set_default_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Swap the process-global registry (tests); returns the previous one."""
-    global _DEFAULT_REGISTRY
-    previous = _DEFAULT_REGISTRY
-    _DEFAULT_REGISTRY = registry
-    return previous
+        return {metric.name: metric.snapshot() for metric in self.metrics()}
 
 
 # Counter bundles -----------------------------------------------------------------

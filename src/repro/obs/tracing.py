@@ -16,17 +16,17 @@ permanently and cost one dict lookup plus one call. When enabled via
 "duration_seconds", "attrs"}``
 
 Nesting is tracked with a :mod:`contextvars` stack, so spans nest
-correctly through generators and asyncio tasks. Records are either
-written through to a JSON-lines file as spans close (the CLI ``--trace
-PATH`` mode) or buffered in memory (pool workers), where
+correctly through generators and asyncio tasks. With a path (the CLI
+``--trace PATH`` mode) records are written through to a JSON-lines file as
+spans close; without one they are buffered in memory (pool workers), where
 :meth:`Tracer.drain` returns the batch that rides back to the scheduler
-inside group telemetry — workers never contend on the trace file.
+inside the request's telemetry — workers never contend on the trace file.
 
 Cross-process parenting: the dispatching side calls
 :meth:`Tracer.serialize_context` and ships the small dict to the worker,
-which calls :meth:`Tracer.attach` so its root spans parent under the
-scheduler's dispatch span. The scheduler re-emits drained worker records
-with :meth:`Tracer.emit`.
+which opens its root span with :meth:`Tracer.span_under` so it parents
+under the scheduler's dispatch span. The scheduler re-emits drained worker
+records with :meth:`Tracer.emit`.
 
 Export/analysis helpers: :func:`read_trace`, :func:`to_chrome_trace`
 (``chrome://tracing`` / Perfetto ``trace_event`` format), and
@@ -48,14 +48,12 @@ from typing import Dict, Iterator, List, Mapping, Optional, TextIO
 class _SpanHandle:
     """A live span: identity plus the stage-duration rollup for children."""
 
-    __slots__ = ("name", "trace_id", "span_id", "parent_id", "stages")
+    __slots__ = ("name", "trace_id", "span_id", "stages")
 
-    def __init__(self, name: str, trace_id: str, span_id: str,
-                 parent_id: Optional[str]) -> None:
+    def __init__(self, name: str, trace_id: str, span_id: str) -> None:
         self.name = name
         self.trace_id = trace_id
         self.span_id = span_id
-        self.parent_id = parent_id
         # Per-child-name duration sums, filled as direct children close.
         # The root span's rollup becomes PlanResult stage timings.
         self.stages: Dict[str, float] = {}
@@ -67,12 +65,9 @@ class Tracer:
     def __init__(self) -> None:
         self._enabled = False
         self._sink: Optional[TextIO] = None
-        self._sink_path: Optional[str] = None
         self._buffer: List[Dict[str, object]] = []
-        self._buffered = False
         self._stack: contextvars.ContextVar[tuple] = contextvars.ContextVar(
             "repro_span_stack", default=())
-        self._remote_parent: Optional[Dict[str, str]] = None
         self._lock = threading.Lock()
         self._counter = 0
 
@@ -82,28 +77,23 @@ class Tracer:
     def enabled(self) -> bool:
         return self._enabled
 
-    def configure(self, path: Optional[str] = None,
-                  buffered: bool = False) -> None:
-        """Enable tracing, writing through to ``path`` or buffering."""
+    def configure(self, path: Optional[str] = None) -> None:
+        """Enable tracing, writing through to ``path`` (buffering without
+        one)."""
         self.close()
         self._enabled = True
-        self._buffered = buffered or path is None
         if path is not None:
-            self._sink_path = path
             self._sink = open(path, "a", encoding="utf-8")
 
     def disable(self) -> None:
         self.close()
         self._enabled = False
-        self._buffered = False
-        self._remote_parent = None
 
     def close(self) -> None:
         """Flush and close the sink file, if any."""
         if self._sink is not None:
             self._sink.close()
             self._sink = None
-            self._sink_path = None
 
     # -- identity --------------------------------------------------------
 
@@ -118,16 +108,10 @@ class Tracer:
 
     def serialize_context(self) -> Optional[Dict[str, str]]:
         """The current span identity as a small dict for another process."""
-        if not self._enabled:
-            return None
         handle = self.current_span()
-        if handle is None:
-            return self._remote_parent
+        if not self._enabled or handle is None:
+            return None
         return {"trace_id": handle.trace_id, "span_id": handle.span_id}
-
-    def attach(self, context: Optional[Mapping[str, str]]) -> None:
-        """Adopt a serialized context: new root spans parent under it."""
-        self._remote_parent = dict(context) if context else None
 
     # -- recording -------------------------------------------------------
 
@@ -140,13 +124,10 @@ class Tracer:
         if parent is not None:
             trace_id = parent.trace_id
             parent_id = parent.span_id
-        elif self._remote_parent is not None:
-            trace_id = self._remote_parent["trace_id"]
-            parent_id = self._remote_parent["span_id"]
         else:
             trace_id = os.urandom(8).hex()
             parent_id = None
-        handle = _SpanHandle(name, trace_id, self._next_span_id(), parent_id)
+        handle = _SpanHandle(name, trace_id, self._next_span_id())
         stack = self._stack.get()
         token = self._stack.set(stack + (handle,))
         start_unix = time.time()
@@ -186,7 +167,7 @@ class Tracer:
                 yield handle
             return
         parent = _SpanHandle("<remote>", context["trace_id"],
-                             context["span_id"], None)
+                             context["span_id"])
         stack = self._stack.get()
         token = self._stack.set(stack + (parent,))
         try:
@@ -197,7 +178,6 @@ class Tracer:
 
     def record_span(self, name: str, duration_seconds: float,
                     context: Optional[Mapping[str, str]] = None,
-                    start_unix: Optional[float] = None,
                     **attrs: object) -> None:
         """Emit one already-measured span (e.g. a queue wait).
 
@@ -220,9 +200,7 @@ class Tracer:
             "span_id": self._next_span_id(),
             "parent_id": parent_id,
             "pid": os.getpid(),
-            "start_unix": round(
-                time.time() - duration_seconds if start_unix is None
-                else start_unix, 6),
+            "start_unix": round(time.time() - duration_seconds, 6),
             "duration_seconds": round(duration_seconds, 9),
         }
         if attrs:
@@ -255,7 +233,6 @@ class _NoopHandle:
     name = ""
     trace_id = ""
     span_id = ""
-    parent_id = None
     stages: Dict[str, float] = {}
 
 
@@ -291,10 +268,9 @@ def span(name: str, **attrs: object):
     return _TRACER.span(name, **attrs)
 
 
-def configure_tracing(path: Optional[str] = None,
-                      buffered: bool = False) -> Tracer:
-    """Enable the global tracer (JSONL sink at ``path``, or buffered)."""
-    _TRACER.configure(path=path, buffered=buffered)
+def configure_tracing(path: Optional[str] = None) -> Tracer:
+    """Enable the global tracer (JSONL sink at ``path``, else buffered)."""
+    _TRACER.configure(path=path)
     return _TRACER
 
 

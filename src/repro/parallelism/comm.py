@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Sequence
 
 
 class CollectiveType(Enum):
@@ -76,18 +75,6 @@ class CommTask:
             return 0.0
         return self.bytes_per_device * self.group_size
 
-    def scaled(self, count_factor: float) -> "CommTask":
-        """Return the task repeated ``count_factor`` times more often."""
-        return CommTask(
-            kind=self.kind,
-            group_size=self.group_size,
-            bytes_per_device=self.bytes_per_device,
-            count=self.count * count_factor,
-            label=self.label,
-            overlappable=self.overlappable,
-            dimension=self.dimension,
-        )
-
 
 def collective_wire_bytes(
     kind: CollectiveType, buffer_bytes: float, group_size: int
@@ -111,26 +98,3 @@ def collective_wire_bytes(
                 CollectiveType.BROADCAST):
         return (p - 1) / p * buffer_bytes
     return buffer_bytes
-
-
-def merge_tasks(tasks: Sequence[CommTask]) -> List[CommTask]:
-    """Coalesce identical tasks (same kind/group/bytes/dimension) by summing counts."""
-    counts: dict = {}
-    prototypes: dict = {}
-    for task in tasks:
-        key = (task.kind, task.group_size, task.bytes_per_device,
-               task.dimension, task.overlappable, task.label)
-        counts[key] = counts.get(key, 0.0) + task.count
-        prototypes.setdefault(key, task)
-    merged: List[CommTask] = []
-    for key, prototype in prototypes.items():
-        merged.append(CommTask(
-            kind=prototype.kind,
-            group_size=prototype.group_size,
-            bytes_per_device=prototype.bytes_per_device,
-            count=counts[key],
-            label=prototype.label,
-            overlappable=prototype.overlappable,
-            dimension=prototype.dimension,
-        ))
-    return merged

@@ -149,11 +149,6 @@ class ParallelSpec:
             raise KeyError(f"unknown parallelism dimension '{name}'")
         return replace(self, **{name: value})
 
-    @classmethod
-    def from_tuple(cls, dp: int, tp: int, sp: int, tatp: int, **kwargs: int) -> "ParallelSpec":
-        """Build a spec from the paper's (DP, TP, SP, TATP) notation."""
-        return cls(dp=dp, tp=tp, sp=sp, tatp=tatp, **kwargs)
-
     @staticmethod
     def enumerate(
         num_devices: int,

@@ -33,7 +33,7 @@ on:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.parallelism.comm import (
     CollectiveType,
@@ -104,16 +104,6 @@ class ExecutionPlan:
     def total_comm_bytes(self) -> float:
         """Total per-device wire bytes of the step."""
         return self.critical_comm_bytes() + self.overlap_comm_bytes()
-
-    def tasks_by_dimension(self) -> Dict[str, float]:
-        """Per-dimension wire bytes, for the breakdown plots."""
-        breakdown: Dict[str, float] = {}
-        for task in self.all_tasks:
-            key = task.dimension or task.kind.value
-            breakdown[key] = breakdown.get(key, 0.0) + (
-                task.bytes_per_device * task.count
-            )
-        return breakdown
 
 
 def analyze_model(

@@ -31,11 +31,9 @@ Sub-commands::
     repro obs summarize out.jsonl      # per-span-name timing table
     repro obs chrome out.jsonl -o out.trace.json  # chrome://tracing export
 
-Observability flags: every verb accepts ``--log-level`` / ``--log-json``
-(structured stdlib logging on the ``repro`` logger), and the evaluation
-verbs (``plan``, ``run``, ``sweep``, ``serve``, ``bench``) accept
-``--trace PATH`` to record nested timing spans as JSON lines — including
-spans drained back from pool workers.
+The evaluation verbs (``plan``, ``run``, ``sweep``, ``serve``, ``bench``)
+accept ``--trace PATH`` to record nested timing spans as JSON lines —
+including spans drained back from pool workers.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.obs.logs import setup_logging
 from repro.obs.tracing import configure_tracing, disable_tracing
 from repro.runner import docs as docs_module
 from repro.runner import manifest as manifest_module
@@ -54,6 +51,18 @@ from repro.runner import orchestrator, registry
 
 #: Default artifact directory.
 DEFAULT_OUTPUT_DIR = "results"
+
+
+def _jobs(text: str) -> int:
+    """``--jobs``: a whole number of worker lanes, at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,22 +73,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "reproductions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Flags shared by every verb (logging) and by the evaluation verbs
-    # (tracing); argparse merges parent parsers into each subparser.
-    logged = argparse.ArgumentParser(add_help=False)
-    logged.add_argument("--log-level", default="warning",
-                        choices=("debug", "info", "warning", "error"),
-                        help="log level of the 'repro' logger "
-                             "(default: %(default)s)")
-    logged.add_argument("--log-json", action="store_true",
-                        help="emit logs as JSON lines instead of text")
-    traced = argparse.ArgumentParser(add_help=False, parents=[logged])
+    # The flag shared by the evaluation verbs; argparse merges a parent
+    # parser into each subparser.
+    traced = argparse.ArgumentParser(add_help=False)
     traced.add_argument("--trace", metavar="PATH", default=None,
                         help="record timing spans to this JSON-lines file "
                              "(summarize with 'repro obs summarize PATH')")
 
     list_parser = sub.add_parser(
-        "list", parents=[logged],
+        "list",
         help="list registered figures (or topologies)")
     list_parser.add_argument(
         "--topologies", action="store_true",
@@ -90,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("figure", help="registered figure id, or 'all'")
     run.add_argument("--reduced", action="store_true",
                      help="use the fast reduced grids (CI fidelity)")
-    run.add_argument("--jobs", type=int, default=1, metavar="N",
+    run.add_argument("--jobs", type=_jobs, default=1, metavar="N",
                      help="scheduler lanes of the Scenario figures' sweeps "
                           "(default: %(default)s, in-process); computed "
                           "figures run in-process")
@@ -130,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8099,
                        help="bind port; 0 picks an ephemeral one "
                             "(default: %(default)s)")
-    serve.add_argument("--jobs", type=int, default=1, metavar="N",
+    serve.add_argument("--jobs", type=_jobs, default=1, metavar="N",
                        help="evaluation workers: 1 serves from one "
                             "in-process PlanService, N>1 from N persistent "
                             "worker processes (default: %(default)s)")
@@ -157,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "the REPRO_CHAOS environment variable)")
 
     submit = sub.add_parser(
-        "submit", parents=[logged],
+        "submit",
         help="submit scenario(s) to a running plan server")
     submit.add_argument(
         "scenario", nargs="?", default=None,
@@ -183,14 +185,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON output indentation (default: %(default)s)")
 
     store = sub.add_parser(
-        "store", parents=[logged], help="inspect result-store files")
+        "store", help="inspect result-store files")
     store_sub = store.add_subparsers(dest="store_command", required=True)
     store_stats_p = store_sub.add_parser(
-        "stats", parents=[logged], help="entries and on-disk size")
+        "stats", help="entries and on-disk size")
     store_stats_p.add_argument("path", help="result-store file")
 
     loadtest = sub.add_parser(
-        "loadtest", parents=[logged],
+        "loadtest",
         help="replay synthetic plan requests against a live server and "
              "report p50/p95/p99 latency, cache-hit rate, and shed counts")
     loadtest.add_argument("--server", metavar="URL", default="127.0.0.1:8099",
@@ -231,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="list the sweepable figures and exit")
     sweep.add_argument("--reduced", action="store_true",
                        help="build the reduced (CI fidelity) portfolio")
-    sweep.add_argument("--jobs", type=int, default=1, metavar="N",
+    sweep.add_argument("--jobs", type=_jobs, default=1, metavar="N",
                        help="local evaluation workers (default: %(default)s; "
                             "ignored with --server)")
     sweep.add_argument("--server", metavar="URL", default=None,
@@ -254,13 +256,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: %(default)s)")
 
     check = sub.add_parser(
-        "check", parents=[logged],
+        "check",
         help="validate that every registered figure has a manifest")
     check.add_argument("--output-dir", default=DEFAULT_OUTPUT_DIR,
                        help="manifest directory (default: %(default)s)")
 
     docs = sub.add_parser(
-        "docs", parents=[logged],
+        "docs",
         help="regenerate EXPERIMENTS.md and BENCHMARKS.md from "
              "the registries")
     docs.add_argument("--check", action="store_true",
@@ -299,11 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "percent (default: %(default)s)")
 
     obs = sub.add_parser(
-        "obs", parents=[logged],
+        "obs",
         help="analyze --trace files (per-span summaries, Chrome export)")
     obs_sub = obs.add_subparsers(dest="obs_command", required=True)
     summarize = obs_sub.add_parser(
-        "summarize", parents=[logged],
+        "summarize",
         help="per-span-name count/total/mean/p50/p95/max table")
     # dest avoids colliding with the --trace *output* flag in main().
     summarize.add_argument("trace_file", metavar="TRACE",
@@ -312,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="emit the summary rows as JSON instead of "
                                 "a table")
     chrome = obs_sub.add_parser(
-        "chrome", parents=[logged],
+        "chrome",
         help="convert a trace to the Chrome trace_event JSON format "
              "(chrome://tracing, Perfetto)")
     chrome.add_argument("trace_file", metavar="TRACE",
@@ -944,8 +946,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    setup_logging(level=getattr(args, "log_level", "warning"),
-                  json_mode=getattr(args, "log_json", False))
     trace_path = getattr(args, "trace", None)
     if trace_path is not None:
         configure_tracing(path=trace_path)

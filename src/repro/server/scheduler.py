@@ -172,15 +172,15 @@ def _init_pool_worker(chaos_spec: Optional[str] = None,
                       trace: bool = False) -> None:
     """Pool initializer: one persistent PlanService (and chaos) per worker.
 
-    ``trace`` arms *buffered* tracing in the worker: spans are collected in
-    memory and shipped back inside the request's telemetry — workers never
-    contend on the parent's trace file.
+    ``trace`` arms tracing without a sink in the worker: spans are buffered
+    in memory and shipped back inside the request's telemetry — workers
+    never contend on the parent's trace file.
     """
     global _WORKER_SERVICE, _WORKER_CHAOS
     _WORKER_SERVICE = PlanService()
     _WORKER_CHAOS = None
     if trace:
-        configure_tracing(buffered=True)
+        configure_tracing()
     if chaos_spec:
         mark_pool_worker()
         _WORKER_CHAOS = FaultInjector.from_spec(chaos_spec,
@@ -225,9 +225,10 @@ class PlanScheduler:
             (defaults to :data:`DEFAULT_RETRY`).
         chaos: a :class:`~repro.server.faults.FaultInjector` (or its spec
             string) arming deterministic fault injection.
-        registry: the :class:`~repro.obs.metrics.MetricsRegistry` the
-            scheduler's histograms live in (defaults to a private one, so
-            schedulers never share latency distributions by accident).
+
+    The scheduler's histograms live in a private
+    :class:`~repro.obs.metrics.MetricsRegistry` (:attr:`registry`), so
+    schedulers never share latency distributions by accident.
     """
 
     def __init__(
@@ -238,7 +239,6 @@ class PlanScheduler:
         max_queue: Optional[int] = None,
         retry: Optional[RetryPolicy] = None,
         chaos: Optional[Union[str, FaultInjector]] = None,
-        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -269,7 +269,7 @@ class PlanScheduler:
             pool_rebuilds=0,
             store_write_failures=0,
         )
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self._latency_hist = self.registry.histogram(
             "scheduler.request_latency_seconds",
             help="end-to-end submit latency (store hits included)")

@@ -19,10 +19,13 @@ Payloads are stored in their canonical serialized form and every ``get``
 hands back a freshly decoded copy, so a caller mutating a served payload
 can never corrupt what later requests receive.
 
-A file that is not an SQLite database (a JSON-lines store written by older
-versions, say) is refused with :class:`StoreError` and left untouched. The
-store only caches deterministic evaluations, so a fresh store recomputes
-its answers on demand.
+A file that is not a result store is refused with :class:`StoreError` and
+left untouched: one that is not an SQLite database (a JSON-lines store
+written by older versions, say), or a database that holds tables but no
+``plans`` table. Opening reads the table list before it sets any pragma or
+creates anything, so a foreign database keeps its bytes and journal mode.
+An empty or new file becomes a store. The store only caches deterministic
+evaluations, so a fresh store recomputes its answers on demand.
 
 ``repro store stats PATH`` prints :func:`store_stats` of a store file.
 """
@@ -44,18 +47,28 @@ class StoreError(OSError):
 
 
 def _connect(database: str, durable: bool) -> sqlite3.Connection:
-    """An open connection to ``database`` with the ``plans`` table."""
+    """An open connection to ``database`` with the ``plans`` table.
+
+    Raises:
+        StoreError: when the database holds tables but no ``plans`` table
+            (it is left as it was).
+    """
     # check_same_thread=False: the store is owned by one scheduler, but
     # test harnesses open and close it across a thread boundary.
     conn = sqlite3.connect(database, check_same_thread=False)
     try:
+        tables = sorted(row[0] for row in conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'"))
+        if tables and "plans" not in tables:
+            raise StoreError(f"not a result store: it holds tables "
+                             f"{', '.join(tables)} but no 'plans' table")
         conn.execute("PRAGMA journal_mode=WAL")
         conn.execute("PRAGMA synchronous="
                      + ("FULL" if durable else "NORMAL"))
         conn.execute("CREATE TABLE IF NOT EXISTS plans ("
                      "key TEXT PRIMARY KEY, payload TEXT NOT NULL)")
         conn.commit()
-    except sqlite3.Error:
+    except (sqlite3.Error, StoreError):
         conn.close()
         raise
     return conn

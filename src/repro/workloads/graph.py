@@ -157,11 +157,6 @@ class ComputeGraph:
         """Number of operator nodes in the graph."""
         return len(self._nodes)
 
-    @property
-    def num_edges(self) -> int:
-        """Number of dependency edges in the graph."""
-        return sum(len(successors) for successors in self._successors.values())
-
     def node(self, node_id: int) -> OperatorNode:
         """Return the node with ``node_id``."""
         try:

@@ -263,7 +263,7 @@ class TestScenarioValidation:
                             topology={"name": "mesh"})
         assert spec.topology == {"name": "mesh"}
 
-    def test_resolve_topology_builds_the_fabric(self):
+    def test_resolve_wafer_builds_the_fabric(self):
         spec = HardwareSpec(topology={"name": "torus"})
-        assert isinstance(spec.resolve_topology(), TorusTopology)
-        assert type(HardwareSpec().resolve_topology()) is MeshTopology
+        assert isinstance(spec.resolve_wafer().topology, TorusTopology)
+        assert type(HardwareSpec().resolve_wafer().topology) is MeshTopology

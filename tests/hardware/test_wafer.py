@@ -40,10 +40,6 @@ class TestWaferScaleChip:
         assert summary["dies"] == 32.0
         assert summary["healthy_dies"] == 32.0
 
-    def test_contiguous_groups(self, wafer):
-        groups = wafer.contiguous_groups(8)
-        assert len(groups) == 4
-
     def test_core_faults_derate_compute(self):
         faults = FaultModel(core_faults={0: 0.5})
         chip = WaferScaleChip(fault_model=faults)
@@ -144,11 +140,6 @@ class TestMultiWaferSystem:
         assert crossing > 0
         assert local > 0
         assert crossing != pytest.approx(local)
-
-    def test_dies_per_stage(self):
-        system = MultiWaferSystem(2)
-        assert system.dies_per_stage(4) == 16
-        assert system.dies_per_stage(2) == 32
 
     def test_describe(self):
         summary = MultiWaferSystem(3).describe()

@@ -127,7 +127,7 @@ class TestLinkLoadMap:
     def test_loads_accumulate_over_flows(self, mesh):
         flows = [route_flow(mesh, 0, 2, 100), route_flow(mesh, 1, 2, 50)]
         loads = LinkLoadMap.from_flows(flows)
-        assert loads.load_of(mesh.link(1, 2)) == pytest.approx(150)
+        assert loads.loads[(1, 2)] == pytest.approx(150)
         assert loads.max_load() == pytest.approx(150)
         assert loads.max_load_link() == (1, 2)
 

@@ -6,9 +6,7 @@ import pytest
 
 from repro.obs.metrics import (
     PROMETHEUS_CONTENT_TYPE,
-    Counter,
     CounterBundle,
-    Gauge,
     Histogram,
     MetricError,
     MetricsRegistry,
@@ -16,25 +14,6 @@ from repro.obs.metrics import (
     prometheus_name,
     render_prometheus,
 )
-
-
-class TestCounterGauge:
-    def test_counter_monotone(self):
-        counter = Counter("c")
-        counter.inc()
-        counter.inc(2.5)
-        assert counter.snapshot() == 3.5
-        counter.merge(1.5)
-        assert counter.snapshot() == 5.0
-
-    def test_gauge_up_down_and_merge_sums(self):
-        gauge = Gauge("g")
-        gauge.set(4.0)
-        gauge.dec()
-        gauge.inc(2.0)
-        assert gauge.snapshot() == 5.0
-        gauge.merge(3.0)
-        assert gauge.snapshot() == 8.0
 
 
 class TestHistogram:
@@ -121,34 +100,26 @@ class TestHistogram:
 class TestRegistry:
     def test_get_or_create_idempotent(self):
         registry = MetricsRegistry()
-        assert registry.counter("a") is registry.counter("a")
         assert registry.histogram("h") is registry.histogram("h")
 
-    def test_kind_conflicts_rejected(self):
+    def test_bucket_conflicts_rejected(self):
         registry = MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(MetricError):
-            registry.gauge("x")
         registry.histogram("h", buckets=(1.0, 2.0))
         with pytest.raises(MetricError):
             registry.histogram("h", buckets=(1.0, 4.0))
 
     def test_snapshot_merge_roundtrip(self):
         worker = MetricsRegistry()
-        worker.counter("service.evaluations").inc(3)
-        worker.gauge("entries").set(7)
         worker.histogram("lat", buckets=(1.0, 2.0)).observe(0.5)
 
         parent = MetricsRegistry()
-        parent.counter("service.evaluations").inc(1)
+        parent.histogram("lat", buckets=(1.0, 2.0)).observe(1.5)
         parent.merge_snapshot(worker.snapshot())
         parent.merge_snapshot(worker.snapshot())
 
-        assert parent.counter("service.evaluations").snapshot() == 7.0
-        assert parent.gauge("entries").snapshot() == 14.0
-        assert parent.histogram("lat", buckets=(1.0, 2.0)).count == 2
+        assert parent.histogram("lat", buckets=(1.0, 2.0)).count == 3
         assert "lat" in parent.histogram_summaries()
-        assert parent.histogram_snapshots()["lat"]["counts"] == [2, 0, 0]
+        assert parent.histogram_snapshots()["lat"]["counts"] == [2, 1, 0]
 
 
 class TestCounterBundle:

@@ -112,7 +112,7 @@ class TestSpans:
         assert wait["attrs"] == {"key": "k"}
 
     def test_buffered_mode_drains_and_reemits(self, tmp_path):
-        tracer = configure_tracing(buffered=True)
+        tracer = configure_tracing()
         with span("worker.span"):
             pass
         batch = tracer.drain()

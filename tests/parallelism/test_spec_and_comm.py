@@ -7,7 +7,6 @@ from repro.parallelism.comm import (
     CollectiveType,
     CommTask,
     collective_wire_bytes,
-    merge_tasks,
 )
 from repro.parallelism.spec import ParallelSpec
 
@@ -65,10 +64,6 @@ class TestParallelSpec:
         assert spec.tatp == 8 and spec.dp == 4
         with pytest.raises(KeyError):
             spec.with_degree("unknown", 2)
-
-    def test_from_tuple_matches_paper_notation(self):
-        spec = ParallelSpec.from_tuple(2, 1, 1, 16)
-        assert (spec.dp, spec.tp, spec.sp, spec.tatp) == (2, 1, 1, 16)
 
     def test_enumerate_covers_all_factorizations(self):
         specs = list(ParallelSpec.enumerate(8, dimensions=("dp", "tatp")))
@@ -128,18 +123,3 @@ class TestCommTask:
             CommTask(CollectiveType.P2P, 0, 10)
         with pytest.raises(ValueError):
             CommTask(CollectiveType.P2P, 2, -10)
-
-    def test_scaled_multiplies_count(self):
-        task = CommTask(CollectiveType.P2P, 2, 10, count=3)
-        assert task.scaled(2).count == 6
-
-    def test_merge_tasks_sums_counts(self):
-        task = CommTask(CollectiveType.P2P, 2, 10, count=1, label="x")
-        merged = merge_tasks([task, task.scaled(2)])
-        assert len(merged) == 1
-        assert merged[0].count == 3
-
-    def test_merge_keeps_distinct_tasks(self):
-        a = CommTask(CollectiveType.P2P, 2, 10, label="a")
-        b = CommTask(CollectiveType.ALL_REDUCE, 4, 10, label="b")
-        assert len(merge_tasks([a, b])) == 2

@@ -140,11 +140,9 @@ class TestCommunicationTasks:
         full = analyze_model(gpt3_6b, ParallelSpec(tp=8), num_devices=8)
         assert layer.flops_per_device < full.flops_per_device
 
-    def test_breakdown_by_dimension(self, gpt3_6b):
+    def test_tasks_are_tagged_by_dimension(self, gpt3_6b):
         plan = analyze_model(gpt3_6b, ParallelSpec(dp=4, tatp=8), num_devices=32)
-        breakdown = plan.tasks_by_dimension()
-        assert set(breakdown) == {"dp", "tatp"}
-        assert all(value >= 0 for value in breakdown.values())
+        assert {task.dimension for task in plan.all_tasks} == {"dp", "tatp"}
 
 
 class TestBaselineSpecs:

@@ -49,6 +49,12 @@ class TestParallelSerialParity:
             solo = run_experiment(figure, reduced=True, jobs=1)
             assert manifests[figure]["rows"] == solo["rows"]
 
+    def test_run_all_rejects_jobs_below_one(self):
+        # The CLI refuses --jobs 0 in its parser; a programmatic caller
+        # gets the ValueError before anything runs.
+        with pytest.raises(ValueError, match="jobs must be >= 1, got 0"):
+            run_all(["fig09"], reduced=True, jobs=0)
+
     def test_manifest_grid_does_not_alias_registry(self):
         manifest = run_experiment("fig09", reduced=True, jobs=1)
         manifest["grid"]["degree"].append(999)
@@ -217,6 +223,31 @@ class TestCLI:
         assert main(["check", "--output-dir", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "MISSING" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "fig14", "--reduced", "--no-write"],
+        ["sweep", "fig14", "--reduced", "--no-write"],
+        ["serve", "--port", "0"],
+    ], ids=["run", "sweep", "serve"])
+    def test_jobs_below_one_is_a_usage_error(self, argv, capsys):
+        for jobs in ("0", "-1"):
+            with pytest.raises(SystemExit) as caught:
+                main(argv + ["--jobs", jobs])
+            assert caught.value.code == 2
+            err = capsys.readouterr().err
+            assert f"argument --jobs: must be >= 1, got {jobs}" in err
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", [["--log-level", "info"],
+                                      ["--log-json"]],
+                             ids=["log-level", "log-json"])
+    def test_logging_flags_are_unrecognized(self, flag, capsys):
+        # No module writes a log record, so no verb takes a logging flag;
+        # a script passing one gets argparse's usage error.
+        with pytest.raises(SystemExit) as caught:
+            main(["run", "fig14", "--reduced", "--no-write"] + flag)
+        assert caught.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_run_unknown_figure_exits_nonzero(self, capsys):
         assert main(["run", "fig99", "--reduced", "--no-write"]) == 2

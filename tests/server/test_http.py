@@ -12,8 +12,9 @@ import pytest
 
 from repro.api.scenario import SCHEMA_VERSION, Scenario
 from repro.api.service import PlanService, validate_result_payload
+from repro.obs.metrics import prometheus_name
 from repro.runner.cli import main
-from repro.server.client import PlanServerError
+from repro.server.client import PlanClient, PlanServerError
 
 pytestmark = pytest.mark.slow  # every test drives a live server
 
@@ -28,6 +29,17 @@ def _doc(**overrides):
     }
     document.update(overrides)
     return document
+
+
+def _prometheus(port):
+    """``GET /metrics?format=prometheus``: the response and its text."""
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    try:
+        connection.request("GET", "/metrics?format=prometheus")
+        response = connection.getresponse()
+        return response, response.read().decode("utf-8")
+    finally:
+        connection.close()
 
 
 class TestEndpoints:
@@ -93,14 +105,7 @@ class TestEndpoints:
     def test_metrics_prometheus_format_and_content_type(self, client,
                                                         server):
         client.plan(_doc())
-        connection = http.client.HTTPConnection("127.0.0.1", server.port,
-                                                timeout=30)
-        try:
-            connection.request("GET", "/metrics?format=prometheus")
-            response = connection.getresponse()
-            text = response.read().decode("utf-8")
-        finally:
-            connection.close()
+        response, text = _prometheus(server.port)
         assert response.status == 200
         assert response.getheader("Content-Type") == \
             "text/plain; version=0.0.4; charset=utf-8"
@@ -125,6 +130,26 @@ class TestEndpoints:
                 assert line.startswith("# TYPE ")
                 continue
             float(line.rsplit(" ", 1)[1])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_every_registry_metric_reaches_both_outputs(self, make_server,
+                                                        jobs):
+        # An instrument no output reads cannot come back unnoticed: every
+        # metric the merged registry holds, of every kind, is a timings
+        # entry of GET /metrics and a series of its Prometheus text.
+        harness = make_server(jobs=jobs)
+        client = PlanClient(port=harness.port, timeout=60.0)
+        client.plan(_doc())
+        timings = client.metrics()["timings"]
+        _, text = _prometheus(harness.port)
+        series = {line.split()[2] for line in text.splitlines()
+                  if line.startswith("# TYPE ")}
+        snapshot = harness.scheduler.merged_registry().snapshot()
+        names = [name for metrics in snapshot.values() for name in metrics]
+        assert "service.evaluate_seconds" in names
+        for name in names:
+            assert name in timings, name
+            assert prometheus_name(name) in series, name
 
 
 class TestErrorHandling:

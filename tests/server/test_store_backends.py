@@ -11,6 +11,7 @@ harness reports against a live server.
 import json
 import multiprocessing
 import os
+import sqlite3
 
 import pytest
 
@@ -25,6 +26,17 @@ PAYLOAD = {"kind": "single_wafer", "model": "gpt3-6.7b", "step_time": 0.5}
 def _fill(store, count, prefix=0):
     for index in range(count):
         store.put(f"{prefix:032d}{index:032d}", {"step_time": index * 0.001})
+
+
+def _foreign_database(path):
+    """An SQLite database of someone else's: one table ``t``, in the
+    default ``delete`` journal mode."""
+    conn = sqlite3.connect(path)
+    conn.execute("CREATE TABLE t (x INTEGER)")
+    conn.execute("INSERT INTO t VALUES (1)")
+    conn.commit()
+    assert conn.execute("PRAGMA journal_mode").fetchone()[0] == "delete"
+    conn.close()
 
 
 class TestSqliteBackend:
@@ -136,6 +148,25 @@ class TestDurability:
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["plans.jsonl"]
 
+    def test_foreign_database_is_refused_untouched(self, tmp_path):
+        # A database without a plans table is someone else's: the store
+        # reads its table list and stops, before any pragma or CREATE.
+        path = tmp_path / "other.db"
+        _foreign_database(path)
+        before = path.read_bytes()
+        with pytest.raises(StoreError, match="but no 'plans' table"):
+            ResultStore(path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["other.db"]
+
+    def test_empty_file_becomes_a_store(self, tmp_path):
+        path = tmp_path / "plans.sqlite"
+        path.write_bytes(b"")
+        with ResultStore(path) as store:
+            store.put(KEY, PAYLOAD)
+        with ResultStore(path) as reopened:
+            assert reopened.get(KEY) == PAYLOAD
+
     def test_sqlite_durable_sets_full_synchronous(self, tmp_path):
         with ResultStore(tmp_path / "plans.sqlite", durable=True) as store:
             assert store._conn.execute(
@@ -176,19 +207,28 @@ class TestStoreCli:
                          str(tmp_path / "missing.sqlite")]) == 2
         assert "no such store file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("make, reason", [
+        (lambda path: path.write_text("not a database\n"),
+         "file is not a database"),
+        (_foreign_database, "not a result store"),
+    ], ids=["text", "foreign-sqlite"])
     @pytest.mark.parametrize("argv", [
         ["store", "stats", "{path}"],
-        ["serve", "--port", "0", "--store", "{path}"],
+        # --deadline 0 makes a server that did open the store exit at once
+        # instead of serving forever.
+        ["serve", "--port", "0", "--deadline", "0", "--store", "{path}"],
         ["sweep", "fig14", "--reduced", "--store", "{path}", "--no-write"],
     ], ids=["store-stats", "serve", "sweep"])
     def test_unopenable_store_is_a_usage_error(self, tmp_path, capsys,
-                                               argv):
+                                               argv, make, reason):
         path = tmp_path / "bad.sqlite"
-        path.write_text("not a database\n")
+        make(path)
+        before = path.read_bytes()
         assert cli_main([arg.format(path=path) for arg in argv]) == 2
-        assert (f"error: cannot open result store {path}: file is not a "
-                f"database") in capsys.readouterr().err
-        assert path.read_text() == "not a database\n"
+        assert (f"error: cannot open result store {path}: {reason}"
+                in capsys.readouterr().err)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["bad.sqlite"]
 
 
 class TestLoadtest:

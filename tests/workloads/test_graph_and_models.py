@@ -55,7 +55,7 @@ class TestComputeGraph:
     def test_chain_construction(self):
         graph = self._chain(3)
         assert graph.num_nodes == 3
-        assert graph.num_edges == 2
+        assert len(graph.edges()) == 2
         assert graph.topological_order() == [0, 1, 2]
 
     def test_successors_and_predecessors(self):
