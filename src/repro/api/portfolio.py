@@ -3,7 +3,7 @@
 A :class:`Portfolio` describes a *family* of scenarios — the shape every
 headline result of the paper is computed over (model zoo x wafer geometry x
 scheme ablations). It is the request document of the portfolio sweep engine
-(:mod:`repro.server.portfolio`, ``POST /v1/portfolio``, ``repro sweep``):
+(:mod:`repro.server.portfolio`, ``repro sweep``):
 
 * a ``base`` :class:`~repro.api.scenario.Scenario` carrying everything the
   sweep does not vary,
@@ -230,7 +230,7 @@ class PortfolioAxis:
 class PortfolioPoint:
     """One expanded point: its row identity, its scenario, and ``key``,
     the scenario's stable content hash (the dedup identity), hashed once
-    here so the sweep, its job and the scheduler all read it."""
+    here so the sweep and the scheduler both read it."""
 
     index: int
     params: Dict[str, object]

@@ -74,7 +74,7 @@ class PlanCache:
         self._plans: "OrderedDict[tuple, ExecutionPlan]" = OrderedDict()
 
     # hits/misses stay plain attributes (read by SolverOutcome and tests);
-    # the bundle behind them is the shared snapshot()/merge() convention.
+    # the bundle behind them is the shared snapshot() convention.
     @property
     def hits(self) -> int:
         return self.counters.hits
@@ -139,12 +139,6 @@ class PlanCache:
             "entries": len(self._plans),
             "max_entries": self.max_entries,
         }
-
-    def clear(self) -> None:
-        """Drop every cached plan and reset the counters."""
-        self._plans.clear()
-        self.hits = 0
-        self.misses = 0
 
 
 # Spec columns ------------------------------------------------------------------

@@ -111,22 +111,6 @@ class ComputeDieConfig:
     core_array: tuple = (8, 8)
     hbm: HBMConfig = field(default_factory=HBMConfig)
 
-    @property
-    def num_cores(self) -> int:
-        """Number of compute cores on the die (8x8 array in Fig. 3)."""
-        return self.core_array[0] * self.core_array[1]
-
-    @property
-    def peak_power(self) -> float:
-        """Peak compute power draw in watts."""
-        return self.peak_flops / self.flops_per_watt
-
-    def effective_flops(self, utilization: float = 1.0) -> float:
-        """Peak FLOPS scaled by a utilization factor in [0, 1]."""
-        if not 0.0 <= utilization <= 1.0:
-            raise ValueError(f"utilization must be in [0, 1], got {utilization}")
-        return self.peak_flops * utilization
-
 
 @dataclass(frozen=True)
 class WaferConfig:
@@ -165,15 +149,6 @@ class WaferConfig:
     def total_peak_flops(self) -> float:
         """Aggregate peak compute throughput across all dies."""
         return self.num_dies * self.die.peak_flops
-
-    @property
-    def total_sram_capacity(self) -> float:
-        """Aggregate SRAM capacity across all dies, in bytes."""
-        return self.num_dies * self.die.sram_capacity
-
-    def with_grid(self, rows: int, cols: int) -> "WaferConfig":
-        """Return a copy of this configuration with a different die grid."""
-        return replace(self, rows=rows, cols=cols)
 
 
 @dataclass(frozen=True)

@@ -57,14 +57,6 @@ class FaultModel:
             return 1.0
         return min(max(self.degraded_links.get(link, 0.0), 0.0), 1.0)
 
-    @property
-    def has_faults(self) -> bool:
-        """Whether this model injects any fault at all."""
-        return bool(
-            self.failed_links or self.core_faults or self.dead_dies
-            or self.degraded_links
-        )
-
     # Samplers -------------------------------------------------------------------
 
     @classmethod

@@ -25,9 +25,8 @@ latency distributions by accident.
 
 Counts are not registry metrics. :class:`CounterBundle` is the one counter
 convention (``PlanCache``, ``ResultStore``, the scheduler): a dict of named
-integer counters with ``inc``/``merge``/``snapshot`` whose snapshot the
-component's ``stats()`` document surfaces — and with it ``GET /metrics``
-and its Prometheus gauges.
+integer counters whose ``snapshot()`` the component's ``stats()`` document
+surfaces — and with it ``GET /metrics`` and its Prometheus gauges.
 """
 
 from __future__ import annotations
@@ -223,7 +222,7 @@ class MetricsRegistry:
 
 
 class CounterBundle(dict):
-    """Named integer counters with one shared snapshot()/merge() convention.
+    """Named integer counters with one shared snapshot() convention.
 
     A plain ``dict`` subclass, so legacy call sites keep working unchanged
     (``bundle["requests"] += 1``, ``dict(bundle)``), plus attribute access
@@ -244,21 +243,9 @@ class CounterBundle(dict):
     def __setattr__(self, name: str, value: int) -> None:
         self[name] = value
 
-    def inc(self, name: str, amount: int = 1) -> None:
-        self[name] = self.get(name, 0) + amount
-
     def snapshot(self) -> Dict[str, int]:
         """Plain-JSON counter dict (a copy, safe to ship across processes)."""
         return dict(self)
-
-    def merge(self, other: Mapping[str, int]) -> None:
-        """Fold another bundle's snapshot into this one (summing)."""
-        for name, value in other.items():
-            self[name] = self.get(name, 0) + value
-
-    def reset(self) -> None:
-        for name in self:
-            self[name] = 0
 
 
 # Prometheus exposition -----------------------------------------------------------

@@ -31,14 +31,8 @@ from repro.parallelism.tatp import (
     naive_ring_schedule,
     select_stream_tensor,
 )
-from repro.parallelism.strategies import ExecutionPlan, analyze_layer, analyze_model
-from repro.parallelism.baselines import (
-    BaselineScheme,
-    fsdp_spec,
-    megatron1_spec,
-    mesp_spec,
-    candidate_specs,
-)
+from repro.parallelism.strategies import ExecutionPlan, analyze_model
+from repro.parallelism.baselines import BaselineScheme, candidate_specs
 from repro.parallelism.representation import (
     SubTensorCoordinate,
     UnifiedMapping,
@@ -56,12 +50,8 @@ __all__ = [
     "naive_ring_schedule",
     "select_stream_tensor",
     "ExecutionPlan",
-    "analyze_layer",
     "analyze_model",
     "BaselineScheme",
-    "fsdp_spec",
-    "megatron1_spec",
-    "mesp_spec",
     "candidate_specs",
     "SubTensorCoordinate",
     "UnifiedMapping",

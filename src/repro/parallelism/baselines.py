@@ -41,34 +41,6 @@ def _divisors(value: int, cap: Optional[int] = None) -> List[int]:
     return [d for d in range(1, min(value, limit) + 1) if value % d == 0]
 
 
-def megatron1_spec(num_devices: int, tp: int, pp: int = 1) -> ParallelSpec:
-    """A Megatron-1 configuration: DP fills whatever TP and PP leave over."""
-    if num_devices % (tp * pp):
-        raise ValueError(
-            f"tp={tp} * pp={pp} does not divide device count {num_devices}")
-    return ParallelSpec(dp=num_devices // (tp * pp), tp=tp, pp=pp,
-                        zero1_optimizer=False)
-
-
-def mesp_spec(num_devices: int, tp: int, cp: int = 1, pp: int = 1) -> ParallelSpec:
-    """A Megatron-3 configuration: sequence parallelism coupled to TP."""
-    if num_devices % (tp * cp * pp):
-        raise ValueError(
-            f"tp={tp} * cp={cp} * pp={pp} does not divide {num_devices}")
-    dp = num_devices // (tp * cp * pp)
-    return ParallelSpec(dp=dp, tp=tp, cp=cp, pp=pp, sp_within_tp=tp > 1)
-
-
-def fsdp_spec(num_devices: int, fsdp: Optional[int] = None, pp: int = 1) -> ParallelSpec:
-    """An FSDP configuration (fully sharded across ``fsdp`` devices)."""
-    shard = fsdp if fsdp is not None else num_devices // pp
-    if num_devices % (shard * pp):
-        raise ValueError(
-            f"fsdp={shard} * pp={pp} does not divide device count {num_devices}")
-    dp = num_devices // (shard * pp)
-    return ParallelSpec(dp=dp, fsdp=shard, pp=pp)
-
-
 def candidate_specs(
     scheme: BaselineScheme,
     num_devices: int,

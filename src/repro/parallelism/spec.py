@@ -10,7 +10,7 @@ that the degrees multiply to the device count they are mapped onto.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, Tuple
 
 
 @dataclass(frozen=True)
@@ -98,10 +98,6 @@ class ParallelSpec:
         if self.sp_within_tp:
             return self.tp
         return self.sp
-
-    def active_dimensions(self) -> List[str]:
-        """Names of dimensions with degree > 1, in canonical order."""
-        return [name for name, value in self.as_dict().items() if value > 1]
 
     def label(self) -> str:
         """Compact label like ``(2,1,1,16)`` meaning (DP, TP, SP, TATP).

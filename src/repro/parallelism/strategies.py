@@ -151,20 +151,6 @@ def analyze_model(
     )
 
 
-def analyze_layer(
-    model: ModelConfig,
-    spec: ParallelSpec,
-    num_devices: Optional[int] = None,
-) -> ExecutionPlan:
-    """Execution plan of a single representative transformer layer.
-
-    Used by the solver's dynamic program, which optimises one layer at a time
-    and scales by the layer count.
-    """
-    single_layer = model.with_overrides(num_layers=1)
-    return analyze_model(single_layer, spec, num_devices=num_devices)
-
-
 # Memory ---------------------------------------------------------------------
 
 

@@ -156,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--chaos", default=None, metavar="SPEC",
                        help="arm deterministic fault injection, e.g. "
                             "'worker-crash:once,slow-eval:0.2' (default: "
-                            "the REPRO_CHAOS environment variable)")
+                            "none)")
 
     submit = sub.add_parser(
         "submit",
@@ -247,12 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="manifest directory (default: %(default)s)")
     sweep.add_argument("--no-write", action="store_true",
                        help="run without writing the manifest")
-    sweep.add_argument("--poll", type=float, default=0.2, metavar="SECONDS",
-                       help="server-mode progress poll interval "
-                            "(default: %(default)s)")
-    sweep.add_argument("--timeout", type=float, default=600.0,
+    sweep.add_argument("--timeout", type=float, default=120.0,
                        metavar="SECONDS",
-                       help="server-mode overall deadline "
+                       help="server-mode per-request timeout "
                             "(default: %(default)s)")
 
     check = sub.add_parser(
@@ -471,10 +468,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.server.scheduler import PlanScheduler
     from repro.server.store import ResultStore, StoreError
 
-    chaos_spec = (args.chaos if args.chaos is not None
-                  else os.environ.get("REPRO_CHAOS"))
     try:
-        chaos = FaultInjector.from_spec(chaos_spec)
+        chaos = FaultInjector.from_spec(args.chaos)
     except FaultSpecError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -605,10 +600,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     import time
 
     from repro.api.portfolio import Portfolio, PortfolioError
+    from repro.server.client import PlanServerError
     from repro.server.portfolio import (
         MAX_POINTS,
         build_sweep_manifest,
         run_portfolio_local,
+        run_portfolio_remote,
     )
     from repro.server.store import ResultStore, StoreError
 
@@ -652,20 +649,34 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
+    def _progress(completed, total, outcome):
+        params = ", ".join(f"{key}={value}"
+                           for key, value in outcome.params.items())
+        print(f"  [{portfolio.name}] {completed}/{total}: {params} "
+              f"({outcome.wall_seconds:.2f}s, {outcome.source})")
+
     print(f"sweep {portfolio.describe()}")
     start = time.perf_counter()
     if args.server is not None:
-        outcomes = _sweep_via_server(args, portfolio, points)
-        if outcomes is None:
+        location = _parse_server_url(args.server)
+        if location is None:
+            print(f"error: malformed --server value {args.server!r}; "
+                  f"expected HOST:PORT or http://HOST:PORT", file=sys.stderr)
+            return 2
+        host, port = location
+        try:
+            outcomes = run_portfolio_remote(
+                portfolio, host, port, points=points, on_unique=_progress,
+                timeout=args.timeout)
+        except PlanServerError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
+        except OSError as error:
+            print(f"error: cannot sweep via plan server at {host}:{port}: "
+                  f"{error}", file=sys.stderr)
             return 2
         mode, jobs = "server", 0
     else:
-        def _progress(completed, total, outcome):
-            params = ", ".join(f"{key}={value}"
-                               for key, value in outcome.params.items())
-            print(f"  [{portfolio.name}] {completed}/{total}: {params} "
-                  f"({outcome.wall_seconds:.2f}s, {outcome.source})")
-
         try:
             store = (ResultStore(args.store) if args.store is not None
                      else None)
@@ -699,51 +710,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         path = manifest_module.write_manifest(manifest, args.output_dir)
         print(f"  wrote {path}")
     return status
-
-
-def _sweep_via_server(args: argparse.Namespace, portfolio, points):
-    """Run one sweep through a live plan server; None on failure."""
-    from repro.server.client import PlanClient, PlanServerError
-    from repro.server.portfolio import PointOutcome
-
-    location = _parse_server_url(args.server)
-    if location is None:
-        print(f"error: malformed --server value {args.server!r}; expected "
-              f"HOST:PORT or http://HOST:PORT", file=sys.stderr)
-        return None
-    host, port = location
-
-    def _progress(status):
-        print(f"  [{portfolio.name}] {status['completed']}/"
-              f"{status['unique']} unique evaluated "
-              f"({status['elapsed_seconds']:.2f}s)")
-
-    client = PlanClient(host=host, port=port, timeout=args.timeout)
-    try:
-        status = client.sweep(portfolio, poll_interval=args.poll,
-                              timeout=args.timeout, progress=_progress)
-    except PlanServerError as error:
-        detail = (error.payload.get("error", error.payload)
-                  if isinstance(error.payload, dict) else error.payload)
-        print(f"error: plan server returned {error.status}: {detail}",
-              file=sys.stderr)
-        return None
-    except (OSError, TimeoutError) as error:
-        print(f"error: cannot sweep via plan server at {host}:{port}: "
-              f"{error}", file=sys.stderr)
-        return None
-
-    # Reassemble point outcomes from the parallel response arrays; the
-    # local expansion pins the params (the server expanded identically —
-    # expansion is deterministic and validated server-side too).
-    outcomes = []
-    for point, payload, source, wall in zip(
-            points, status["results"], status["sources"],
-            status["wall_seconds"]):
-        outcomes.append(PointOutcome(
-            index=point.index, params=point.params, payload=payload,
-            source=source, wall_seconds=wall, key=point.key))
-    return outcomes
 
 
 def _cmd_store(args: argparse.Namespace) -> int:

@@ -41,7 +41,6 @@ from repro.runner.manifest import (
 )
 from repro.runner.registry import Experiment, figure_ids, get_experiment
 from repro.server.portfolio import build_sweep_manifest, sweep_portfolio
-from repro.server.resilience import is_retryable_exception
 from repro.server.scheduler import PlanScheduler
 from repro.server.store import ResultStore
 
@@ -54,46 +53,28 @@ class CellOutcome:
     rows: List[Dict[str, object]]
     wall_seconds: float
     error: Optional[str] = None
-    retries: int = 0
 
 
 def execute_cell(
     experiment: Experiment, params: Dict[str, object], service: PlanService,
-    max_retries: int = 1,
 ) -> CellOutcome:
     """Run one cell of a computed figure and account for its wall time.
 
-    A raising cell is retried up to ``max_retries`` times when the failure
-    classifies as *retryable* under the server resilience taxonomy (a
-    transient infrastructure hiccup, not a deterministic evaluation error);
-    still-failing and terminal cells are recorded (traceback in ``error``)
-    instead of aborting the run — the manifest validator and the CLI
-    surface them. Cells are deterministic, so a retried success is
-    bit-identical to a first-try success.
+    Cells run in-process and do no I/O, so a raising cell is deterministic:
+    it is recorded (traceback in ``error``) instead of aborting the run,
+    and the manifest validator and the CLI surface it.
     """
     start = time.perf_counter()
     rows: List[Dict[str, object]] = []
     error = None
-    attempts = 0
-    # Chaos/unit harnesses drive cells with stub experiments lacking ids.
-    with span("runner.cell", figure=getattr(experiment, "figure", "?"),
-              params=dict(params)):
-        while True:
-            attempts += 1
-            try:
-                raw_rows = experiment.cell(service, **params)
-                rows = [finite({**params, **row}) for row in raw_rows]
-                error = None
-                break
-            except Exception as exc:
-                rows = []
-                error = traceback.format_exc(limit=8)
-                if attempts <= max_retries and is_retryable_exception(exc):
-                    continue
-                break
+    with span("runner.cell", figure=experiment.figure, params=dict(params)):
+        try:
+            raw_rows = experiment.cell(service, **params)
+            rows = [finite({**params, **row}) for row in raw_rows]
+        except Exception:
+            error = traceback.format_exc(limit=8)
     return CellOutcome(params=params, rows=rows,
-                       wall_seconds=time.perf_counter() - start, error=error,
-                       retries=attempts - 1)
+                       wall_seconds=time.perf_counter() - start, error=error)
 
 
 def run_experiment(

@@ -5,7 +5,9 @@ by :class:`~repro.server.scheduler.PlanScheduler` and evaluated one per
 worker lane, served across restarts from the SQLite
 :class:`~repro.server.store.ResultStore`, exposed over HTTP by
 :class:`~repro.server.http.PlanServer` (``repro serve``), and spoken to by
-:class:`~repro.server.client.PlanClient` (``repro submit``).
+:class:`~repro.server.client.PlanClient` (``repro submit``) and by
+:func:`~repro.server.portfolio.run_portfolio_remote` (``repro sweep
+--server``, one ``POST /v1/plan`` per unique point).
 
 The stack is built to survive the failures it will meet at scale: the
 scheduler self-heals around crashed pool workers (lane replacement +
@@ -34,18 +36,12 @@ from repro.server.faults import (
 from repro.server.http import PlanServer
 from repro.server.portfolio import (
     PointOutcome,
-    PortfolioManager,
     build_sweep_manifest,
     run_portfolio_local,
+    run_portfolio_remote,
     sweep_portfolio,
 )
-from repro.server.resilience import (
-    Failure,
-    RetryPolicy,
-    classify_exception,
-    is_retryable_exception,
-    is_retryable_payload,
-)
+from repro.server.resilience import Failure, RetryPolicy, classify_exception
 from repro.server.scheduler import PlanRequestError, PlanScheduler, error_payload
 from repro.server.store import ResultStore, StoreError, store_stats
 
@@ -61,16 +57,14 @@ __all__ = [
     "PlanServer",
     "PlanServerError",
     "PointOutcome",
-    "PortfolioManager",
     "ResultStore",
     "RetryPolicy",
     "StoreError",
     "build_sweep_manifest",
     "classify_exception",
     "error_payload",
-    "is_retryable_exception",
-    "is_retryable_payload",
     "run_portfolio_local",
+    "run_portfolio_remote",
     "store_stats",
     "sweep_portfolio",
 ]

@@ -1,7 +1,7 @@
 """Blocking stdlib client of the plan server's wire format.
 
 :class:`PlanClient` is what ``repro submit`` (and the CI server smoke step)
-uses: plain ``http.client`` requests against the four endpoints of
+uses: plain ``http.client`` requests against the endpoints of
 :mod:`repro.server.http`, raising :class:`PlanServerError` with the
 structured error payload on non-2xx responses.
 
@@ -24,7 +24,6 @@ import socket
 import time
 from typing import Dict, List, Optional, Union
 
-from repro.api.portfolio import Portfolio
 from repro.api.scenario import Scenario
 from repro.server.resilience import RetryPolicy
 
@@ -34,9 +33,6 @@ DEFAULT_CLIENT_RETRY = RetryPolicy(max_attempts=4, base_delay=0.05,
 
 #: A request: either an already-built Scenario or its raw document.
 ScenarioLike = Union[Scenario, Dict[str, object]]
-
-#: A sweep request: either an already-built Portfolio or its raw document.
-PortfolioLike = Union[Portfolio, Dict[str, object]]
 
 
 class PlanServerError(RuntimeError):
@@ -95,73 +91,6 @@ class PlanClient:
         if status != 200:
             raise PlanServerError(status, payload)
         return payload["results"]
-
-    def portfolio_start(
-            self, portfolio: PortfolioLike) -> Dict[str, object]:
-        """``POST /v1/portfolio``: launch one sweep; returns the job summary."""
-        document = (portfolio.to_dict() if isinstance(portfolio, Portfolio)
-                    else portfolio)
-        status, _, payload = self._request("POST", "/v1/portfolio", document)
-        if status != 200:
-            raise PlanServerError(status, payload)
-        return payload
-
-    def portfolio_status(self, job_id: str) -> Dict[str, object]:
-        """``GET /v1/portfolio/<job>``: one sweep's progress (and results)."""
-        status, _, payload = self._request("GET", f"/v1/portfolio/{job_id}")
-        if status != 200:
-            raise PlanServerError(status, payload)
-        return payload
-
-    def portfolio_jobs(self) -> Dict[str, object]:
-        """``GET /v1/portfolio``: summaries of every known sweep job."""
-        status, _, payload = self._request("GET", "/v1/portfolio")
-        if status != 200:
-            raise PlanServerError(status, payload)
-        return payload
-
-    def sweep(
-        self,
-        portfolio: PortfolioLike,
-        poll_interval: float = 0.1,
-        timeout: float = 600.0,
-        progress=None,
-    ) -> Dict[str, object]:
-        """Launch a sweep and poll it to completion.
-
-        Args:
-            portfolio: the family to sweep.
-            poll_interval: seconds between ``portfolio_status`` polls.
-            timeout: overall deadline in seconds.
-            progress: optional callback receiving each polled status
-                document (incremental ``completed`` / ``unique`` counters).
-
-        Returns:
-            The final status document (``results`` / ``sources`` /
-            ``wall_seconds`` / ``params`` arrays in point order).
-
-        Raises:
-            PlanServerError: when the server rejects the portfolio or the
-                job fails.
-            TimeoutError: when the deadline passes first.
-        """
-        status = self.portfolio_start(portfolio)
-        deadline = time.monotonic() + timeout
-        while status.get("status") == "running":
-            if time.monotonic() >= deadline:
-                raise TimeoutError(
-                    f"portfolio job {status.get('job')} did not finish "
-                    f"within {timeout}s")
-            time.sleep(poll_interval)
-            status = self.portfolio_status(status["job"])
-            if progress is not None:
-                progress(status)
-        if status.get("status") != "done":
-            raise PlanServerError(500, {"error": {
-                "type": "portfolio_failed",
-                "message": status.get("error", "portfolio job failed"),
-                "status": 500}})
-        return status
 
     def healthz(self) -> Dict[str, object]:
         """``GET /healthz`` (never retried: :meth:`wait_ready` owns the

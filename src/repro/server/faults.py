@@ -2,9 +2,8 @@
 
 The resilience layer is only trustworthy if its failure paths actually run,
 so this module makes every failure the server is built to survive
-*injectable on demand*: ``repro serve --chaos <spec>`` (or the
-``REPRO_CHAOS`` environment variable) arms a :class:`FaultInjector` that
-the scheduler, the result store, and the HTTP front end consult at their
+*injectable on demand*: ``repro serve --chaos <spec>`` arms a
+:class:`FaultInjector` that the scheduler, the result store, and the HTTP front end consult at their
 natural failure points. The chaos tests and the CI smoke drive real
 recovery code — lane replacement, request re-dispatch, client backoff —
 instead of mocking it.

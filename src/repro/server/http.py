@@ -11,22 +11,17 @@ only runtime dependency stays ``numpy``:
 * ``POST /v1/plan/batch`` — body is a JSON array of scenario documents (or
   ``{"scenarios": [...]}``); responds ``{"results": [...]}`` in request
   order, invalid items as inline ``{"error": {...}}`` payloads.
-* ``POST /v1/portfolio`` — body is a portfolio document
-  (:class:`~repro.api.portfolio.Portfolio`); expands it, launches the
-  sweep over the scheduler, and responds immediately with the job summary
-  (``{"job": "sweep-1", "status": "running", ...}``).
-* ``GET /v1/portfolio`` — summaries of every known sweep job.
-* ``GET /v1/portfolio/<job>`` — incremental progress of one sweep
-  (``completed`` / ``unique`` counters); once ``status`` is ``"done"`` the
-  response carries the ordered ``results`` / ``sources`` /
-  ``wall_seconds`` / ``params`` arrays.
 * ``GET /healthz`` — liveness/readiness probe.
 * ``GET /metrics`` — the scheduler's counter document (requests, dedup,
-  store hits/misses, plan-cache hits/misses, latency, portfolio jobs).
+  store hits/misses, plan-cache hits/misses, latency).
   ``GET /metrics?format=prometheus`` serves the same data in the
   Prometheus text exposition format (version 0.0.4) with native
   ``_bucket``/``_sum``/``_count`` histogram series aggregated across the
   worker pool.
+
+A portfolio sweep against the server (``repro sweep --server``) runs on
+the client and sends each unique point as one ``POST /v1/plan``
+(:func:`~repro.server.portfolio.run_portfolio_remote`).
 
 Malformed requests get structured ``{"error": {...}}`` bodies with 400-class
 statuses, never tracebacks. Load-shed requests (admission control) get a
@@ -44,7 +39,6 @@ import json
 from typing import Dict, Optional, Tuple, Union
 
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE, render_prometheus
-from repro.server.portfolio import PortfolioManager
 from repro.server.scheduler import PlanRequestError, PlanScheduler, error_payload
 
 #: Hard cap on request bodies (a scenario document is < 1 KiB).
@@ -96,7 +90,6 @@ class PlanServer:
     def __init__(self, scheduler: PlanScheduler, host: str = "127.0.0.1",
                  port: int = 8099) -> None:
         self.scheduler = scheduler
-        self.portfolios = PortfolioManager(scheduler)
         self.host = host
         self.port = port
         self._server: Optional[asyncio.base_events.Server] = None
@@ -122,9 +115,6 @@ class PlanServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        # Running sweeps settle first: their requests feed the scheduler,
-        # which must still be alive to drain them.
-        await self.portfolios.close()
         await self.scheduler.close()
 
     async def __aenter__(self) -> "PlanServer":
@@ -258,7 +248,6 @@ class PlanServer:
             if method != "GET":
                 return self._method_not_allowed("GET")
             stats = self.scheduler.stats()
-            stats["portfolios"] = self.portfolios.stats()
             if _query_params(query).get("format") == "prometheus":
                 text = render_prometheus(
                     stats,
@@ -266,17 +255,6 @@ class PlanServer:
                 return 200, RawBody(text.encode("utf-8"),
                                     PROMETHEUS_CONTENT_TYPE), None
             return 200, stats, None
-        if target == "/v1/portfolio":
-            if method == "POST":
-                return await self._route_portfolio_start(body)
-            if method == "GET":
-                return 200, self.portfolios.jobs(), None
-            return self._method_not_allowed("POST, GET")
-        if target.startswith("/v1/portfolio/"):
-            if method != "GET":
-                return self._method_not_allowed("GET")
-            return self._route_portfolio_status(
-                target[len("/v1/portfolio/"):])
         if target == "/v1/plan":
             if method != "POST":
                 return self._method_not_allowed("POST")
@@ -323,26 +301,6 @@ class PlanServer:
         if "error" in payload:
             return payload["error"].get("status", 422), payload, headers
         return 200, payload, headers
-
-    async def _route_portfolio_start(
-            self, body: bytes
-    ) -> Tuple[int, Dict[str, object], Optional[Dict[str, str]]]:
-        document, problem = _parse_json(body)
-        if problem is not None:
-            return 400, problem, None
-        try:
-            summary = self.portfolios.start_job(document)
-        except PlanRequestError as error:
-            return error.status, error.payload, None
-        return 200, summary, None
-
-    def _route_portfolio_status(
-            self, job_id: str
-    ) -> Tuple[int, Dict[str, object], Optional[Dict[str, str]]]:
-        try:
-            return 200, self.portfolios.get(job_id), None
-        except PlanRequestError as error:
-            return error.status, error.payload, None
 
     async def _route_plan_batch(
             self, body: bytes

@@ -4,7 +4,7 @@ This is the batch backbone of the plan server. A
 :class:`~repro.api.portfolio.Portfolio` expands into ordered points; the
 engine de-duplicates them via :meth:`Scenario.cache_key
 <repro.api.scenario.Scenario.cache_key>` and streams the unique scenarios
-through an existing :class:`~repro.server.scheduler.PlanScheduler` — so the
+through a :class:`~repro.server.scheduler.PlanScheduler` — so the
 in-flight dedup map, the warm worker lanes, and the cross-restart
 :class:`~repro.server.store.ResultStore` are all reused for free. Every
 point gets its own :class:`PointOutcome` (duplicates share the payload of
@@ -14,9 +14,10 @@ Four front ends drive it:
 
 * :func:`run_portfolio_local` — ``repro sweep <name>`` without a server:
   spins up a private scheduler for the sweep's lifetime.
-* :class:`PortfolioManager` — ``POST /v1/portfolio`` on the HTTP server:
-  one polled job per submitted portfolio, with incremental progress
-  counters while the sweep runs.
+* :func:`run_portfolio_remote` — ``repro sweep <name> --server``: the same
+  sweep on the client, with a live plan server in the scheduler's place
+  (one ``POST /v1/plan`` per unique point, two in flight per server lane
+  and never more than the server's ``max_queue``).
 * :func:`repro.runner.orchestrator.run_all` — ``repro run``: one scheduler
   for the whole run sweeps every Scenario figure's portfolio.
 * :func:`build_sweep_manifest` — turns the outcomes into a
@@ -29,24 +30,28 @@ from __future__ import annotations
 
 import asyncio
 import copy
+import http.client
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Mapping, Optional
 
-from repro.api.portfolio import Portfolio, PortfolioError, PortfolioPoint
+from repro.api.portfolio import Portfolio, PortfolioPoint
 from repro.obs.tracing import span
-from repro.server.resilience import RetryPolicy
-from repro.server.scheduler import PlanRequestError, PlanScheduler
+from repro.server.client import PlanClient, PlanServerError
+from repro.server.resilience import RetryPolicy, classify_exception
+from repro.server.scheduler import PlanRequestError, PlanScheduler, error_payload
 
-#: Default cap on points one portfolio may expand to (server guard).
+#: Default cap on points one portfolio may expand to.
 MAX_POINTS = 4096
-
-#: Finished jobs kept for polling before the oldest are evicted.
-MAX_FINISHED_JOBS = 64
 
 #: Default shed-retry policy of sweeps: a sweep is a batch producer, so it
 #: backs off patiently when admission control pushes back.
 SWEEP_RETRY = RetryPolicy(max_attempts=6, base_delay=0.05, max_delay=1.0)
+
+#: Request failures a sweep backs off from and re-sends: a shed point, and
+#: (remote sweeps only) a refused or dropped connection.
+RETRIED_KINDS = ("overloaded", "unreachable")
 
 
 @dataclass
@@ -69,7 +74,7 @@ class PointOutcome:
 
 
 async def sweep_portfolio(
-    scheduler: PlanScheduler,
+    scheduler,
     portfolio: Portfolio,
     points: Optional[List[PortfolioPoint]] = None,
     on_unique: Optional[Callable[[int, int, PointOutcome], None]] = None,
@@ -80,17 +85,21 @@ async def sweep_portfolio(
     """Serve every point of ``portfolio`` through ``scheduler``.
 
     Args:
-        scheduler: a started :class:`PlanScheduler` (owned by the caller).
+        scheduler: a started :class:`PlanScheduler` (owned by the caller),
+            or anything else with its ``submit_traced(scenario, key)``
+            coroutine and ``max_queue`` attribute — the remote sweep
+            passes a live server's adapter.
         portfolio: the family to sweep.
         points: pre-expanded points (skips re-expansion when the caller
             already validated them).
         on_unique: optional callback invoked after each *unique* scenario
             resolves, with ``(completed_unique, total_unique, outcome)`` —
-            the incremental-progress hook of the HTTP job and the CLI.
+            the CLI's incremental-progress hook.
         max_points: expansion cap (``None`` disables it).
-        retry: backoff policy for points shed by admission control
-            (defaults to :data:`SWEEP_RETRY`); a point still shed after it
-            is exhausted becomes a ``"failed"`` outcome.
+        retry: backoff policy for points shed by admission control, or
+            refused or dropped by a remote server (:data:`RETRIED_KINDS`;
+            defaults to :data:`SWEEP_RETRY`); a point still refused after
+            it is exhausted becomes a ``"failed"`` outcome.
         max_concurrency: optional cap on simultaneously submitted unique
             points — the sweep's own backpressure valve. Defaults to the
             scheduler's ``max_queue`` when one is set, so a sweep never
@@ -98,10 +107,10 @@ async def sweep_portfolio(
 
     Returns:
         One :class:`PointOutcome` per point, in point order. Per-scenario
-        failures come back as structured error payloads; only a scheduler
-        shutdown or an exhausted shed-retry mid-sweep surfaces as error
-        payloads with source ``"failed"``. The call itself does not raise
-        for bad scenarios.
+        failures come back as structured error payloads; a request the
+        scheduler refuses (shutdown, deadline, an exhausted shed-retry)
+        surfaces as an error payload with source ``"failed"``. The call
+        itself does not raise for bad scenarios.
     """
     if points is None:
         points = portfolio.expand(max_points=max_points)
@@ -124,10 +133,11 @@ async def sweep_portfolio(
                 return await scheduler.submit_traced(point.scenario,
                                                      key=point.key)
             except PlanRequestError as error:
-                # Shed points back off and re-enter; everything else
-                # (shutdown, deadline) is final for this point.
+                # Shed (or unreachable) points back off and re-enter;
+                # everything else (shutdown, deadline) is final for this
+                # point.
                 attempt += 1
-                if (error.kind != "overloaded"
+                if (error.kind not in RETRIED_KINDS
                         or attempt >= retry.max_attempts):
                     return error.payload, "failed"
                 await asyncio.sleep(retry.delay(attempt))
@@ -200,6 +210,155 @@ def run_portfolio_local(
                 max_points=max_points)
 
     return asyncio.run(_run())
+
+
+#: One try per request: the sweep owns backoff (:data:`SWEEP_RETRY`).
+_ONE_TRY = RetryPolicy(max_attempts=1)
+
+#: Requests a remote sweep keeps in flight per server lane: one being
+#: evaluated and one waiting, so no lane idles while an answer travels
+#: back to the client.
+REQUESTS_PER_LANE = 2
+
+
+class _RemoteScheduler:
+    """A live plan server in :func:`sweep_portfolio`'s scheduler place.
+
+    Each unique point is one blocking ``POST /v1/plan`` on a thread of the
+    adapter's own pool, tried once. The server's lane count (``jobs``) and
+    admission bound (``max_queue``) are read once from its ``GET
+    /metrics`` (with the client's default retries); ``max_queue`` here is
+    the number of requests the sweep keeps in flight —
+    :data:`REQUESTS_PER_LANE` per lane, never more than the server admits.
+    """
+
+    def __init__(self, host: str, port: int, timeout: float) -> None:
+        self.host = host
+        self.port = port
+        self.timeout = timeout
+        try:
+            metrics = PlanClient(host=host, port=port,
+                                 timeout=timeout).metrics()
+        except http.client.HTTPException as error:
+            raise ConnectionError(
+                f"{host}:{port} did not answer GET /metrics over HTTP: "
+                f"{error!r}") from None
+        jobs, server_queue = _server_limits(metrics, host, port)
+        self.max_queue = REQUESTS_PER_LANE * jobs
+        if server_queue is not None:
+            self.max_queue = min(self.max_queue, server_queue)
+        self._pool = ThreadPoolExecutor(max_workers=self.max_queue,
+                                        thread_name_prefix="repro-sweep")
+
+    def close(self) -> None:
+        self._pool.shutdown(wait=False, cancel_futures=True)
+
+    async def submit_traced(self, scenario, key=None):
+        # ``key`` goes unused: the server hashes the document it receives.
+        return await asyncio.get_running_loop().run_in_executor(
+            self._pool, self._plan, scenario)
+
+    def _plan(self, scenario) -> tuple:
+        # One client per request: a client records its last source.
+        client = PlanClient(host=self.host, port=self.port,
+                            timeout=self.timeout, retry=_ONE_TRY)
+        try:
+            payload = client.plan(scenario)
+        except PlanServerError as error:
+            detail = (error.payload.get("error")
+                      if isinstance(error.payload, dict) else None)
+            if not isinstance(detail, dict):
+                return self._failure(
+                    f"answered {error.status} without an error document",
+                    kind="protocol", status=error.status), "failed"
+            if client.last_source is not None:
+                # The server evaluated the point, and the evaluation failed.
+                return error.payload, client.last_source
+            if detail.get("type") == "overloaded":
+                raise PlanRequestError(
+                    str(detail.get("message", error)), kind="overloaded",
+                    status=503, retryable=True) from None
+            return error.payload, "failed"
+        except (ConnectionError, http.client.HTTPException) as error:
+            # Refused, dropped or cut short: a plan request is idempotent by
+            # its cache key, so the sweep backs off and re-sends it, as
+            # after a shed.
+            raise PlanRequestError(
+                f"plan server at {self.host}:{self.port} did not answer: "
+                f"{error!r}", kind="unreachable", status=503,
+                retryable=True) from None
+        except OSError as error:
+            # Timed out: the caller's budget is spent, so the point fails.
+            failure = classify_exception(error)
+            return self._failure(f"did not answer: {error}",
+                                 kind=failure.kind, status=failure.status,
+                                 retryable=failure.retryable), "failed"
+        if client.last_source is None or not isinstance(payload, dict):
+            return self._failure(
+                "answered 200 without a plan and its X-Repro-Source",
+                kind="protocol", status=200), "failed"
+        return payload, client.last_source
+
+    def _failure(self, message: str, **kwargs) -> Dict[str, object]:
+        return error_payload(
+            f"plan server at {self.host}:{self.port} {message}", **kwargs)
+
+
+def _server_limits(metrics, host: str, port: int) -> tuple:
+    """``(jobs, max_queue)`` of a plan server's ``GET /metrics`` document.
+
+    Raises:
+        PlanServerError: when the document does not carry them, i.e. the
+            address answers HTTP but is not a plan server.
+    """
+    def _count(value) -> bool:
+        return (isinstance(value, int) and not isinstance(value, bool)
+                and value >= 1)
+
+    scheduler = metrics.get("scheduler") if isinstance(metrics, dict) \
+        else None
+    if isinstance(scheduler, dict):
+        jobs = scheduler.get("jobs")
+        max_queue = scheduler.get("max_queue", 0)
+        if _count(jobs) and (max_queue is None or _count(max_queue)):
+            return jobs, max_queue
+    raise PlanServerError(200, error_payload(
+        f"{host}:{port} is not a plan server: its GET /metrics has no "
+        f"scheduler.jobs and scheduler.max_queue", kind="protocol",
+        status=200))
+
+
+def run_portfolio_remote(
+    portfolio: Portfolio,
+    host: str,
+    port: int,
+    points: Optional[List[PortfolioPoint]] = None,
+    on_unique: Optional[Callable[[int, int, PointOutcome], None]] = None,
+    timeout: float = 120.0,
+) -> List[PointOutcome]:
+    """Sweep ``portfolio`` through a running plan server (``--server``).
+
+    The twin of :func:`run_portfolio_local`: the same engine runs on the
+    client, and each unique point becomes one ``POST /v1/plan`` whose
+    ``X-Repro-Source`` header is its source, also when the evaluation
+    failed. ``timeout`` bounds each request, not the sweep. A point the
+    server sheds, or whose connection is refused or dropped, backs off
+    under :data:`SWEEP_RETRY`; any other failed request (a timeout
+    included) is a ``"failed"`` outcome carrying a structured error
+    payload.
+
+    Raises:
+        OSError: when the server cannot be reached to read its
+            ``/metrics``.
+        PlanServerError: when that read is answered with an error, or
+            with a document that is not a plan server's.
+    """
+    server = _RemoteScheduler(host, port, timeout)
+    try:
+        return asyncio.run(sweep_portfolio(
+            server, portfolio, points=points, on_unique=on_unique))
+    finally:
+        server.close()
 
 
 # Manifest building ---------------------------------------------------------------
@@ -300,157 +459,3 @@ def build_sweep_manifest(
             "unique": len({outcome.key for outcome in outcomes}),
             "sources": source_counts,
         })
-
-
-# HTTP job management -------------------------------------------------------------
-
-
-class PortfolioJob:
-    """One polled portfolio sweep running on the server."""
-
-    def __init__(self, job_id: str, portfolio: Portfolio,
-                 points: List[PortfolioPoint]) -> None:
-        self.id = job_id
-        self.portfolio = portfolio
-        self.points = points
-        self.unique = len({point.key for point in points})
-        self.completed = 0
-        self.status = "running"
-        self.error: Optional[str] = None
-        self.outcomes: Optional[List[PointOutcome]] = None
-        self.started = time.perf_counter()
-        self.elapsed_seconds = 0.0
-        self.task: Optional[asyncio.Task] = None
-
-    def on_unique(self, completed: int, total: int,
-                  outcome: PointOutcome) -> None:
-        self.completed = completed
-
-    def finish(self, outcomes: List[PointOutcome]) -> None:
-        self.outcomes = outcomes
-        self.status = "done"
-        self.elapsed_seconds = time.perf_counter() - self.started
-
-    def fail(self, message: str) -> None:
-        self.error = message
-        self.status = "failed"
-        self.elapsed_seconds = time.perf_counter() - self.started
-
-    def summary(self) -> Dict[str, object]:
-        """The progress document (one poll's worth of state)."""
-        elapsed = (self.elapsed_seconds if self.status != "running"
-                   else time.perf_counter() - self.started)
-        document: Dict[str, object] = {
-            "job": self.id,
-            "portfolio": self.portfolio.name,
-            "status": self.status,
-            "points": len(self.points),
-            "unique": self.unique,
-            "completed": self.completed,
-            "elapsed_seconds": round(elapsed, 6),
-        }
-        if self.error is not None:
-            document["error"] = self.error
-        return document
-
-    def status_document(self) -> Dict[str, object]:
-        """The full poll response (results attached once done)."""
-        document = self.summary()
-        if self.outcomes is not None:
-            document["params"] = [dict(outcome.params)
-                                  for outcome in self.outcomes]
-            document["results"] = [copy.deepcopy(outcome.payload)
-                                   for outcome in self.outcomes]
-            document["sources"] = [outcome.source
-                                   for outcome in self.outcomes]
-            document["wall_seconds"] = [round(outcome.wall_seconds, 6)
-                                        for outcome in self.outcomes]
-            document["errors"] = sum(1 for outcome in self.outcomes
-                                     if "error" in outcome.payload)
-        return document
-
-
-class PortfolioManager:
-    """The ``/v1/portfolio`` job table of one :class:`PlanServer`.
-
-    Jobs run as asyncio tasks over the server's shared scheduler; finished
-    jobs stay pollable until :data:`MAX_FINISHED_JOBS` newer ones evict
-    them. ``close()`` waits for running sweeps (their requests are already
-    in the scheduler, which drains on close anyway).
-    """
-
-    def __init__(self, scheduler: PlanScheduler,
-                 max_points: int = MAX_POINTS,
-                 max_finished_jobs: int = MAX_FINISHED_JOBS) -> None:
-        self.scheduler = scheduler
-        self.max_points = max_points
-        self.max_finished_jobs = max_finished_jobs
-        self._jobs: Dict[str, PortfolioJob] = {}
-        self._next_id = 1
-
-    def start_job(self, document: object) -> Dict[str, object]:
-        """Parse, expand, and launch one portfolio sweep.
-
-        Raises:
-            PlanRequestError: on a malformed document or an over-cap
-                expansion (structured 400 payload, never a traceback).
-        """
-        try:
-            portfolio = Portfolio.from_dict(document)
-            points = portfolio.expand(max_points=self.max_points)
-        except PortfolioError as error:
-            raise PlanRequestError(str(error),
-                                   kind="PortfolioError") from None
-        job_id = f"sweep-{self._next_id}"
-        self._next_id += 1
-        job = PortfolioJob(job_id, portfolio, points)
-        self._jobs[job_id] = job
-        job.task = asyncio.create_task(self._run(job))
-        self._evict_finished()
-        return job.summary()
-
-    async def _run(self, job: PortfolioJob) -> None:
-        try:
-            outcomes = await sweep_portfolio(
-                self.scheduler, job.portfolio, points=job.points,
-                on_unique=job.on_unique, max_points=None)
-            job.finish(outcomes)
-        except Exception as error:  # defensive: a bug must not hang pollers
-            job.fail(f"{type(error).__name__}: {error}")
-
-    def get(self, job_id: str) -> Dict[str, object]:
-        """The poll response of one job.
-
-        Raises:
-            PlanRequestError: (404) for an unknown or evicted job id.
-        """
-        job = self._jobs.get(job_id)
-        if job is None:
-            raise PlanRequestError(f"no portfolio job {job_id!r}",
-                                   kind="not_found", status=404)
-        return job.status_document()
-
-    def jobs(self) -> Dict[str, object]:
-        """Summaries of every known job (the ``GET /v1/portfolio`` body)."""
-        return {"jobs": [job.summary() for job in self._jobs.values()]}
-
-    def stats(self) -> Dict[str, object]:
-        """Counter snapshot folded into ``GET /metrics``."""
-        by_status: Dict[str, int] = {}
-        for job in self._jobs.values():
-            by_status[job.status] = by_status.get(job.status, 0) + 1
-        return {"jobs": len(self._jobs), **by_status}
-
-    def _evict_finished(self) -> None:
-        finished = [job_id for job_id, job in self._jobs.items()
-                    if job.status != "running"]
-        excess = len(finished) - self.max_finished_jobs
-        for job_id in finished[:max(excess, 0)]:
-            del self._jobs[job_id]
-
-    async def close(self) -> None:
-        """Wait for every running sweep to settle (idempotent)."""
-        tasks = [job.task for job in self._jobs.values()
-                 if job.task is not None and not job.task.done()]
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)

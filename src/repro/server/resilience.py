@@ -13,16 +13,15 @@ of two families:
   :meth:`Scenario.cache_key <repro.api.scenario.Scenario.cache_key>`, so a
   retry is always safe; payloads carry ``"retryable": true``.
 
-The classification is shared by every layer: the scheduler uses it to
-decide whether to re-dispatch a request whose worker failed (and when to
-give a poison scenario its terminal error),
-:class:`~repro.server.client.PlanClient` to decide whether to back off and
-retry, and the runner orchestrator to decide whether a failed cell
-deserves a second attempt.
+The scheduler uses :func:`classify_exception` to decide whether to
+re-dispatch a request whose worker failed (and when to give a poison
+scenario its terminal error); :class:`~repro.server.client.PlanClient`
+backs off and retries dropped connections and 503s.
 
-:class:`RetryPolicy` is the one backoff object all of them share:
-exponential delays with full decorrelated jitter, capped, and deterministic
-under an injected ``rng`` (the chaos tests pin the jitter bounds).
+:class:`RetryPolicy` is the one backoff object they and the portfolio
+sweep share: exponential delays with full decorrelated jitter, capped, and
+deterministic under an injected ``rng`` (the chaos tests pin the jitter
+bounds).
 """
 
 from __future__ import annotations
@@ -30,18 +29,7 @@ from __future__ import annotations
 import random
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
-
-#: Error-payload ``kind`` values that mark a transient, safely retryable
-#: failure (requests are idempotent by cache_key). Everything else is
-#: terminal unless the payload itself says ``"retryable": true``.
-RETRYABLE_KINDS = frozenset({
-    "unavailable",        # server shutting down
-    "overloaded",         # admission control shed the request (503)
-    "deadline_expired",   # per-request deadline passed (504)
-    "worker_crashed",     # pool worker died before exhausting retries
-    "store_write_failed",  # result-store write failed (result still served)
-})
+from typing import Dict, Optional
 
 #: Exception types that mark transient infrastructure failures. Note that
 #: ``TimeoutError``/``ConnectionError`` are ``OSError`` subclasses — the
@@ -89,26 +77,6 @@ def classify_exception(error: BaseException) -> Failure:
                 else type(error).__name__)
         return Failure(kind=kind, retryable=True, status=500)
     return Failure(kind=type(error).__name__, retryable=False, status=422)
-
-
-def is_retryable_exception(error: BaseException) -> bool:
-    """Whether a raised exception marks a transient (retry-safe) failure."""
-    return classify_exception(error).retryable
-
-
-def is_retryable_payload(payload: Mapping[str, object]) -> bool:
-    """Whether a structured ``{"error": {...}}`` payload is retry-safe.
-
-    The payload's own ``retryable`` flag wins when present; otherwise the
-    ``kind`` is looked up in :data:`RETRYABLE_KINDS`.
-    """
-    error = payload.get("error")
-    if not isinstance(error, Mapping):
-        return False
-    marked = error.get("retryable")
-    if isinstance(marked, bool):
-        return marked
-    return error.get("type") in RETRYABLE_KINDS
 
 
 @dataclass(frozen=True)

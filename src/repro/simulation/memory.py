@@ -11,8 +11,6 @@ Memory has two jobs in the evaluation:
 
 from __future__ import annotations
 
-
-from repro.hardware.config import ComputeDieConfig
 from repro.parallelism.strategies import ExecutionPlan
 from repro.workloads.training import MemoryFootprint
 
@@ -53,10 +51,3 @@ def dram_traffic_bytes(plan: ExecutionPlan) -> float:
     optimizer_traffic = 2.0 * memory.optimizer + memory.gradients
     comm_staging = plan.total_comm_bytes()
     return weight_traffic + activation_traffic + optimizer_traffic + comm_staging
-
-
-def hbm_time(traffic_bytes: float, die: ComputeDieConfig) -> float:
-    """Time to move ``traffic_bytes`` through the die's HBM interface."""
-    if traffic_bytes < 0:
-        raise ValueError(f"traffic_bytes must be non-negative, got {traffic_bytes}")
-    return die.hbm.access_time(traffic_bytes)

@@ -72,12 +72,6 @@ class SimulationReport:
             "bubble": self.bubble_time,
         }
 
-    def normalized_breakdown(self) -> Dict[str, float]:
-        """Breakdown normalised to the step time (sums to 1.0)."""
-        if self.step_time <= 0:
-            return {key: 0.0 for key in self.breakdown()}
-        return {key: value / self.step_time for key, value in self.breakdown().items()}
-
 
 class WaferSimulator:
     """Analytical simulator of LLM training steps on a wafer-scale chip."""

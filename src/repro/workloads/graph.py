@@ -172,10 +172,6 @@ class ComputeGraph:
         """All operators in topological order."""
         return [node.operator for node in self.nodes()]
 
-    def successors(self, node_id: int) -> List[int]:
-        """Node ids consuming the output of ``node_id``."""
-        return list(self._successors[node_id])
-
     def predecessors(self, node_id: int) -> List[int]:
         """Node ids whose outputs feed ``node_id``."""
         return list(self._predecessors[node_id])
@@ -223,10 +219,6 @@ class ComputeGraph:
             if include_backward:
                 total += operator.backward_flops
         return total
-
-    def total_weight_bytes(self) -> float:
-        """Sum of weight bytes across all operators."""
-        return sum(op.weight_bytes for op in self.operators())
 
     def total_activation_bytes(self) -> float:
         """Sum of forward activation bytes across all operators."""

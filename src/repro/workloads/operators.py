@@ -86,14 +86,6 @@ class Operator:
         """Bytes of activations that must be kept for the backward pass."""
         return self.output_bytes
 
-    @property
-    def arithmetic_intensity(self) -> float:
-        """FLOPs per byte of tensor traffic (used to detect memory-bound ops)."""
-        traffic = self.input_bytes + self.weight_bytes + self.output_bytes
-        if traffic <= 0:
-            return 0.0
-        return self.forward_flops / traffic
-
     def dim(self, key: str) -> int:
         """Return a named dimension size, raising a clear error if absent."""
         try:

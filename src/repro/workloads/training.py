@@ -151,12 +151,3 @@ class TrainingStep:
             optimizer=self.optimizer_bytes,
             activations=self.activation_bytes,
         )
-
-    def ideal_footprint(self, num_devices: int) -> MemoryFootprint:
-        """The zero-redundancy footprint: everything sharded ``num_devices`` ways.
-
-        This is the "Ideal" bar of Fig. 4(c).
-        """
-        if num_devices <= 0:
-            raise ValueError(f"num_devices must be positive, got {num_devices}")
-        return self.replicated_footprint().scaled(1.0 / num_devices)

@@ -7,7 +7,6 @@ import pytest
 from repro.hardware.config import (
     GB,
     TB,
-    ComputeDieConfig,
     GPUClusterConfig,
     GPUDeviceConfig,
     HBMConfig,
@@ -59,24 +58,6 @@ class TestHBMConfig:
             HBMConfig().access_time(-5)
 
 
-class TestComputeDieConfig:
-    def test_core_array(self):
-        die = ComputeDieConfig()
-        assert die.num_cores == 64
-
-    def test_peak_power_from_efficiency(self):
-        die = ComputeDieConfig()
-        assert die.peak_power == pytest.approx(die.peak_flops / die.flops_per_watt)
-
-    def test_effective_flops_scaling(self):
-        die = ComputeDieConfig()
-        assert die.effective_flops(0.5) == pytest.approx(die.peak_flops * 0.5)
-
-    def test_effective_flops_rejects_bad_utilization(self):
-        with pytest.raises(ValueError):
-            ComputeDieConfig().effective_flops(1.5)
-
-
 class TestWaferConfig:
     def test_default_grid_is_4x8(self):
         wafer = default_wafer_config()
@@ -87,13 +68,6 @@ class TestWaferConfig:
         wafer = default_wafer_config()
         assert wafer.total_hbm_capacity == pytest.approx(32 * 72 * GB)
         assert wafer.total_peak_flops == pytest.approx(32 * wafer.die.peak_flops)
-        assert wafer.total_sram_capacity == pytest.approx(32 * wafer.die.sram_capacity)
-
-    def test_with_grid_returns_new_config(self):
-        wafer = default_wafer_config()
-        bigger = wafer.with_grid(6, 8)
-        assert bigger.num_dies == 48
-        assert wafer.num_dies == 32
 
     def test_invalid_grid_rejected(self):
         with pytest.raises(ValueError):

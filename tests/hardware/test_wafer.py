@@ -62,7 +62,9 @@ class TestWaferScaleChip:
 
 class TestFaultModel:
     def test_no_faults_by_default(self):
-        assert not FaultModel().has_faults
+        model = FaultModel()
+        assert not (model.failed_links or model.core_faults
+                    or model.dead_dies or model.degraded_links)
 
     def test_sample_link_faults_is_symmetric_and_sized(self):
         model = FaultModel.sample_link_faults(4, 8, 0.25, seed=1)
@@ -82,8 +84,8 @@ class TestFaultModel:
         assert 0.1 < mean < 0.3
 
     def test_zero_rate_means_no_faults(self):
-        assert not FaultModel.sample_core_faults(32, 0.0).has_faults
-        assert not FaultModel.sample_link_faults(4, 8, 0.0).has_faults
+        assert not FaultModel.sample_core_faults(32, 0.0).core_faults
+        assert not FaultModel.sample_link_faults(4, 8, 0.0).failed_links
 
     def test_invalid_rates_rejected(self):
         with pytest.raises(ValueError):

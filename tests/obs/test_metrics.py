@@ -138,13 +138,6 @@ class TestCounterBundle:
         bundle.hits += 1
         assert snapshot == {"hits": 1}
 
-    def test_merge_and_reset(self):
-        bundle = CounterBundle(hits=1)
-        bundle.merge({"hits": 2, "writes": 5})
-        assert bundle == {"hits": 3, "writes": 5}
-        bundle.reset()
-        assert bundle == {"hits": 0, "writes": 0}
-
 
 class TestPrometheus:
     def test_name_sanitization(self):

@@ -15,7 +15,6 @@ class TestParallelSpec:
     def test_defaults_are_trivial(self):
         spec = ParallelSpec()
         assert spec.total_degree == 1
-        assert spec.active_dimensions() == []
 
     def test_total_degree_is_product(self):
         spec = ParallelSpec(dp=2, tp=4, tatp=4)

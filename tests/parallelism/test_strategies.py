@@ -3,16 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.parallelism.baselines import (
-    BaselineScheme,
-    candidate_specs,
-    fsdp_spec,
-    megatron1_spec,
-    mesp_spec,
-)
+from repro.parallelism.baselines import BaselineScheme, candidate_specs
 from repro.parallelism.comm import CollectiveType
 from repro.parallelism.spec import ParallelSpec
-from repro.parallelism.strategies import analyze_layer, analyze_model
+from repro.parallelism.strategies import analyze_model
 from repro.workloads.models import get_model
 
 
@@ -135,37 +129,12 @@ class TestCommunicationTasks:
         with pytest.raises(ValueError):
             analyze_model(gpt3_6b, ParallelSpec(dp=4), num_devices=32)
 
-    def test_analyze_layer_uses_single_layer(self, gpt3_6b):
-        layer = analyze_layer(gpt3_6b, ParallelSpec(tp=8), num_devices=8)
-        full = analyze_model(gpt3_6b, ParallelSpec(tp=8), num_devices=8)
-        assert layer.flops_per_device < full.flops_per_device
-
     def test_tasks_are_tagged_by_dimension(self, gpt3_6b):
         plan = analyze_model(gpt3_6b, ParallelSpec(dp=4, tatp=8), num_devices=32)
         assert {task.dimension for task in plan.all_tasks} == {"dp", "tatp"}
 
 
 class TestBaselineSpecs:
-    def test_megatron1_spec_replicates_optimizer(self):
-        spec = megatron1_spec(32, tp=8)
-        assert spec.dp == 4 and spec.tp == 8
-        assert not spec.zero1_optimizer
-
-    def test_mesp_spec_couples_sp(self):
-        spec = mesp_spec(32, tp=8)
-        assert spec.sp_within_tp
-        assert spec.total_degree == 32
-
-    def test_fsdp_spec_defaults_to_full_shard(self):
-        spec = fsdp_spec(32)
-        assert spec.fsdp == 32
-
-    def test_invalid_divisions_rejected(self):
-        with pytest.raises(ValueError):
-            megatron1_spec(32, tp=5)
-        with pytest.raises(ValueError):
-            fsdp_spec(32, fsdp=5)
-
     @pytest.mark.parametrize("scheme", list(BaselineScheme))
     def test_candidates_fill_the_wafer(self, scheme):
         for spec in candidate_specs(scheme, 32, max_tp=8, max_tatp=32):

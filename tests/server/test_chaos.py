@@ -12,14 +12,12 @@ backoff, and every failure path is countable in ``/metrics``.
 
 import asyncio
 import random
-from types import SimpleNamespace
 
 import pytest
 
 from repro.api.scenario import SCHEMA_VERSION, Scenario
 from repro.api.portfolio import Portfolio, PortfolioAxis
 from repro.api.service import PlanService
-from repro.runner.orchestrator import execute_cell
 from repro.server.client import PlanClient, PlanServerError
 from repro.server.faults import (
     FaultInjector,
@@ -29,12 +27,7 @@ from repro.server.faults import (
     parse_spec,
 )
 from repro.server.portfolio import sweep_portfolio
-from repro.server.resilience import (
-    RetryPolicy,
-    classify_exception,
-    is_retryable_exception,
-    is_retryable_payload,
-)
+from repro.server.resilience import RetryPolicy, classify_exception
 from repro.server.scheduler import PlanRequestError, PlanScheduler
 from repro.server.store import ResultStore
 
@@ -184,12 +177,15 @@ class TestClassification:
     def test_exception_taxonomy(self):
         from concurrent.futures.process import BrokenProcessPool
 
-        assert is_retryable_exception(BrokenProcessPool("worker died"))
-        assert is_retryable_exception(ConnectionResetError("dropped"))
-        assert is_retryable_exception(InjectedWorkerCrash("chaos"))
-        assert not is_retryable_exception(ValueError("bad document"))
-        assert not is_retryable_exception(TypeError("wrong type"))
-        assert not is_retryable_exception(KeyError("missing"))
+        def retryable(error):
+            return classify_exception(error).retryable
+
+        assert retryable(BrokenProcessPool("worker died"))
+        assert retryable(ConnectionResetError("dropped"))
+        assert retryable(InjectedWorkerCrash("chaos"))
+        assert not retryable(ValueError("bad document"))
+        assert not retryable(TypeError("wrong type"))
+        assert not retryable(KeyError("missing"))
 
     def test_broken_pool_classifies_as_worker_crashed(self):
         from concurrent.futures.process import BrokenProcessPool
@@ -203,23 +199,9 @@ class TestClassification:
         class TerminalOSError(OSError):
             retryable = False
 
-        assert not is_retryable_exception(TerminalOSError("really broken"))
-        assert is_retryable_exception(InjectedStoreWriteError("chaos"))
-
-    def test_payload_taxonomy(self):
-        assert is_retryable_payload(
-            {"error": {"type": "overloaded", "status": 503}})
-        assert is_retryable_payload(
-            {"error": {"type": "deadline_expired", "status": 504}})
-        assert not is_retryable_payload(
-            {"error": {"type": "ScenarioError", "status": 400}})
-        # The payload's own flag wins over the kind table.
-        assert not is_retryable_payload(
-            {"error": {"type": "overloaded", "retryable": False}})
-        assert is_retryable_payload(
-            {"error": {"type": "anything", "retryable": True}})
-        assert not is_retryable_payload({"no_error": True})
-        assert not is_retryable_payload({"error": "just a string"})
+        assert not classify_exception(
+            TerminalOSError("really broken")).retryable
+        assert classify_exception(InjectedStoreWriteError("chaos")).retryable
 
 
 class TestWorkerCrashRecovery:
@@ -510,45 +492,6 @@ class TestSweepBackpressure:
         outcomes, counters = _run(scenario())
         assert counters["shed"] >= 1
         assert all("error" not in outcome.payload for outcome in outcomes)
-
-
-class TestOrchestratorRetry:
-    def _experiment(self, failures):
-        """A stub experiment whose cell fails ``len(failures)`` times."""
-        calls = {"count": 0}
-
-        def cell(service, **params):
-            calls["count"] += 1
-            if failures:
-                raise failures.pop(0)
-            return [{"step_time": 1.5}]
-
-        return SimpleNamespace(cell=cell), calls
-
-    def test_transient_cell_failure_is_retried_once(self):
-        experiment, calls = self._experiment(
-            [InjectedWorkerCrash("worker died")])
-        outcome = execute_cell(experiment, {"rows": 4}, service=None)
-        assert outcome.error is None
-        assert outcome.retries == 1
-        assert calls["count"] == 2
-        assert outcome.rows == [{"rows": 4, "step_time": 1.5}]
-
-    def test_terminal_cell_failure_is_not_retried(self):
-        experiment, calls = self._experiment([ValueError("bad cell")])
-        outcome = execute_cell(experiment, {"rows": 4}, service=None)
-        assert outcome.error is not None
-        assert "bad cell" in outcome.error
-        assert outcome.retries == 0
-        assert calls["count"] == 1
-
-    def test_persistent_transient_failure_exhausts_retries(self):
-        experiment, calls = self._experiment(
-            [InjectedWorkerCrash("down"), InjectedWorkerCrash("still down")])
-        outcome = execute_cell(experiment, {"rows": 4}, service=None)
-        assert outcome.error is not None
-        assert outcome.retries == 1
-        assert calls["count"] == 2
 
 
 @pytest.mark.slow  # live servers and real process pools

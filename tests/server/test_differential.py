@@ -17,7 +17,7 @@ import pytest
 from repro.api.portfolio import portfolio_from_scenarios
 from repro.api.scenario import Scenario
 from repro.api.service import PlanService
-from repro.server.portfolio import run_portfolio_local
+from repro.server.portfolio import run_portfolio_local, run_portfolio_remote
 from repro.server.scheduler import PlanScheduler
 
 pytestmark = pytest.mark.slow  # evaluates the shared set four times
@@ -116,14 +116,14 @@ def test_portfolio_path_matches_direct(scenarios, direct_payloads):
             for kind, outcome in zip(kinds, outcomes)} == direct_payloads
 
 
-def test_portfolio_server_path_matches_direct(client, scenarios,
+def test_portfolio_server_path_matches_direct(server, scenarios,
                                               direct_payloads):
     kinds = list(scenarios)
     portfolio = portfolio_from_scenarios(
         "differential-http", [scenarios[kind] for kind in kinds])
-    status = client.sweep(portfolio, poll_interval=0.05, timeout=120)
-    assert status["status"] == "done"
-    assert dict(zip(kinds, status["results"])) == direct_payloads
+    outcomes = run_portfolio_remote(portfolio, "127.0.0.1", server.port)
+    assert {kind: outcome.payload
+            for kind, outcome in zip(kinds, outcomes)} == direct_payloads
 
 
 def test_pool_scheduler_path_matches_direct(scenarios, direct_payloads):

@@ -102,6 +102,14 @@ class TestEndpoints:
             assert timings[name]["count"] >= 1
             assert timings[name]["p95"] >= timings[name]["p50"] >= 0
 
+    def test_metrics_sections(self, client):
+        # The whole /metrics document: a remote sweep reads
+        # ``scheduler.max_queue`` from it, perfbench reads ``timings``.
+        metrics = client.metrics()
+        assert set(metrics) == {"chaos", "latency", "plan_cache",
+                                "scheduler", "store", "timings"}
+        assert "max_queue" in metrics["scheduler"]
+
     def test_metrics_prometheus_format_and_content_type(self, client,
                                                         server):
         client.plan(_doc())

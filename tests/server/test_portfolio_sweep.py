@@ -1,11 +1,11 @@
-"""Tests of the portfolio sweep engine, its HTTP job API, and ``repro sweep``.
+"""Tests of the portfolio sweep engine, its remote twin, and ``repro sweep``.
 
 The acceptance contract of the sweep backbone lives here: a figure's
 portfolio swept through the scheduler (locally or via a live server) emits
 a manifest whose rows are bit-identical to the orchestrator path
 (``repro run <figure> --reduced``), duplicates are evaluated once, bad
-points become failed cells instead of failed sweeps, and the polled HTTP
-job reports incremental progress.
+points become failed cells instead of failed sweeps, and a remote sweep
+paces itself below the server's admission bound.
 """
 
 import asyncio
@@ -23,10 +23,11 @@ from repro.runner import orchestrator
 from repro.runner.cli import main
 from repro.runner.manifest import validate_manifest
 from repro.runner.registry import all_experiments, get_experiment
-from repro.server.client import PlanClient, PlanServerError
+from repro.server.faults import FaultInjector
 from repro.server.portfolio import (
     build_sweep_manifest,
     run_portfolio_local,
+    run_portfolio_remote,
     sweep_portfolio,
 )
 from repro.server.scheduler import PlanScheduler
@@ -162,46 +163,71 @@ class TestOrchestratorParity:
             [cell["params"] for cell in reference["cells"]]
 
 
-class TestHttpJobs:
-    def test_job_runs_to_done_with_results_in_point_order(self, client):
-        portfolio = _fast_portfolio(name="http", candidates=(4, 5))
-        status = client.sweep(portfolio, poll_interval=0.05, timeout=60)
-        assert status["status"] == "done"
-        assert status["points"] == 2
-        assert status["unique"] == 2
-        assert status["completed"] == 2
-        assert status["errors"] == 0
-        assert [params["max_candidates"] for params in status["params"]] \
-            == [4, 5]
-        assert len(status["results"]) == 2
-        assert all("error" not in payload for payload in status["results"])
-        assert len(status["sources"]) == len(status["wall_seconds"]) == 2
+class TestRemoteSweep:
+    def test_outcomes_come_back_in_point_order(self, server):
+        portfolio = _fast_portfolio(name="http", candidates=(4, 5, 4))
+        outcomes = run_portfolio_remote(portfolio, "127.0.0.1", server.port)
+        assert [outcome.index for outcome in outcomes] == [0, 1, 2]
+        assert [outcome.params["max_candidates"]
+                for outcome in outcomes] == [4, 5, 4]
+        assert all("error" not in outcome.payload for outcome in outcomes)
+        assert outcomes[2].source == "duplicate"
+        assert outcomes[2].payload == outcomes[0].payload
 
-    def test_jobs_listing_and_metrics(self, client):
-        client.sweep(_fast_portfolio(name="listed", candidates=(6,)),
-                     poll_interval=0.05, timeout=60)
-        jobs = client.portfolio_jobs()["jobs"]
-        assert any(job["portfolio"] == "listed" for job in jobs)
-        metrics = client.metrics()
-        assert metrics["portfolios"]["jobs"] >= 1
+    def test_sweep_paces_itself_below_max_queue(self, make_server):
+        harness = make_server(max_queue=1)
+        portfolio = _fast_portfolio(name="paced", candidates=(2, 3, 4))
+        outcomes = run_portfolio_remote(portfolio, "127.0.0.1",
+                                        harness.port)
+        assert [outcome.source for outcome in outcomes] == \
+            ["evaluated"] * 3
+        assert harness.scheduler.counters["shed"] == 0
 
-    def test_malformed_portfolio_is_a_structured_400(self, client):
-        with pytest.raises(PlanServerError) as excinfo:
-            client.portfolio_start({"schema_version": 1, "bogus": True})
-        assert excinfo.value.status == 400
-        error = excinfo.value.payload["error"]
-        assert error["type"] == "PortfolioError"
-        assert "Traceback" not in error["message"]
+    def test_dropped_connection_is_retried(self, tmp_path, make_server):
+        harness = make_server(max_queue=1)
+        portfolio = _fast_portfolio(name="dropped", candidates=(2, 3, 4))
 
-    def test_unknown_job_is_a_404(self, client):
-        with pytest.raises(PlanServerError) as excinfo:
-            client.portfolio_status("sweep-999999")
-        assert excinfo.value.status == 404
+        def drop_next_connection(completed, total, outcome):
+            # At max_queue=1 points go one at a time, so arming the fault
+            # after the first answer drops exactly the second request.
+            if completed == 1:
+                harness.scheduler.chaos = FaultInjector(
+                    "flaky-http:1", state_dir=str(tmp_path))
 
-    def test_wrong_method_is_a_405(self, client):
-        status, headers, _ = client._request("DELETE", "/v1/portfolio")
-        assert status == 405
-        assert "POST" in headers.get("allow", "")
+        outcomes = run_portfolio_remote(portfolio, "127.0.0.1", harness.port,
+                                        on_unique=drop_next_connection)
+        assert [outcome.source for outcome in outcomes] == \
+            ["evaluated"] * 3
+        assert harness.scheduler.chaos.stats()["fired"] == {"flaky-http": 1}
+
+    def test_portfolio_route_is_gone(self, client):
+        status, _, payload = client._request(
+            "POST", "/v1/portfolio", _fast_portfolio().to_dict())
+        assert status == 404
+        assert payload["error"]["type"] == "not_found"
+        assert "portfolios" not in client.metrics()
+
+    @pytest.mark.parametrize("path", ["/v1/portfolio", "/v1/portfolio/1"])
+    def test_job_listing_and_status_routes_are_gone(self, client, path):
+        status, _, payload = client._request("GET", path)
+        assert status == 404
+        assert payload["error"]["type"] == "not_found"
+
+    def test_failed_evaluation_keeps_its_source(self, server):
+        # A fault study without a fixed_spec passes document validation
+        # but fails in the evaluation path: the server evaluated it.
+        bad = Scenario.from_dict({
+            "schema_version": 1,
+            "workload": {"model": "gpt3-6.7b", "num_layers": 2,
+                         "batch_size": 8, "seq_length": 512},
+            "hardware": {"link_fault_rate": 0.3},
+        })
+        portfolio = portfolio_from_scenarios(
+            "remote-mixed", [_fast_scenario(max_candidates=6), bad])
+        outcomes = run_portfolio_remote(portfolio, "127.0.0.1", server.port)
+        assert "error" not in outcomes[0].payload
+        assert outcomes[1].source == "evaluated"
+        assert outcomes[1].payload["error"]["status"] == 422
 
 
 class TestSweepCli:
@@ -252,6 +278,11 @@ class TestSweepCli:
                      "--no-write"]) == 2
         assert "malformed --server" in capsys.readouterr().err
 
+    def test_sweep_unreachable_server_exits_2(self, capsys):
+        assert main(["sweep", "fig13", "--reduced", "--server",
+                     "127.0.0.1:1", "--no-write"]) == 2
+        assert "cannot sweep via plan server" in capsys.readouterr().err
+
     def test_adhoc_file_sweep_writes_a_valid_manifest(self, tmp_path,
                                                       capsys):
         path = tmp_path / "portfolio.json"
@@ -291,14 +322,30 @@ class TestSweepCli:
         assert validate_manifest(manifest,
                                  get_experiment("fig13")) == []
 
-    def test_repeated_server_sweep_is_served_from_the_store(
-            self, server, tmp_path, capsys):
-        client = PlanClient(port=server.port, timeout=60.0)
+    def test_server_sweep_manifest_counts_sources(self, make_server,
+                                                  tmp_path, capsys):
+        # A fresh server evaluates every unique point; the same sweep
+        # again is served from its store.
+        harness = make_server(store_path=tmp_path / "plans.sqlite")
+        path = tmp_path / "portfolio.json"
+        path.write_text(_fast_portfolio(name="cli-sources").to_json())
+        sources = []
+        for attempt in ("first", "second"):
+            out = tmp_path / attempt
+            assert main(["sweep", "--file", str(path), "--server",
+                         f"127.0.0.1:{harness.port}",
+                         "--output-dir", str(out)]) == 0
+            manifest = json.loads((out / "cli-sources.json").read_text())
+            sources.append(manifest["sweep"]["sources"])
+        assert sources == [{"evaluated": 2}, {"store": 2}]
+
+    def test_repeated_server_sweep_is_served_from_the_store(self, server):
         portfolio = _fast_portfolio(name="stored", candidates=(7, 8))
-        first = client.sweep(portfolio, poll_interval=0.05, timeout=60)
-        second = client.sweep(portfolio, poll_interval=0.05, timeout=60)
-        assert first["results"] == second["results"]
-        assert all(source == "store" for source in second["sources"])
+        first = run_portfolio_remote(portfolio, "127.0.0.1", server.port)
+        second = run_portfolio_remote(portfolio, "127.0.0.1", server.port)
+        assert [outcome.payload for outcome in first] == \
+            [outcome.payload for outcome in second]
+        assert [outcome.source for outcome in second] == ["store", "store"]
 
 
 class TestFabricZooSweep:

@@ -11,11 +11,12 @@ import asyncio
 
 import pytest
 
+from repro.api.portfolio import Portfolio
 from repro.api.scenario import SCHEMA_VERSION, Scenario
 from repro.api.service import PlanService
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import get_tracer
-from repro.server.portfolio import PortfolioManager
+from repro.server.portfolio import sweep_portfolio
 from repro.server.scheduler import (
     PlanRequestError,
     PlanScheduler,
@@ -396,11 +397,11 @@ class TestConstruction:
                                      "status": 418}}
 
 
-class TestPortfolioJobHashing:
+class TestSweepHashing:
     def test_each_point_is_hashed_once(self, monkeypatch):
         # N = 4 points, U = 2 unique scenarios: the ``step`` axis only
         # labels rows, so points 0/1 and 2/3 share a key.
-        document = {
+        portfolio = Portfolio.from_dict({
             "schema_version": SCHEMA_VERSION,
             "name": "hash-count",
             "base": _doc(),
@@ -410,7 +411,7 @@ class TestPortfolioJobHashing:
                  "values": [256, 256, 512, 512]},
                 {"name": "step", "values": [1, 2, 3, 4]},
             ],
-        }
+        })
         hashed = []
         cache_key = Scenario.cache_key
 
@@ -422,16 +423,11 @@ class TestPortfolioJobHashing:
 
         async def scenario():
             async with PlanScheduler() as scheduler:
-                manager = PortfolioManager(scheduler)
-                job = manager.start_job(document)
-                await manager.close()
-                return manager.get(job["job"])
+                return await sweep_portfolio(scheduler, portfolio)
 
-        status = _run(scenario())
-        assert status["status"] == "done"
-        assert (status["points"], status["unique"]) == (4, 2)
-        assert status["sources"] == ["evaluated", "duplicate",
-                                     "evaluated", "duplicate"]
-        # Hashing in the job, the sweep and the scheduler each would make
-        # 2N + U = 10; the point's own key leaves one hash per point.
-        assert len(hashed) <= 4 + 2
+        outcomes = _run(scenario())
+        assert [outcome.source for outcome in outcomes] == \
+            ["evaluated", "duplicate", "evaluated", "duplicate"]
+        # The expansion hashes each point once; the sweep and the
+        # scheduler read ``PortfolioPoint.key`` instead of re-hashing.
+        assert len(hashed) == 4

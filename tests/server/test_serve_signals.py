@@ -1,10 +1,13 @@
-"""``repro serve`` shuts down cleanly on SIGTERM.
+"""``repro serve`` as a process: clean SIGTERM shutdown, no ambient chaos.
 
 ``kill`` (and container or CI teardown) sends SIGTERM, not SIGINT. The
 server must drain like it does on Ctrl-C: close the listener, finish
 in-flight work, shut its lane worker processes down, and exit 0. Without
 the handler the process dies at once and, at ``--jobs > 1``, leaves its
 lane workers running as orphans.
+
+Fault injection is armed by ``--chaos`` alone: the environment a server
+inherits (a benchmark's child process, say) never arms it.
 """
 
 import os
@@ -87,5 +90,28 @@ def test_sigterm_drains_and_stops_lane_workers(tmp_path):
         for pid in [server.pid, *workers]:
             if _alive(pid):
                 os.kill(pid, signal.SIGKILL)
+        server.wait(timeout=30)
+        server.stdout.close()
+
+
+def test_chaos_environment_variable_arms_nothing(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC),
+               REPRO_CHAOS="worker-crash:once")
+    with open(tmp_path / "stderr.txt", "w") as stderr:
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0"],
+            env=env, stdout=subprocess.PIPE, stderr=stderr, text=True)
+    try:
+        banner = server.stdout.readline()
+        assert "chaos=" not in banner
+        port = int(re.search(r":(\d+) \(", banner).group(1))
+        client = PlanClient(port=port)
+        assert client.wait_ready(30)
+        assert client.metrics()["chaos"] == {"enabled": False}
+        server.send_signal(signal.SIGTERM)
+        assert server.wait(timeout=30) == 0
+    finally:
+        if server.poll() is None:
+            server.kill()
         server.wait(timeout=30)
         server.stdout.close()

@@ -18,7 +18,6 @@ from repro.simulation.config import SimulatorConfig
 from repro.simulation.memory import (
     dram_traffic_bytes,
     fits_in_memory,
-    hbm_time,
     memory_pressure,
 )
 from repro.simulation.power import PowerBreakdown, power_breakdown, power_efficiency
@@ -138,12 +137,6 @@ class TestMemoryModel:
         large = dram_traffic_bytes(analyze_model(llama70b, ParallelSpec(tatp=32),
                                                  num_devices=32))
         assert 0 < small < large
-
-    def test_hbm_time(self):
-        die = ComputeDieConfig()
-        assert hbm_time(0, die) == pytest.approx(die.hbm.latency)
-        with pytest.raises(ValueError):
-            hbm_time(-1, die)
 
 
 class TestPowerModel:
